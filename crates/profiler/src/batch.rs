@@ -5,13 +5,17 @@
 //! words per sweep cell; all words sharing a code index use the same
 //! parity-check matrix, differing only in their fault models and seeds.
 //! [`ProfilingCampaign::run_profiler`] simulates one such word per
-//! [`MemoryChip`] and therefore issues one-word bursts — the batched syndrome
-//! kernel never sees more than a single word per call. [`CampaignBatch`]
-//! loads a whole cell's words into one multi-word chip and scrubs them with
-//! **one [`MemoryChip::read_burst_with_rngs`] per round**, turning the
-//! kernel's batched bit-sliced evaluation — 64 words per transposed block,
-//! clean words short-circuited by the block's nonzero-syndrome mask — into
-//! the default data flow of every sweep.
+//! [`MemoryChip`](harp_memsim::MemoryChip) and therefore issues one-word
+//! bursts — the batched syndrome kernel never sees more than a single word
+//! per call. [`CampaignBatch`] describes a whole cell's words; its
+//! [`BatchRun`] engine loads them into one multi-word chip and scrubs them
+//! with **one
+//! [`MemoryChip::read_burst_with_rngs`](harp_memsim::MemoryChip::read_burst_with_rngs)
+//! per round**, turning the kernel's batched bit-sliced evaluation — 64
+//! words per transposed block, clean words short-circuited by the block's
+//! nonzero-syndrome mask — into the default data flow of every sweep.
+//! [`CampaignBatch::run`] is that engine advanced once and never
+//! checkpointed; [`BatchRun::advance`] is the only batched round loop.
 //!
 //! The batching is an execution-plan change only. Each word keeps its own
 //! ChaCha8 fault-injection stream (derived from its campaign seed exactly as
@@ -46,49 +50,13 @@
 //! # Ok::<(), harp_ecc::CodeError>(())
 //! ```
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
 use harp_ecc::{ErrorSpace, LinearBlockCode};
 use harp_memsim::pattern::DataPattern;
-use harp_memsim::{BurstScratch, FaultModel, MemoryChip};
+use harp_memsim::FaultModel;
 
-use crate::campaign::{CampaignResult, ProfilingCampaign, RoundSnapshot, CAMPAIGN_RNG_SALT};
-use crate::traits::{Profiler, ProfilerKind};
-
-/// Executes one batched profiling round: write every slot's dataword, scrub
-/// the whole cell with one multi-word burst, and let each profiler observe
-/// its own slot. This is the single round loop shared by
-/// [`CampaignBatch::run_profilers`] and the resumable
-/// [`crate::checkpoint::BatchRun`], so checkpointed campaigns replay exactly
-/// the reference data flow.
-pub(crate) fn step_batch_round<C: LinearBlockCode>(
-    chip: &mut MemoryChip<C>,
-    rngs: &mut [ChaCha8Rng],
-    scratch: &mut BurstScratch,
-    profilers: &mut [Box<dyn Profiler>],
-    snapshots: &mut [Vec<RoundSnapshot>],
-    round: usize,
-) {
-    let count = profilers.len();
-    for (slot, profiler) in profilers.iter_mut().enumerate() {
-        let data = profiler.dataword_for_round(round);
-        chip.write_in_place(slot, &data);
-    }
-    let observations = chip.read_burst_with_rngs(0..count, rngs, scratch);
-    for ((profiler, observation), word_snapshots) in profilers
-        .iter_mut()
-        .zip(observations)
-        .zip(snapshots.iter_mut())
-    {
-        profiler.observe_round(round, observation);
-        word_snapshots.push(RoundSnapshot {
-            round,
-            identified: profiler.identified().clone(),
-            predicted: profiler.predicted(),
-        });
-    }
-}
+use crate::campaign::{CampaignResult, ProfilingCampaign};
+use crate::checkpoint::BatchRun;
+use crate::traits::ProfilerKind;
 
 /// The per-word configuration of one batched campaign slot: everything a
 /// [`ProfilingCampaign`] holds except the (shared) code.
@@ -193,73 +161,12 @@ impl<C: LinearBlockCode + Clone + Send + 'static> CampaignBatch<C> {
 
     /// Runs a freshly instantiated profiler of the given kind on every word
     /// of the cell for `rounds` rounds, returning one [`CampaignResult`] per
-    /// word in word order.
+    /// word in word order: a [`BatchRun`] advanced once and never
+    /// checkpointed.
     pub fn run(&self, kind: ProfilerKind, rounds: usize) -> Vec<CampaignResult> {
-        let mut profilers: Vec<Box<dyn Profiler>> = self
-            .words
-            .iter()
-            .map(|word| kind.instantiate(&self.code, word.pattern, word.seed))
-            .collect();
-        self.run_profilers(&mut profilers, rounds)
-    }
-
-    /// Runs one existing profiler per word for `rounds` rounds.
-    ///
-    /// All words share a single [`MemoryChip`] and every round performs **one
-    /// multi-word burst** over the whole cell: the per-round datawords are
-    /// written into each word's slot, the burst samples each word's raw
-    /// errors from that word's own seed-derived RNG stream (via
-    /// [`MemoryChip::read_burst_with_rngs`]), and each profiler observes its
-    /// own slot. `BurstScratch` persists across rounds, so the steady-state
-    /// round loop performs no heap allocation in the decode path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `profilers.len()` does not match the number of words.
-    pub fn run_profilers(
-        &self,
-        profilers: &mut [Box<dyn Profiler>],
-        rounds: usize,
-    ) -> Vec<CampaignResult> {
-        assert_eq!(
-            profilers.len(),
-            self.words.len(),
-            "batch of {} words needs {} profilers, got {}",
-            self.words.len(),
-            self.words.len(),
-            profilers.len()
-        );
-        let count = self.words.len();
-        let mut chip = MemoryChip::new(self.code.clone(), count);
-        for (slot, word) in self.words.iter().enumerate() {
-            chip.set_fault_model(slot, word.faults.clone());
-        }
-        let mut rngs: Vec<ChaCha8Rng> = self
-            .words
-            .iter()
-            .map(|word| ChaCha8Rng::seed_from_u64(word.seed ^ CAMPAIGN_RNG_SALT))
-            .collect();
-        let mut scratch = BurstScratch::with_capacity(count);
-        let mut snapshots: Vec<Vec<RoundSnapshot>> =
-            (0..count).map(|_| Vec::with_capacity(rounds)).collect();
-        for round in 0..rounds {
-            step_batch_round(
-                &mut chip,
-                &mut rngs,
-                &mut scratch,
-                profilers,
-                &mut snapshots,
-                round,
-            );
-        }
-        profilers
-            .iter()
-            .zip(snapshots)
-            .map(|(profiler, word_snapshots)| CampaignResult {
-                profiler: profiler.name().to_owned(),
-                snapshots: word_snapshots,
-            })
-            .collect()
+        let mut run = BatchRun::new(self, kind);
+        run.advance(rounds);
+        run.into_results()
     }
 }
 
@@ -366,15 +273,5 @@ mod tests {
     fn empty_batches_are_rejected() {
         let code = HammingCode::random(8, 1).unwrap();
         CampaignBatch::new(code, Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "profilers")]
-    fn mismatched_profiler_count_panics() {
-        let batch = cell(17);
-        let code = batch.code().clone();
-        let mut profilers: Vec<Box<dyn Profiler>> =
-            vec![ProfilerKind::Naive.instantiate(&code, DataPattern::Random, 0)];
-        batch.run_profilers(&mut profilers, 4);
     }
 }

@@ -15,14 +15,15 @@
 //!
 //! Chip contents need no checkpointing: every round rewrites each slot before
 //! the burst read, and the pattern schedule is a pure function of the round
-//! index. [`BatchRun`] is the resumable twin of
-//! [`CampaignBatch::run`](crate::batch::CampaignBatch::run) and
-//! [`CampaignRun`] of
-//! [`ProfilingCampaign::run_profiler`](crate::campaign::ProfilingCampaign);
-//! both replicate their reference round loop exactly, so
-//! checkpoint-at-round-k-then-resume produces the same [`CampaignResult`]s as
-//! an uninterrupted run — the invariant `tests/checkpoint_resume.rs` locks
-//! down across all profiler kinds and code families.
+//! index. [`BatchRun`] is the one batched campaign engine:
+//! [`CampaignBatch::run`] is a `BatchRun` advanced once, and a scalar
+//! campaign is a one-word `BatchRun`. Checkpoint-at-round-k-then-resume
+//! produces the same [`CampaignResult`]s as an uninterrupted run, and both
+//! match the scalar oracle
+//! [`ProfilingCampaign::run_profiler`](crate::campaign::ProfilingCampaign::run_profiler)
+//! word for word — the invariants `tests/checkpoint_resume.rs` and
+//! `tests/campaign_equivalence.rs` lock down across all profiler kinds and
+//! code families.
 
 use std::collections::BTreeSet;
 
@@ -32,8 +33,8 @@ use rand_chacha::{ChaCha8Rng, ChaCha8RngState};
 use harp_ecc::LinearBlockCode;
 use harp_memsim::{BurstScratch, MemoryChip};
 
-use crate::batch::{step_batch_round, CampaignBatch};
-use crate::campaign::{CampaignResult, ProfilingCampaign, RoundSnapshot, CAMPAIGN_RNG_SALT};
+use crate::batch::CampaignBatch;
+use crate::campaign::{CampaignResult, RoundSnapshot, CAMPAIGN_RNG_SALT};
 use crate::traits::{Profiler, ProfilerKind};
 
 /// The mutable accumulators of any [`Profiler`] implementation, in one
@@ -92,9 +93,9 @@ pub struct CampaignCheckpoint {
     pub words: Vec<WordCheckpoint>,
 }
 
-/// A resumable cell-batched campaign: the stateful twin of
-/// [`CampaignBatch::run`], advanced in increments and checkpointable between
-/// them.
+/// The cell-batched campaign engine, advanced in increments and
+/// checkpointable between them. [`CampaignBatch::run`] is this engine run to
+/// completion in one [`advance`](BatchRun::advance).
 ///
 /// # Example
 ///
@@ -114,8 +115,9 @@ pub struct CampaignCheckpoint {
 /// let mut resumed = BatchRun::resume(&batch, &frozen);
 /// run.advance(22);
 /// resumed.advance(22);
-/// assert_eq!(run.results(), batch.run(ProfilerKind::HarpU, 32));
-/// assert_eq!(resumed.results(), run.results());
+/// // Identical to the scalar oracle running the word alone:
+/// assert_eq!(run.results()[0], batch.scalar_campaign(0).run(ProfilerKind::HarpU, 32));
+/// assert_eq!(resumed.into_results(), run.results());
 /// # Ok::<(), harp_ecc::CodeError>(())
 /// ```
 #[derive(Debug)]
@@ -192,18 +194,39 @@ impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
         self.kind
     }
 
-    /// Runs `rounds` further rounds through the same batched burst loop as
-    /// [`CampaignBatch::run_profilers`].
+    /// Runs `rounds` further rounds. This is the only batched round loop:
+    /// each round writes every slot's dataword, scrubs the whole cell with
+    /// **one** [`MemoryChip::read_burst_with_rngs`] (slot `i` draws its raw
+    /// errors from word `i`'s own RNG stream only), and lets each profiler
+    /// observe its own slot. `BurstScratch` persists across rounds, so the
+    /// steady-state decode path performs no heap allocation.
     pub fn advance(&mut self, rounds: usize) {
+        for snapshots in &mut self.snapshots {
+            snapshots.reserve(rounds);
+        }
+        let count = self.profilers.len();
         for _ in 0..rounds {
-            step_batch_round(
-                &mut self.chip,
-                &mut self.rngs,
-                &mut self.scratch,
-                &mut self.profilers,
-                &mut self.snapshots,
-                self.round,
-            );
+            let round = self.round;
+            for (slot, profiler) in self.profilers.iter_mut().enumerate() {
+                let data = profiler.dataword_for_round(round);
+                self.chip.write_in_place(slot, &data);
+            }
+            let observations =
+                self.chip
+                    .read_burst_with_rngs(0..count, &mut self.rngs, &mut self.scratch);
+            for ((profiler, observation), snapshots) in self
+                .profilers
+                .iter_mut()
+                .zip(observations)
+                .zip(&mut self.snapshots)
+            {
+                profiler.observe_round(round, observation);
+                snapshots.push(RoundSnapshot {
+                    round,
+                    identified: profiler.identified().clone(),
+                    predicted: profiler.predicted(),
+                });
+            }
             self.round += 1;
         }
     }
@@ -227,8 +250,8 @@ impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
         }
     }
 
-    /// The per-word results so far, identical to what
-    /// [`CampaignBatch::run`] returns after the same number of rounds.
+    /// The per-word results so far, in word order (clones the snapshots;
+    /// see [`BatchRun::into_results`] to move them out).
     pub fn results(&self) -> Vec<CampaignResult> {
         self.profilers
             .iter()
@@ -239,101 +262,18 @@ impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
             })
             .collect()
     }
-}
 
-/// A resumable scalar campaign: the stateful twin of
-/// [`ProfilingCampaign::run_profiler`] for one word, using the same one-word
-/// burst path (`MemoryChip::write` + `read_burst`) as the scalar reference.
-#[derive(Debug)]
-pub struct CampaignRun<C: LinearBlockCode = harp_ecc::HammingCode> {
-    chip: MemoryChip<C>,
-    rng: ChaCha8Rng,
-    scratch: BurstScratch,
-    profiler: Box<dyn Profiler>,
-    snapshots: Vec<RoundSnapshot>,
-    kind: ProfilerKind,
-    round: usize,
-}
-
-impl<C: LinearBlockCode + Clone + Send + 'static> CampaignRun<C> {
-    /// Starts a resumable scalar campaign of `kind`, at round 0.
-    pub fn new(campaign: &ProfilingCampaign<C>, kind: ProfilerKind) -> Self {
-        let mut chip = MemoryChip::new(campaign.code().clone(), 1);
-        chip.set_fault_model(0, campaign.faults().clone());
-        Self {
-            chip,
-            rng: ChaCha8Rng::seed_from_u64(campaign.seed() ^ CAMPAIGN_RNG_SALT),
-            scratch: BurstScratch::new(),
-            profiler: kind.instantiate(campaign.code(), campaign.pattern(), campaign.seed()),
-            snapshots: Vec::new(),
-            kind,
-            round: 0,
-        }
-    }
-
-    /// Reconstructs a scalar run at exactly the checkpointed position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint does not hold exactly one word.
-    pub fn resume(campaign: &ProfilingCampaign<C>, checkpoint: &CampaignCheckpoint) -> Self {
-        assert_eq!(
-            checkpoint.words.len(),
-            1,
-            "a scalar campaign checkpoint holds exactly one word"
-        );
-        let mut run = Self::new(campaign, checkpoint.kind);
-        let word = &checkpoint.words[0];
-        run.round = checkpoint.round;
-        run.rng = ChaCha8Rng::from_state(word.rng);
-        run.profiler.restore(&word.profiler);
-        run.snapshots = word.snapshots.clone();
-        run
-    }
-
-    /// Number of completed rounds.
-    pub fn round(&self) -> usize {
-        self.round
-    }
-
-    /// Runs `rounds` further rounds through the scalar reference loop.
-    pub fn advance(&mut self, rounds: usize) {
-        for _ in 0..rounds {
-            let round = self.round;
-            let data = self.profiler.dataword_for_round(round);
-            self.chip.write(0, &data);
-            let observation = &self.chip.read_burst(0..1, &mut self.rng, &mut self.scratch)[0];
-            self.profiler.observe_round(round, observation);
-            self.snapshots.push(RoundSnapshot {
-                round,
-                identified: self.profiler.identified().clone(),
-                predicted: self.profiler.predicted(),
-            });
-            self.round += 1;
-        }
-    }
-
-    /// Freezes the run after the current round (a one-word
-    /// [`CampaignCheckpoint`]).
-    pub fn checkpoint(&self) -> CampaignCheckpoint {
-        CampaignCheckpoint {
-            kind: self.kind,
-            round: self.round,
-            words: vec![WordCheckpoint {
-                rng: self.rng.state(),
-                profiler: self.profiler.state(),
-                snapshots: self.snapshots.clone(),
-            }],
-        }
-    }
-
-    /// The result so far, identical to what
-    /// [`ProfilingCampaign::run`] returns after the same number of rounds.
-    pub fn result(&self) -> CampaignResult {
-        CampaignResult {
-            profiler: self.profiler.name().to_owned(),
-            snapshots: self.snapshots.clone(),
-        }
+    /// Consumes the run into its per-word results, moving the snapshots out
+    /// instead of cloning them.
+    pub fn into_results(self) -> Vec<CampaignResult> {
+        self.profilers
+            .iter()
+            .zip(self.snapshots)
+            .map(|(profiler, snapshots)| CampaignResult {
+                profiler: profiler.name().to_owned(),
+                snapshots,
+            })
+            .collect()
     }
 }
 
@@ -366,13 +306,25 @@ mod tests {
         )
     }
 
+    /// Every word of the batch run alone through the scalar oracle,
+    /// [`ProfilingCampaign::run_profiler`](crate::ProfilingCampaign::run_profiler).
+    fn scalar_reference(
+        batch: &CampaignBatch,
+        kind: ProfilerKind,
+        rounds: usize,
+    ) -> Vec<CampaignResult> {
+        (0..batch.len())
+            .map(|index| batch.scalar_campaign(index).run(kind, rounds))
+            .collect()
+    }
+
     #[test]
     fn uninterrupted_batch_run_matches_the_batch_reference() {
         let batch = cell(5);
         for kind in ProfilerKind::ALL {
             let mut run = BatchRun::new(&batch, kind);
             run.advance(24);
-            assert_eq!(run.results(), batch.run(kind, 24), "{kind}");
+            assert_eq!(run.results(), scalar_reference(&batch, kind, 24), "{kind}");
             assert_eq!(run.round(), 24);
             assert_eq!(run.kind(), kind);
         }
@@ -383,7 +335,7 @@ mod tests {
         let batch = cell(7);
         let rounds = 16;
         for kind in ProfilerKind::ALL {
-            let reference = batch.run(kind, rounds);
+            let reference = scalar_reference(&batch, kind, rounds);
             for k in 0..=rounds {
                 let mut first = BatchRun::new(&batch, kind);
                 first.advance(k);
@@ -392,21 +344,6 @@ mod tests {
                 resumed.advance(rounds - k);
                 assert_eq!(resumed.results(), reference, "{kind} at round {k}");
             }
-        }
-    }
-
-    #[test]
-    fn scalar_run_resumes_identically() {
-        let batch = cell(9);
-        let campaign = batch.scalar_campaign(0);
-        for kind in ProfilerKind::ALL {
-            let reference = campaign.run(kind, 20);
-            let mut run = CampaignRun::new(&campaign, kind);
-            run.advance(13);
-            let mut resumed = CampaignRun::resume(&campaign, &run.checkpoint());
-            assert_eq!(resumed.round(), 13);
-            resumed.advance(7);
-            assert_eq!(resumed.result(), reference, "{kind}");
         }
     }
 

@@ -63,7 +63,7 @@ pub mod traits;
 pub use batch::{BatchWord, CampaignBatch};
 pub use beep::BeepProfiler;
 pub use campaign::{CampaignResult, ProfilingCampaign, RoundSnapshot};
-pub use checkpoint::{BatchRun, CampaignCheckpoint, CampaignRun, ProfilerState, WordCheckpoint};
+pub use checkpoint::{BatchRun, CampaignCheckpoint, ProfilerState, WordCheckpoint};
 pub use coverage::{bootstrap_round, direct_coverage, missed_indirect, CoverageSeries};
 pub use harp::{HarpABeepProfiler, HarpAProfiler, HarpUProfiler};
 pub use naive::NaiveProfiler;

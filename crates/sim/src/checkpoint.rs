@@ -37,13 +37,15 @@ use std::path::{Path, PathBuf};
 use harp_ecc::{HammingCode, LinearBlockCode};
 use harp_memsim::pattern::DataPattern;
 use harp_profiler::{
-    BatchRun, BatchWord, CampaignBatch, CampaignCheckpoint, CoverageSeries, ProfilerKind,
-    ProfilerState, WordCheckpoint,
+    BatchRun, CampaignBatch, CampaignCheckpoint, CoverageSeries, ProfilerKind, ProfilerState,
+    WordCheckpoint,
 };
 use rand_chacha::ChaCha8RngState;
 
 use crate::config::EvaluationConfig;
-use crate::experiments::sweep::{CoverageSweep, WordEvaluation};
+use crate::experiments::sweep::{
+    group_batch, label_series, score_group, CoverageSweep, WordEvaluation,
+};
 use crate::minijson::{Json, NonFiniteFloat};
 use crate::report::{fixed, TextTable};
 use crate::runner::parallel_map_mut;
@@ -182,19 +184,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
                     if !shard.owns(group_index) {
                         continue;
                     }
-                    let batch = CampaignBatch::new(
-                        group[0].code.clone(),
-                        group
-                            .iter()
-                            .map(|sample| {
-                                BatchWord::new(
-                                    sample.faults.clone(),
-                                    config.pattern,
-                                    sample.campaign_seed,
-                                )
-                            })
-                            .collect(),
-                    );
+                    let batch = group_batch(group, config.pattern);
                     let runs = profilers
                         .iter()
                         .map(|&kind| BatchRun::new(&batch, kind))
@@ -387,20 +377,25 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
     /// A progress snapshot at the current round: for each profiler in
     /// lineup order, the mean direct coverage across every word of every
     /// owned group (0.0 before any rounds have run). This is what the
-    /// daemon streams to `harp watch` clients between checkpoints — cheap
-    /// enough to compute every round at quick scale, and derived from the
-    /// same per-round snapshots the final series are.
+    /// daemon streams to `harp watch` clients between checkpoints, derived
+    /// from the same per-round snapshots the final series are.
+    ///
+    /// It is **not** cheap: every call re-enumerates every owned word's
+    /// `ErrorSpace` and re-scores every snapshot taken so far, so calling it
+    /// after each of `R` rounds costs O(R²) snapshot scorings. On a 2-core
+    /// host, a quick-configuration sweep of the three Fig. 6 profilers that
+    /// called it after every one of its 128 rounds spent 27–33 s in
+    /// `progress`, against 0.5–0.7 s in `advance`. ROADMAP item 3
+    /// (first-seen ledgers instead of per-round snapshot sets) is the fix.
     pub fn progress(&self) -> Vec<(ProfilerKind, f64)> {
         let mut sums = vec![0.0_f64; self.profilers.len()];
         let mut words = 0usize;
         for unit in &self.units {
-            let per_profiler: Vec<_> = unit.runs.iter().map(|run| run.results()).collect();
-            for word in 0..unit.batch.len() {
-                let space = unit.batch.error_space(word);
-                words += 1;
-                for (sum, results) in sums.iter_mut().zip(&per_profiler) {
-                    let series = CoverageSeries::from_campaign(&results[word], &space);
-                    *sum += series.final_direct_coverage();
+            words += unit.batch.len();
+            let per_profiler = score_group(&unit.batch, unit.runs.iter().map(BatchRun::results));
+            for (sum, series) in sums.iter_mut().zip(&per_profiler) {
+                for word in series {
+                    *sum += word.final_direct_coverage();
                 }
             }
         }
@@ -427,19 +422,9 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
         self.units
             .iter()
             .map(|unit| {
-                let per_profiler: Vec<_> = unit.runs.iter().map(|run| run.results()).collect();
-                let mut evaluations = Vec::with_capacity(unit.batch.len() * self.profilers.len());
-                for word in 0..unit.batch.len() {
-                    let space = unit.batch.error_space(word);
-                    for (&profiler, results) in self.profilers.iter().zip(&per_profiler) {
-                        evaluations.push(WordEvaluation {
-                            error_count: unit.error_count,
-                            probability: unit.probability,
-                            profiler,
-                            series: CoverageSeries::from_campaign(&results[word], &space),
-                        });
-                    }
-                }
+                let series = score_group(&unit.batch, unit.runs.iter().map(BatchRun::results));
+                let evaluations =
+                    label_series(series, &self.profilers, unit.error_count, unit.probability);
                 (unit.group_index, evaluations)
             })
             .collect()
@@ -1399,6 +1384,7 @@ pub fn decode_sweep(json: &Json) -> Result<CoverageSweep, String> {
 mod tests {
     use super::*;
     use crate::experiments::sweep::run_coverage_sweep;
+    use harp_profiler::BatchWord;
 
     fn tiny_config() -> EvaluationConfig {
         EvaluationConfig {

@@ -94,10 +94,10 @@ pub fn run_with_rbers(config: &EvaluationConfig, rbers: &[f64]) -> Fig10Result {
     for &rber in rbers {
         for &probability in &config.probabilities {
             let samples = sample_retention_words(config, rber, probability);
-            // Per word and profiler: the per-round coverage series. Each
-            // code group runs as one cell-batched campaign per profiler
-            // (one burst scrubs the whole group every round), sharded
-            // across worker threads by group.
+            // Per group, profiler and word: the per-round coverage series.
+            // Each code group runs as one cell-batched campaign per
+            // profiler (one burst scrubs the whole group every round),
+            // sharded across worker threads by group.
             let groups = shard_groups(
                 group_by_code(&samples),
                 crate::runner::effective_threads(config.threads),
@@ -106,7 +106,6 @@ pub fn run_with_rbers(config: &EvaluationConfig, rbers: &[f64]) -> Fig10Result {
                 parallel_map(&groups, config.threads, |group| {
                     sweep::code_group_series(group, &PROFILERS, config.pattern, config.rounds)
                 });
-            let per_word: Vec<Vec<CoverageSeries>> = per_group.into_iter().flatten().collect();
 
             for (profiler_index, &profiler) in PROFILERS.iter().enumerate() {
                 let mut ber_before = Vec::new();
@@ -114,8 +113,7 @@ pub fn run_with_rbers(config: &EvaluationConfig, rbers: &[f64]) -> Fig10Result {
                 for &round in &checkpoints {
                     let mut missed_before = 0usize;
                     let mut missed_after = 0usize;
-                    for word_series in &per_word {
-                        let s = &word_series[profiler_index];
+                    for s in per_group.iter().flat_map(|group| &group[profiler_index]) {
                         // Bits still unknown to the profiler at this round.
                         let direct_missing = ((1.0 - s.direct_coverage[round - 1])
                             * s.direct_truth_len as f64)

@@ -15,11 +15,17 @@
 //! bit-identical to the per-word [`harp_profiler::ProfilingCampaign`]
 //! reference path (enforced by `tests/campaign_equivalence.rs`), so this is
 //! purely an execution-plan change.
+//!
+//! The group pipeline here — `group_batch`, `score_group` and
+//! `label_series` — is shared with the fig10 active phase and with
+//! [`ResumableSweep`](crate::checkpoint::ResumableSweep), so every sweep
+//! builds, scores and labels a code group the same way.
 
 use serde::{Deserialize, Serialize};
 
-use harp_ecc::{HammingCode, LinearBlockCode};
-use harp_profiler::{BatchWord, CampaignBatch, CoverageSeries, ProfilerKind};
+use harp_ecc::{ErrorSpace, HammingCode, LinearBlockCode};
+use harp_memsim::pattern::DataPattern;
+use harp_profiler::{BatchWord, CampaignBatch, CampaignResult, CoverageSeries, ProfilerKind};
 
 use crate::config::EvaluationConfig;
 use crate::runner::parallel_map;
@@ -80,66 +86,92 @@ impl CoverageSweep {
     }
 }
 
-/// Runs every requested profiler against one code group (all words of a
-/// sweep cell sharing a code) as cell-batched campaigns — one
-/// [`CampaignBatch`] per profiler, one burst per round — and scores each
-/// word against its ground truth.
-///
-/// Returns the coverage series in word-major order
-/// (`result[word][profiler]`). The ground truth is enumerated once per word
-/// and shared across profilers, and each profiler's full per-round snapshots
-/// are reduced to compact series as soon as its batch completes, so only the
-/// series stay alive across profilers. This is the single cell-batched
-/// evaluation pipeline behind the coverage sweep *and* the fig10 case study.
-pub(crate) fn code_group_series<C: LinearBlockCode + Clone + Send + 'static>(
+/// Builds the cell-batched campaign of one code group (all words of a sweep
+/// cell sharing a code). The one-shot sweep, the fig10 active phase and
+/// [`ResumableSweep`](crate::checkpoint::ResumableSweep) all batch a group
+/// through this function.
+pub(crate) fn group_batch<C: LinearBlockCode + Clone + Send + 'static>(
     group: &[WordSample<C>],
-    profilers: &[ProfilerKind],
-    pattern: harp_memsim::pattern::DataPattern,
-    rounds: usize,
-) -> Vec<Vec<CoverageSeries>> {
-    let batch = CampaignBatch::new(
+    pattern: DataPattern,
+) -> CampaignBatch<C> {
+    CampaignBatch::new(
         group[0].code.clone(),
         group
             .iter()
             .map(|sample| BatchWord::new(sample.faults.clone(), pattern, sample.campaign_seed))
             .collect(),
-    );
-    let spaces: Vec<harp_ecc::ErrorSpace> = (0..group.len())
-        .map(|word| batch.error_space(word))
-        .collect();
-    let mut per_word: Vec<Vec<CoverageSeries>> = (0..group.len())
-        .map(|_| Vec::with_capacity(profilers.len()))
-        .collect();
-    for &profiler in profilers {
-        let results = batch.run(profiler, rounds);
-        for ((result, space), word_series) in results.iter().zip(&spaces).zip(per_word.iter_mut()) {
-            word_series.push(CoverageSeries::from_campaign(result, space));
-        }
-    }
-    per_word
+    )
 }
 
-/// Evaluates one code group for the sweep, emitting evaluations in
-/// word-major order (word, then profiler) — the same order the historical
-/// per-word loop produced.
-fn evaluate_code_group<C: LinearBlockCode + Clone + Send + 'static>(
+/// Scores each profiler's per-word results against the group's ground
+/// truth, returning `series[profiler][word]`.
+///
+/// Every word's [`ErrorSpace`] is enumerated once, before the first result
+/// is pulled, and shared across profilers. `per_profiler` is consumed one
+/// profiler at a time, so a lazy iterator that runs each campaign on demand
+/// keeps only one profiler's snapshots alive: they are reduced to compact
+/// series and dropped before the next profiler runs.
+pub(crate) fn score_group<C, I>(
+    batch: &CampaignBatch<C>,
+    per_profiler: I,
+) -> Vec<Vec<CoverageSeries>>
+where
+    C: LinearBlockCode + Clone + Send + 'static,
+    I: IntoIterator<Item = Vec<CampaignResult>>,
+{
+    let spaces: Vec<ErrorSpace> = (0..batch.len())
+        .map(|word| batch.error_space(word))
+        .collect();
+    per_profiler
+        .into_iter()
+        .map(|results| {
+            results
+                .iter()
+                .zip(&spaces)
+                .map(|(result, space)| CoverageSeries::from_campaign(result, space))
+                .collect()
+        })
+        .collect()
+}
+
+/// Runs every requested profiler to completion on one code group, one
+/// [`CampaignBatch::run`] (one burst per round) after another, and scores
+/// each as soon as it finishes: `series[profiler][word]`. This is the
+/// one-shot group pipeline behind the coverage sweep *and* the fig10 case
+/// study.
+pub(crate) fn code_group_series<C: LinearBlockCode + Clone + Send + 'static>(
     group: &[WordSample<C>],
     profilers: &[ProfilerKind],
-    pattern: harp_memsim::pattern::DataPattern,
+    pattern: DataPattern,
     rounds: usize,
+) -> Vec<Vec<CoverageSeries>> {
+    let batch = group_batch(group, pattern);
+    score_group(
+        &batch,
+        profilers.iter().map(|&kind| batch.run(kind, rounds)),
+    )
+}
+
+/// Labels a group's `series[profiler][word]` as [`WordEvaluation`]s of one
+/// sweep cell, in word-major order (word, then profiler) — the order the
+/// historical per-word loop produced.
+pub(crate) fn label_series(
+    series: Vec<Vec<CoverageSeries>>,
+    profilers: &[ProfilerKind],
     error_count: usize,
     probability: f64,
 ) -> Vec<WordEvaluation> {
-    let per_word = code_group_series(group, profilers, pattern, rounds);
-    let mut evaluations = Vec::with_capacity(group.len() * profilers.len());
-    for word_series in per_word {
-        for (&profiler, series) in profilers.iter().zip(word_series) {
-            evaluations.push(WordEvaluation {
+    let words = series.first().map_or(0, Vec::len);
+    let mut columns: Vec<_> = series.into_iter().map(Vec::into_iter).collect();
+    let mut evaluations = Vec::with_capacity(words * profilers.len());
+    for _ in 0..words {
+        for (&profiler, column) in profilers.iter().zip(&mut columns) {
+            evaluations.extend(column.next().map(|series| WordEvaluation {
                 error_count,
                 probability,
                 profiler,
                 series,
-            });
+            }));
         }
     }
     evaluations
@@ -168,14 +200,8 @@ where
                 crate::runner::effective_threads(config.threads),
             );
             let per_group = parallel_map(&groups, config.threads, |group| {
-                evaluate_code_group(
-                    group,
-                    profilers,
-                    config.pattern,
-                    config.rounds,
-                    error_count,
-                    probability,
-                )
+                let series = code_group_series(group, profilers, config.pattern, config.rounds);
+                label_series(series, profilers, error_count, probability)
             });
             evaluations.extend(per_group.into_iter().flatten());
         }

@@ -21,41 +21,16 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let worker_count = effective_threads(threads).min(items.len());
-    if worker_count <= 1 {
-        return items.iter().map(&f).collect();
-    }
-
-    let mut results: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-    let chunk_size = items.len().div_ceil(worker_count);
-
-    std::thread::scope(|scope| {
-        let mut remaining: &mut [Option<U>] = &mut results;
-        for chunk in items.chunks(chunk_size) {
-            let (chunk_results, rest) = remaining.split_at_mut(chunk.len());
-            remaining = rest;
-            let f = &f;
-            scope.spawn(move || {
-                for (i, item) in chunk.iter().enumerate() {
-                    chunk_results[i] = Some(f(item));
-                }
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|r| r.expect("every work item produces a result"))
-        .collect()
+    let mut refs: Vec<&T> = items.iter().collect();
+    parallel_map_mut(&mut refs, threads, |item| f(item))
 }
 
 /// Maps `f` over mutable `items` using `threads` worker threads (0 = one per
-/// available CPU), preserving input order in the output. The mutable twin of
-/// [`parallel_map`], for stateful work units that are advanced in place —
-/// e.g. resumable campaign engines stepped between checkpoints.
+/// available CPU), preserving input order in the output. This is the one
+/// thread scheduler: `items` is cut into `threads` contiguous chunks, one
+/// per scoped thread. [`parallel_map`] runs through it over shared
+/// references; stateful work units — e.g. resumable campaign engines
+/// stepped between checkpoints — are advanced in place.
 pub fn parallel_map_mut<T, U, F>(items: &mut [T], threads: usize, f: F) -> Vec<U>
 where
     T: Send,

@@ -22,7 +22,7 @@ use harp_ecc::analysis::FailureDependence;
 use harp_ecc::{ExtendedHammingCode, HammingCode, LinearBlockCode};
 use harp_memsim::pattern::DataPattern;
 use harp_memsim::{AtRiskBit, FaultModel};
-use harp_profiler::{BatchWord, CampaignBatch, Profiler, ProfilerKind, ProfilingCampaign};
+use harp_profiler::{BatchWord, CampaignBatch, ProfilerKind};
 
 /// Dataword length shared by all three families in this suite.
 const DATA_BITS: usize = 32;
@@ -213,46 +213,5 @@ fn error_free_words_batch_cleanly_with_faulty_neighbors() {
         // The error-free words identified nothing.
         assert!(batched[0].final_identified().is_empty());
         assert!(batched[2].final_identified().is_empty());
-    }
-}
-
-/// The pre-instantiated-profiler entry point (`run_profilers`) matches the
-/// scalar `run_profiler` reference word for word, so callers that thread
-/// their own profiler state through a batch inherit the same guarantee.
-#[test]
-fn run_profilers_matches_scalar_run_profiler() {
-    let code = BchCode::dec(DATA_BITS).expect("valid BCH code");
-    let specs: Vec<(Vec<usize>, u64)> =
-        vec![(vec![1, 9], 101), (vec![4], 103), (vec![2, 20, 33], 107)];
-    let batch = CampaignBatch::new(
-        code.clone(),
-        specs
-            .iter()
-            .map(|(positions, seed)| {
-                BatchWord::new(
-                    FaultModel::uniform(positions, 0.5),
-                    DataPattern::Random,
-                    *seed,
-                )
-            })
-            .collect(),
-    );
-    let mut batched_profilers: Vec<Box<dyn Profiler>> = specs
-        .iter()
-        .map(|&(_, seed)| ProfilerKind::HarpU.instantiate(&code, DataPattern::Random, seed))
-        .collect();
-    let batched = batch.run_profilers(&mut batched_profilers, ROUNDS);
-
-    for (index, (positions, seed)) in specs.iter().enumerate() {
-        let campaign = ProfilingCampaign::new(
-            code.clone(),
-            FaultModel::uniform(positions, 0.5),
-            DataPattern::Random,
-            *seed,
-        );
-        let mut scalar_profiler =
-            ProfilerKind::HarpU.instantiate(&code, DataPattern::Random, *seed);
-        let scalar = campaign.run_profiler(scalar_profiler.as_mut(), ROUNDS);
-        assert_eq!(batched[index], scalar, "word {index}");
     }
 }

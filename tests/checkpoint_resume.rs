@@ -66,12 +66,16 @@ fn batch_word_for(code: &dyn LinearBlockCode, spec: &WordSpec) -> BatchWord {
     )
 }
 
-/// The uninterrupted reference: the plain one-shot campaign path.
+/// The uninterrupted reference: every word run alone through the scalar
+/// oracle, `ProfilingCampaign::run_profiler` (`CampaignBatch::run` is itself
+/// a `BatchRun`, so it cannot serve as an independent reference).
 fn uninterrupted<C: LinearBlockCode + Clone + Send + 'static>(
     batch: &CampaignBatch<C>,
     kind: ProfilerKind,
 ) -> Vec<CampaignResult> {
-    batch.run(kind, ROUNDS)
+    (0..batch.len())
+        .map(|index| batch.scalar_campaign(index).run(kind, ROUNDS))
+        .collect()
 }
 
 /// Runs the same campaign but frozen (and JSON round-tripped) at each round
