@@ -18,9 +18,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use harp_bch::BchCode;
 use harp_ecc::{HammingCode, LinearBlockCode};
 use harp_memsim::{pattern::DataPattern, FaultModel};
-use harp_profiler::{BatchRun, BatchWord, CampaignBatch, ProfilerKind};
-use harp_sim::checkpoint::{decode_campaign_checkpoint, encode_campaign_checkpoint};
-use harp_sim::minijson::Json;
+use harp_profiler::{BatchRun, BatchWord, CampaignBatch, CampaignCheckpoint, ProfilerKind};
+use harp_sim::minijson::{Json, JsonCodec};
 
 /// Words per simulated sweep cell.
 const CELL_WORDS: usize = 64;
@@ -63,14 +62,14 @@ fn bench_checkpoint_path<C: LinearBlockCode + Clone + Send + 'static>(
     let mut first = BatchRun::new(&batch, ProfilerKind::HarpU);
     first.advance(FREEZE_AT);
     let frozen = first.checkpoint();
-    let json = Json::parse(&encode_campaign_checkpoint(&frozen).render()).expect("valid JSON");
-    let thawed = decode_campaign_checkpoint(&json).expect("valid checkpoint");
+    let rendered = frozen.to_json().expect("no floats").render();
+    let json = Json::parse(&rendered).expect("valid JSON");
+    let thawed = CampaignCheckpoint::from_json(&json).expect("valid checkpoint");
     assert_eq!(thawed, frozen);
     let mut resumed = BatchRun::resume(&batch, &thawed);
     resumed.advance(ROUNDS - FREEZE_AT);
     assert_eq!(resumed.results(), reference);
 
-    let rendered = encode_campaign_checkpoint(&frozen).render();
     let mut group = c.benchmark_group(format!("checkpoint_path/{label}"));
     group.bench_function(format!("uninterrupted_{CELL_WORDS}x{ROUNDS}"), |b| {
         b.iter(|| {
@@ -82,13 +81,13 @@ fn bench_checkpoint_path<C: LinearBlockCode + Clone + Send + 'static>(
     group.bench_function(format!("freeze_{CELL_WORDS}x{FREEZE_AT}"), |b| {
         b.iter(|| {
             let checkpoint = first.checkpoint();
-            black_box(encode_campaign_checkpoint(&checkpoint).render().len())
+            black_box(checkpoint.to_json().expect("no floats").render().len())
         })
     });
     group.bench_function(format!("thaw_{CELL_WORDS}x{FREEZE_AT}"), |b| {
         b.iter(|| {
             let parsed = Json::parse(&rendered).expect("valid JSON");
-            let checkpoint = decode_campaign_checkpoint(&parsed).expect("valid checkpoint");
+            let checkpoint = CampaignCheckpoint::from_json(&parsed).expect("valid checkpoint");
             black_box(BatchRun::resume(&batch, &checkpoint).round())
         })
     });

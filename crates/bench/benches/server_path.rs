@@ -18,9 +18,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use harp_profiler::ProfilerKind;
 use harp_server::client::Client;
 use harp_server::daemon::{Daemon, DaemonConfig};
-use harp_server::proto::{encode_request, Request};
+use harp_server::proto::{Request, Response};
 use harp_server::transport::{duplex, FrameTransport};
-use harp_sim::minijson::Json;
+use harp_sim::minijson::JsonCodec;
 use harp_sim::EvaluationConfig;
 
 /// A deliberately tiny job: the serving overhead, not the sweep, dominates.
@@ -51,17 +51,23 @@ fn submit_to_first_snapshot(daemon: &Daemon, config: &EvaluationConfig) -> usize
     let (mut raw, server_end) = duplex();
     let handler = daemon.clone();
     std::thread::spawn(move || handler.handle(server_end));
-    raw.send(&encode_request(&Request::Submit {
+    let submit = Request::Submit {
         config: config.clone(),
         profilers: PROFILERS.to_vec(),
-    }))
-    .expect("submit frame");
+    };
+    raw.send(&submit.to_json().expect("finite config"))
+        .expect("submit frame");
     let submitted = raw.recv().expect("recv").expect("submitted frame");
-    let job = submitted.get("job").and_then(Json::as_u64).expect("job id");
-    raw.send(&encode_request(&Request::Watch { job }))
+    let Ok(Response::Submitted { job }) = Response::from_json(&submitted) else {
+        panic!("expected a submitted frame: {}", submitted.render());
+    };
+    raw.send(&Request::Watch { job }.to_json().expect("no floats"))
         .expect("watch frame");
     let first = raw.recv().expect("recv").expect("first snapshot");
-    assert_eq!(first.get("type").and_then(Json::as_str), Some("snapshot"));
+    assert!(matches!(
+        Response::from_json(&first),
+        Ok(Response::Snapshot(_))
+    ));
     // Dropping the transport mid-watch ends the handler thread cleanly.
     first.render().len()
 }

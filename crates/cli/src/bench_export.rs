@@ -17,6 +17,9 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use harp_sim::json_record;
+use harp_sim::minijson::{field, Json, JsonCodec};
+
 /// Top-level bench groups (the first `/`-segment of every benchmark id
 /// registered in `crates/bench/benches/`). `--check` fails if any of these
 /// lacks a schema-valid `BENCH_<group>.json`.
@@ -47,7 +50,8 @@ pub const REGISTERED_GROUPS: &[&str] = &[
     "traffic_path",
 ];
 
-/// One benchmark's parsed `bench-json` record.
+/// One benchmark's parsed `bench-json` record (also the leading keys of
+/// each entry of a `BENCH_<group>.json` file).
 #[derive(Debug, Clone, PartialEq)]
 struct BenchRecord {
     id: String,
@@ -57,6 +61,15 @@ struct BenchRecord {
     max_ns: f64,
     iterations: u64,
 }
+
+json_record!(BenchRecord {
+    id,
+    median_ns,
+    mean_ns,
+    min_ns,
+    max_ns,
+    iterations
+});
 
 /// Parsed `bench-export` options.
 #[derive(Debug, Default)]
@@ -140,45 +153,10 @@ fn parse_log(log: &str) -> Vec<BenchRecord> {
     log.lines().filter_map(parse_line).collect()
 }
 
-/// Parses one `bench-json {...}` line (the exact flat shape the vendored
-/// criterion prints; benchmark ids never contain quotes or escapes).
+/// Parses one `bench-json {...}` line as the vendored criterion prints it.
 fn parse_line(line: &str) -> Option<BenchRecord> {
-    let json = line.trim().strip_prefix("bench-json ")?;
-    let id = string_field(json, "id")?;
-    Some(BenchRecord {
-        id: id.to_owned(),
-        median_ns: number_field(json, "median_ns")?,
-        mean_ns: number_field(json, "mean_ns")?,
-        min_ns: number_field(json, "min_ns")?,
-        max_ns: number_field(json, "max_ns")?,
-        iterations: number_field(json, "iterations")? as u64,
-    })
-}
-
-/// Position just past `"key":` (plus any whitespace) in a JSON text.
-fn after_key(json: &str, key: &str) -> Option<usize> {
-    let needle = format!("\"{key}\":");
-    let start = json.find(&needle)? + needle.len();
-    Some(start + json[start..].len() - json[start..].trim_start().len())
-}
-
-/// Finds `"key": "<value>"` in a JSON text.
-fn string_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let start = after_key(json, key)?;
-    let value = json[start..].strip_prefix('"')?;
-    let end = value.find('"')?;
-    Some(&value[..end])
-}
-
-/// Finds `"key": <number>` in a JSON text.
-fn number_field(json: &str, key: &str) -> Option<f64> {
-    let start = after_key(json, key)?;
-    let end = json[start..]
-        .find(|c: char| {
-            c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit()
-        })
-        .map_or(json.len(), |offset| start + offset);
-    json[start..end].parse().ok()
+    let json = Json::parse(line.trim().strip_prefix("bench-json ")?).ok()?;
+    BenchRecord::from_json(&json).ok()
 }
 
 /// The top-level group of a benchmark id (everything before the first `/`).
@@ -275,25 +253,24 @@ fn check(dir: &Path) -> Result<(), String> {
 }
 
 /// Schema validation for one group file: right group name, provenance
-/// fields present, and at least one entry carrying a median.
+/// fields present, and at least one entry, every entry a full record.
 fn validate_group_file(group: &str, body: &str) -> Result<(), String> {
-    match string_field(body, "group") {
-        Some(found) if found == group => {}
-        Some(found) => return Err(format!("group field is {found:?}, expected {group:?}")),
-        None => return Err("missing \"group\" field".to_owned()),
+    let json = Json::parse(body).map_err(|e| e.to_string())?;
+    let text = |key: &str| field::<String>(&json, key).map_err(|e| e.to_string());
+    let found = text("group")?;
+    if found != group {
+        return Err(format!("group field is {found:?}, expected {group:?}"));
     }
-    if string_field(body, "git_rev").is_none_or(str::is_empty) {
-        return Err("missing \"git_rev\" field".to_owned());
+    if text("git_rev")?.is_empty() {
+        return Err("empty \"git_rev\" field".to_owned());
     }
-    match string_field(body, "date") {
-        Some(date) if date.len() == 10 && date.as_bytes()[4] == b'-' => {}
-        _ => return Err("missing or malformed \"date\" field (want YYYY-MM-DD)".to_owned()),
+    let date = text("date")?;
+    if date.len() != 10 || date.as_bytes()[4] != b'-' {
+        return Err(format!("malformed date {date:?} (want YYYY-MM-DD)"));
     }
-    if !body.contains("\"entries\"") {
-        return Err("missing \"entries\" array".to_owned());
-    }
-    if string_field(body, "id").is_none() || number_field(body, "median_ns").is_none() {
-        return Err("entries carry no id/median_ns records".to_owned());
+    let entries: Vec<BenchRecord> = field(&json, "entries").map_err(|e| e.to_string())?;
+    if entries.is_empty() {
+        return Err("\"entries\" holds no records".to_owned());
     }
     Ok(())
 }

@@ -6,8 +6,9 @@
 //! [`harp_server::daemon::DEFAULT_ADDR`]).
 
 use harp_profiler::ProfilerKind;
-use harp_server::client::{Client, Snapshot, WatchOutcome};
+use harp_server::client::{Client, WatchOutcome};
 use harp_server::daemon::DEFAULT_ADDR;
+use harp_server::proto::Snapshot;
 use harp_server::transport::TcpTransport;
 use harp_sim::experiments::fig6;
 use harp_sim::EvaluationConfig;
@@ -149,7 +150,13 @@ fn render_snapshot(snapshot: &Snapshot) -> String {
     let coverage = snapshot
         .coverage
         .iter()
-        .map(|(name, mean)| format!("{name} {:5.1}%", mean * 100.0))
+        .map(|entry| {
+            format!(
+                "{} {:5.1}%",
+                entry.profiler,
+                entry.mean_direct_coverage * 100.0
+            )
+        })
         .collect::<Vec<_>>()
         .join("  ");
     format!(

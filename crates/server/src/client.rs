@@ -9,41 +9,12 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use harp_profiler::ProfilerKind;
-use harp_sim::checkpoint::decode_sweep;
 use harp_sim::experiments::sweep::CoverageSweep;
-use harp_sim::minijson::Json;
+use harp_sim::minijson::JsonCodec;
 use harp_sim::EvaluationConfig;
 
-use crate::proto::{encode_request, Request};
+use crate::proto::{JobStatus, Request, Response, Snapshot};
 use crate::transport::{FrameTransport, TcpTransport};
-
-/// One job's status as reported by a `job` frame.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobStatus {
-    /// The job id.
-    pub job: u64,
-    /// Lifecycle state: `pending`, `running`, `done`, `cancelled`, `failed`.
-    pub state: String,
-    /// Completed rounds.
-    pub round: usize,
-    /// Configured rounds.
-    pub rounds: usize,
-    /// Failure description, for `failed` jobs.
-    pub message: Option<String>,
-}
-
-/// One round's coverage snapshot from a `snapshot` frame.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Snapshot {
-    /// The job id.
-    pub job: u64,
-    /// Completed rounds at this snapshot.
-    pub round: usize,
-    /// Configured rounds.
-    pub rounds: usize,
-    /// Per-profiler mean direct coverage, in lineup order.
-    pub coverage: Vec<(String, f64)>,
-}
 
 /// How a watched job ended.
 #[derive(Debug, Clone)]
@@ -84,23 +55,25 @@ impl<T: FrameTransport> Client<T> {
         Self { transport }
     }
 
-    fn recv_frame(&mut self) -> Result<Json, String> {
-        match self.transport.recv() {
-            Ok(Some(frame)) => Ok(frame),
-            Ok(None) => Err("daemon closed the connection".to_owned()),
-            Err(err) => Err(err.to_string()),
+    /// Receives and decodes the daemon's next frame, with `error` frames
+    /// already turned into `Err`.
+    fn recv(&mut self) -> Result<Response, String> {
+        let frame = match self.transport.recv() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return Err("daemon closed the connection".to_owned()),
+            Err(err) => return Err(err.to_string()),
+        };
+        match Response::from_json(&frame).map_err(|e| e.to_string())? {
+            Response::Error { message } => Err(message),
+            response => Ok(response),
         }
     }
 
-    /// Sends one request and returns the daemon's next frame, with `error`
-    /// frames already turned into `Err`.
-    fn request(&mut self, request: &Request) -> Result<Json, String> {
-        self.transport
-            .send(&encode_request(request))
-            .map_err(|e| e.to_string())?;
-        let frame = self.recv_frame()?;
-        check_error(&frame)?;
-        Ok(frame)
+    /// Sends one request and returns the daemon's answer.
+    fn request(&mut self, request: &Request) -> Result<Response, String> {
+        let frame = request.to_json().map_err(|e| e.to_string())?;
+        self.transport.send(&frame).map_err(|e| e.to_string())?;
+        self.recv()
     }
 
     /// Submits a sweep job; returns its id once the daemon has it durably on
@@ -115,15 +88,13 @@ impl<T: FrameTransport> Client<T> {
         config: &EvaluationConfig,
         profilers: &[ProfilerKind],
     ) -> Result<u64, String> {
-        let frame = self.request(&Request::Submit {
+        match self.request(&Request::Submit {
             config: config.clone(),
             profilers: profilers.to_vec(),
-        })?;
-        expect_type(&frame, "submitted")?;
-        frame
-            .get("job")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("submitted frame has no job id: {}", frame.render()))
+        })? {
+            Response::Submitted { job } => Ok(job),
+            other => Err(unexpected("submitted", &other)),
+        }
     }
 
     /// Fetches one job's status.
@@ -132,7 +103,7 @@ impl<T: FrameTransport> Client<T> {
     ///
     /// Returns transport failures and `no job <id>` rejections.
     pub fn status(&mut self, job: u64) -> Result<JobStatus, String> {
-        decode_job_status(&self.request(&Request::Status { job })?)
+        job_status(self.request(&Request::Status { job })?)
     }
 
     /// Lists every job the daemon knows, oldest first.
@@ -141,15 +112,10 @@ impl<T: FrameTransport> Client<T> {
     ///
     /// Returns transport failures.
     pub fn jobs(&mut self) -> Result<Vec<JobStatus>, String> {
-        let frame = self.request(&Request::List)?;
-        expect_type(&frame, "jobs")?;
-        frame
-            .get("jobs")
-            .and_then(Json::as_array)
-            .ok_or("jobs frame has no job list")?
-            .iter()
-            .map(decode_job_status)
-            .collect()
+        match self.request(&Request::List)? {
+            Response::Jobs { jobs } => Ok(jobs),
+            other => Err(unexpected("jobs", &other)),
+        }
     }
 
     /// Requests cancellation and returns the job's status at that moment (a
@@ -159,7 +125,7 @@ impl<T: FrameTransport> Client<T> {
     ///
     /// Returns transport failures and `no job <id>` rejections.
     pub fn cancel(&mut self, job: u64) -> Result<JobStatus, String> {
-        decode_job_status(&self.request(&Request::Cancel { job })?)
+        job_status(self.request(&Request::Cancel { job })?)
     }
 
     /// Streams the job's coverage snapshots into `on_snapshot` until the job
@@ -174,20 +140,15 @@ impl<T: FrameTransport> Client<T> {
         job: u64,
         mut on_snapshot: F,
     ) -> Result<WatchOutcome, String> {
-        let first = self.request(&Request::Watch { job })?;
-        let mut frame = first;
+        let mut response = self.request(&Request::Watch { job })?;
         loop {
-            match frame.get("type").and_then(Json::as_str) {
-                Some("snapshot") => on_snapshot(&decode_snapshot(&frame)?),
-                Some("result") => {
-                    let sweep = frame.get("sweep").ok_or("result frame has no sweep")?;
-                    return Ok(WatchOutcome::Completed(decode_sweep(sweep)?));
-                }
-                Some("job") => return Ok(WatchOutcome::Ended(decode_job_status(&frame)?)),
-                _ => return Err(format!("unexpected watch frame: {}", frame.render())),
+            match response {
+                Response::Snapshot(snapshot) => on_snapshot(&snapshot),
+                Response::Result { sweep, .. } => return Ok(WatchOutcome::Completed(sweep)),
+                Response::Job(status) => return Ok(WatchOutcome::Ended(status)),
+                other => return Err(unexpected("snapshot", &other)),
             }
-            frame = self.recv_frame()?;
-            check_error(&frame)?;
+            response = self.recv()?;
         }
     }
 
@@ -197,90 +158,20 @@ impl<T: FrameTransport> Client<T> {
     ///
     /// Returns transport failures.
     pub fn shutdown(&mut self) -> Result<(), String> {
-        let frame = self.request(&Request::Shutdown)?;
-        expect_type(&frame, "ok")
+        match self.request(&Request::Shutdown)? {
+            Response::Ok => Ok(()),
+            other => Err(unexpected("ok", &other)),
+        }
     }
 }
 
-fn check_error(frame: &Json) -> Result<(), String> {
-    if frame.get("type").and_then(Json::as_str) == Some("error") {
-        return Err(frame
-            .get("message")
-            .and_then(Json::as_str)
-            .unwrap_or("daemon reported an unspecified error")
-            .to_owned());
-    }
-    Ok(())
-}
-
-fn expect_type(frame: &Json, expected: &str) -> Result<(), String> {
-    match frame.get("type").and_then(Json::as_str) {
-        Some(kind) if kind == expected => Ok(()),
-        _ => Err(format!(
-            "expected a '{expected}' frame, got: {}",
-            frame.render()
-        )),
+fn job_status(response: Response) -> Result<JobStatus, String> {
+    match response {
+        Response::Job(status) => Ok(status),
+        other => Err(unexpected("job", &other)),
     }
 }
 
-fn decode_job_status(frame: &Json) -> Result<JobStatus, String> {
-    expect_type(frame, "job")?;
-    let field = |name: &str| {
-        frame
-            .get(name)
-            .and_then(Json::as_usize)
-            .ok_or_else(|| format!("job frame has no numeric '{name}'"))
-    };
-    Ok(JobStatus {
-        job: frame
-            .get("job")
-            .and_then(Json::as_u64)
-            .ok_or("job frame has no numeric 'job'")?,
-        state: frame
-            .get("state")
-            .and_then(Json::as_str)
-            .ok_or("job frame has no 'state'")?
-            .to_owned(),
-        round: field("round")?,
-        rounds: field("rounds")?,
-        message: frame
-            .get("message")
-            .and_then(Json::as_str)
-            .map(str::to_owned),
-    })
-}
-
-fn decode_snapshot(frame: &Json) -> Result<Snapshot, String> {
-    let coverage = frame
-        .get("coverage")
-        .and_then(Json::as_array)
-        .ok_or("snapshot frame has no coverage array")?
-        .iter()
-        .map(|entry| {
-            let profiler = entry
-                .get("profiler")
-                .and_then(Json::as_str)
-                .ok_or("coverage entry has no 'profiler'")?;
-            let mean = entry
-                .get("mean_direct_coverage")
-                .and_then(Json::as_f64)
-                .ok_or("coverage entry has no 'mean_direct_coverage'")?;
-            Ok((profiler.to_owned(), mean))
-        })
-        .collect::<Result<_, String>>()?;
-    Ok(Snapshot {
-        job: frame
-            .get("job")
-            .and_then(Json::as_u64)
-            .ok_or("snapshot frame has no 'job'")?,
-        round: frame
-            .get("round")
-            .and_then(Json::as_usize)
-            .ok_or("snapshot frame has no 'round'")?,
-        rounds: frame
-            .get("rounds")
-            .and_then(Json::as_usize)
-            .ok_or("snapshot frame has no 'rounds'")?,
-        coverage,
-    })
+fn unexpected(expected: &str, got: &Response) -> String {
+    format!("expected a '{expected}' frame, got: {got:?}")
 }

@@ -26,11 +26,14 @@ use std::time::Duration;
 
 use harp_ecc::HammingCode;
 use harp_profiler::ProfilerKind;
-use harp_sim::checkpoint::{read_manifest, write_json_atomically, ResumableSweep};
-use harp_sim::minijson::{Json, NonFiniteFloat};
+use harp_sim::checkpoint::{
+    read_manifest, read_record, write_json_atomically, write_record, ResumableSweep,
+};
+use harp_sim::json_record;
+use harp_sim::minijson::{named, DecodeError, Json, JsonCodec, NonFiniteFloat};
 use harp_sim::EvaluationConfig;
 
-use crate::proto::{self, Request};
+use crate::proto::{JobStatus, ProfilerCoverage, Request, Response, Snapshot};
 use crate::transport::{FrameTransport, TcpTransport};
 
 /// Name of the per-job state record inside the job's directory.
@@ -66,6 +69,9 @@ impl DaemonConfig {
     }
 }
 
+/// Version of the `JOB.json` record layout.
+const JOB_RECORD_SCHEMA: u64 = 1;
+
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum JobPhase {
@@ -77,6 +83,14 @@ enum JobPhase {
 }
 
 impl JobPhase {
+    const ALL: [JobPhase; 5] = [
+        JobPhase::Queued,
+        JobPhase::Running,
+        JobPhase::Done,
+        JobPhase::Cancelled,
+        JobPhase::Failed,
+    ];
+
     fn name(self) -> &'static str {
         match self {
             JobPhase::Queued => "pending",
@@ -94,6 +108,28 @@ impl JobPhase {
         )
     }
 }
+
+impl JsonCodec for JobPhase {
+    fn to_json(&self) -> Result<Json, NonFiniteFloat> {
+        Ok(Json::from(self.name()))
+    }
+
+    fn from_json(json: &Json) -> Result<Self, DecodeError> {
+        named(json, "job state", |name| {
+            JobPhase::ALL.into_iter().find(|phase| phase.name() == name)
+        })
+    }
+}
+
+/// The durable `JOB.json` record: the job's lifecycle state, and why it
+/// failed.
+struct JobRecord {
+    id: u64,
+    state: JobPhase,
+    message: Option<String>,
+}
+
+json_record!(JobRecord as "schema": JOB_RECORD_SCHEMA { id, state } optional { message });
 
 /// Mutable job state shared between the worker advancing the sweep and the
 /// connection threads streaming it to watchers.
@@ -267,10 +303,7 @@ fn recover_jobs(shared: &Arc<Shared>) -> io::Result<()> {
             continue;
         };
         let dir = entry.path();
-        let record = match std::fs::read_to_string(dir.join(JOB_FILE))
-            .map_err(|e| e.to_string())
-            .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()))
-        {
+        let record: JobRecord = match read_record(&dir.join(JOB_FILE)) {
             Ok(record) => record,
             Err(err) => {
                 eprintln!(
@@ -280,35 +313,22 @@ fn recover_jobs(shared: &Arc<Shared>) -> io::Result<()> {
                 continue;
             }
         };
-        let state_name = record
-            .get("state")
-            .and_then(Json::as_str)
-            .unwrap_or("pending")
-            .to_owned();
-        let message = record
-            .get("message")
-            .and_then(Json::as_str)
-            .map(str::to_owned);
         max_id = max_id.max(id.saturating_add(1));
         let (round, rounds) = match read_manifest(&dir) {
             Ok(manifest) => (manifest.round, manifest.config.rounds),
             Err(_) => (0, 0),
         };
-        let (phase, result) = match state_name.as_str() {
-            "done" => match std::fs::read_to_string(dir.join(RESULT_FILE))
-                .ok()
-                .and_then(|text| Json::parse(&text).ok())
-            {
-                Some(result) => (JobPhase::Done, Some(result)),
+        let (phase, result) = match record.state {
+            JobPhase::Done => match read_record::<Json>(&dir.join(RESULT_FILE)) {
+                Ok(result) => (JobPhase::Done, Some(result)),
                 // A `done` record without a readable result cannot happen
                 // under the durable write order; treat it as corruption.
-                None => (JobPhase::Failed, None),
+                Err(_) => (JobPhase::Failed, None),
             },
-            "cancelled" => (JobPhase::Cancelled, None),
-            "failed" => (JobPhase::Failed, None),
             // `pending` and `running` (the kill -9 case) both restart from
             // the last checkpoint archive.
-            _ => (JobPhase::Queued, None),
+            JobPhase::Queued | JobPhase::Running => (JobPhase::Queued, None),
+            terminal => (terminal, None),
         };
         let cell = Arc::new(JobCell {
             id,
@@ -319,7 +339,7 @@ fn recover_jobs(shared: &Arc<Shared>) -> io::Result<()> {
                 rounds,
                 frames: Vec::new(),
                 result,
-                message,
+                message: record.message,
                 cancel_requested: false,
             }),
             cv: Condvar::new(),
@@ -333,16 +353,17 @@ fn recover_jobs(shared: &Arc<Shared>) -> io::Result<()> {
     Ok(())
 }
 
-fn persist_job_record(cell: &JobCell, state: &str, message: Option<&str>) -> Result<(), String> {
-    let mut entries = vec![
-        ("schema".to_owned(), Json::from_u64(1)),
-        ("id".to_owned(), Json::from_u64(cell.id)),
-        ("state".to_owned(), Json::Str(state.to_owned())),
-    ];
-    if let Some(message) = message {
-        entries.push(("message".to_owned(), Json::Str(message.to_owned())));
-    }
-    write_json_atomically(&cell.dir.join(JOB_FILE), &Json::Object(entries))
+fn persist_job_record(
+    cell: &JobCell,
+    state: JobPhase,
+    message: Option<&str>,
+) -> Result<(), String> {
+    let record = JobRecord {
+        id: cell.id,
+        state,
+        message: message.map(str::to_owned),
+    };
+    write_record(&cell.dir.join(JOB_FILE), &record)
         .map_err(|e| format!("could not persist job record: {e}"))
 }
 
@@ -381,7 +402,7 @@ fn submit_job(
         }),
         cv: Condvar::new(),
     });
-    persist_job_record(&cell, "pending", None)?;
+    persist_job_record(&cell, JobPhase::Queued, None)?;
     lock_unpoisoned(&shared.jobs).insert(id, cell);
     lock_unpoisoned(&shared.queue).push_back(id);
     shared.queue_cv.notify_one();
@@ -423,7 +444,7 @@ fn run_job(shared: &Shared, cell: &JobCell) {
         state.phase = JobPhase::Running;
         cell.cv.notify_all();
     }
-    let _ = persist_job_record(cell, "running", None);
+    let _ = persist_job_record(cell, JobPhase::Running, None);
     // A panic anywhere in the drive loop must fail the *job*, never the
     // worker: a job stuck in `running` with its worker thread dead would
     // never reach a terminal phase, and every watcher would poll its
@@ -435,7 +456,7 @@ fn run_job(shared: &Shared, cell: &JobCell) {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drive_job(shared, cell)))
             .unwrap_or_else(|panic| Err(panic_message(&panic)));
     if let Err(message) = outcome {
-        let _ = persist_job_record(cell, "failed", Some(&message));
+        let _ = persist_job_record(cell, JobPhase::Failed, Some(&message));
         let mut state = lock_unpoisoned(&cell.state);
         state.phase = JobPhase::Failed;
         state.message = Some(message);
@@ -474,7 +495,7 @@ fn drive_job(shared: &Shared, cell: &JobCell) -> Result<(), String> {
             sweep
                 .write_archive(&cell.dir)
                 .map_err(|e| format!("could not checkpoint cancelled job: {e}"))?;
-            persist_job_record(cell, "cancelled", None)?;
+            persist_job_record(cell, JobPhase::Cancelled, None)?;
             let mut state = lock_unpoisoned(&cell.state);
             state.phase = JobPhase::Cancelled;
             cell.cv.notify_all();
@@ -486,7 +507,7 @@ fn drive_job(shared: &Shared, cell: &JobCell) -> Result<(), String> {
             sweep
                 .write_archive(&cell.dir)
                 .map_err(|e| format!("could not checkpoint for shutdown: {e}"))?;
-            persist_job_record(cell, "pending", None)?;
+            persist_job_record(cell, JobPhase::Queued, None)?;
             let mut state = lock_unpoisoned(&cell.state);
             state.phase = JobPhase::Queued;
             cell.cv.notify_all();
@@ -500,16 +521,15 @@ fn drive_job(shared: &Shared, cell: &JobCell) -> Result<(), String> {
                 .map_err(|e| format!("could not write checkpoint: {e}"))?;
         }
     }
-    let encoded = harp_sim::checkpoint::try_encode_sweep(&sweep.into_sweep())
-        .map_err(|e| format!("could not render result: {e}"))?;
-    let result = Json::Object(vec![
-        ("type".to_owned(), Json::Str("result".to_owned())),
-        ("job".to_owned(), Json::from_u64(cell.id)),
-        ("sweep".to_owned(), encoded),
-    ]);
+    let result = Response::Result {
+        job: cell.id,
+        sweep: sweep.into_sweep(),
+    }
+    .to_json()
+    .map_err(|e| format!("could not render result: {e}"))?;
     write_json_atomically(&cell.dir.join(RESULT_FILE), &result)
         .map_err(|e| format!("could not write result: {e}"))?;
-    persist_job_record(cell, "done", None)?;
+    persist_job_record(cell, JobPhase::Done, None)?;
     let mut state = lock_unpoisoned(&cell.state);
     state.phase = JobPhase::Done;
     state.result = Some(result);
@@ -526,25 +546,19 @@ fn snapshot_frame(
     rounds: usize,
     progress: &[(ProfilerKind, f64)],
 ) -> Result<Json, NonFiniteFloat> {
-    let coverage = progress
-        .iter()
-        .map(|(kind, mean)| {
-            Ok(Json::Object(vec![
-                ("profiler".to_owned(), Json::Str(kind.name().to_owned())),
-                (
-                    "mean_direct_coverage".to_owned(),
-                    Json::try_from_f64(*mean)?,
-                ),
-            ]))
-        })
-        .collect::<Result<Vec<Json>, NonFiniteFloat>>()?;
-    Ok(Json::Object(vec![
-        ("type".to_owned(), Json::Str("snapshot".to_owned())),
-        ("job".to_owned(), Json::from_u64(id)),
-        ("round".to_owned(), Json::from_usize(round)),
-        ("rounds".to_owned(), Json::from_usize(rounds)),
-        ("coverage".to_owned(), Json::Array(coverage)),
-    ]))
+    Response::Snapshot(Snapshot {
+        job: id,
+        round,
+        rounds,
+        coverage: progress
+            .iter()
+            .map(|&(profiler, mean_direct_coverage)| ProfilerCoverage {
+                profiler,
+                mean_direct_coverage,
+            })
+            .collect(),
+    })
+    .to_json()
 }
 
 fn push_snapshot(cell: &JobCell, sweep: &ResumableSweep) -> Result<(), String> {
@@ -563,40 +577,39 @@ fn push_snapshot(cell: &JobCell, sweep: &ResumableSweep) -> Result<(), String> {
     Ok(())
 }
 
-fn job_frame_locked(id: u64, state: &JobProgress) -> Json {
-    let mut entries = vec![
-        ("type".to_owned(), Json::Str("job".to_owned())),
-        ("job".to_owned(), Json::from_u64(id)),
-        ("state".to_owned(), Json::Str(state.phase.name().to_owned())),
-        ("round".to_owned(), Json::from_usize(state.round)),
-        ("rounds".to_owned(), Json::from_usize(state.rounds)),
-    ];
-    if let Some(message) = &state.message {
-        entries.push(("message".to_owned(), Json::Str(message.clone())));
+fn job_status_locked(id: u64, state: &JobProgress) -> JobStatus {
+    JobStatus {
+        job: id,
+        state: state.phase.name().to_owned(),
+        round: state.round,
+        rounds: state.rounds,
+        message: state.message.clone(),
     }
-    Json::Object(entries)
 }
 
-fn job_frame(cell: &JobCell) -> Json {
-    job_frame_locked(cell.id, &lock_unpoisoned(&cell.state))
+fn job_status(cell: &JobCell) -> JobStatus {
+    job_status_locked(cell.id, &lock_unpoisoned(&cell.state))
 }
 
-fn submitted_frame(id: u64) -> Json {
-    Json::Object(vec![
-        ("type".to_owned(), Json::Str("submitted".to_owned())),
-        ("job".to_owned(), Json::from_u64(id)),
-    ])
-}
-
-fn jobs_frame(shared: &Shared) -> Json {
+fn jobs_frame(shared: &Shared) -> Response {
     let jobs = lock_unpoisoned(&shared.jobs)
         .values()
-        .map(|cell| job_frame(cell))
+        .map(|cell| job_status(cell))
         .collect();
-    Json::Object(vec![
-        ("type".to_owned(), Json::Str("jobs".to_owned())),
-        ("jobs".to_owned(), Json::Array(jobs)),
-    ])
+    Response::Jobs { jobs }
+}
+
+fn invalid_frame(err: NonFiniteFloat) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, err)
+}
+
+/// Encodes and sends one daemon frame.
+fn send<T: FrameTransport>(transport: &mut T, response: &Response) -> io::Result<()> {
+    transport.send(&response.to_json().map_err(invalid_frame)?)
+}
+
+fn send_error<T: FrameTransport>(transport: &mut T, message: String) -> io::Result<()> {
+    send(transport, &Response::Error { message })
 }
 
 fn get_job(shared: &Shared, id: u64) -> Option<Arc<JobCell>> {
@@ -611,7 +624,7 @@ fn request_cancel(cell: &JobCell) {
         // sees the terminal phase and skips it.
         state.phase = JobPhase::Cancelled;
         drop(state);
-        let _ = persist_job_record(cell, "cancelled", None);
+        let _ = persist_job_record(cell, JobPhase::Cancelled, None);
     }
     cell.cv.notify_all();
 }
@@ -634,7 +647,7 @@ fn watch_job<T: FrameTransport>(
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     drop(state);
-                    return transport.send(&proto::error_frame("daemon is shutting down"));
+                    return send_error(transport, "daemon is shutting down".to_owned());
                 }
                 let (guard, _) = cell
                     .cv
@@ -646,8 +659,8 @@ fn watch_job<T: FrameTransport>(
             cursor = state.frames.len();
             let terminal = if state.phase.is_terminal() {
                 Some(match (&state.result, state.phase) {
-                    (Some(result), JobPhase::Done) => result.clone(),
-                    _ => job_frame_locked(cell.id, &state),
+                    (Some(result), JobPhase::Done) => Ok(result.clone()),
+                    _ => Response::Job(job_status_locked(cell.id, &state)).to_json(),
                 })
             } else {
                 None
@@ -658,7 +671,7 @@ fn watch_job<T: FrameTransport>(
             transport.send(frame)?;
         }
         if let Some(frame) = terminal {
-            return transport.send(&frame);
+            return transport.send(&frame.map_err(invalid_frame)?);
         }
     }
 }
@@ -672,14 +685,14 @@ fn handle_transport<T: FrameTransport>(shared: &Arc<Shared>, transport: &mut T) 
                 // Tell the peer what was wrong with its bytes, then drop
                 // the connection: framing is unrecoverable after a bad
                 // frame.
-                let _ = transport.send(&proto::error_frame(&err.to_string()));
+                let _ = send_error(transport, err.to_string());
                 return;
             }
         };
-        let request = match proto::decode_request(&frame) {
+        let request = match Request::from_json(&frame) {
             Ok(request) => request,
-            Err(message) => {
-                if transport.send(&proto::error_frame(&message)).is_err() {
+            Err(err) => {
+                if send_error(transport, err.to_string()).is_err() {
                     return;
                 }
                 continue;
@@ -689,27 +702,27 @@ fn handle_transport<T: FrameTransport>(shared: &Arc<Shared>, transport: &mut T) 
             |id: u64, transport: &mut T, f: &dyn Fn(&Arc<JobCell>, &mut T) -> io::Result<()>| {
                 match get_job(shared, id) {
                     Some(cell) => f(&cell, transport),
-                    None => transport.send(&proto::error_frame(&format!("no job {id}"))),
+                    None => send_error(transport, format!("no job {id}")),
                 }
             };
         let outcome = match &request {
             Request::Submit { config, profilers } => match submit_job(shared, config, profilers) {
-                Ok(id) => transport.send(&submitted_frame(id)),
-                Err(message) => transport.send(&proto::error_frame(&message)),
+                Ok(job) => send(transport, &Response::Submitted { job }),
+                Err(message) => send_error(transport, message),
             },
             Request::Status { job } => with_job(*job, transport, &|cell, transport| {
-                transport.send(&job_frame(cell))
+                send(transport, &Response::Job(job_status(cell)))
             }),
-            Request::List => transport.send(&jobs_frame(shared)),
+            Request::List => send(transport, &jobs_frame(shared)),
             Request::Watch { job } => with_job(*job, transport, &|cell, transport| {
                 watch_job(shared, cell, transport)
             }),
             Request::Cancel { job } => with_job(*job, transport, &|cell, transport| {
                 request_cancel(cell);
-                transport.send(&job_frame(cell))
+                send(transport, &Response::Job(job_status(cell)))
             }),
             Request::Shutdown => {
-                let acked = transport.send(&proto::ok_frame());
+                let acked = send(transport, &Response::Ok);
                 begin_shutdown(shared);
                 acked
             }
@@ -895,6 +908,27 @@ mod tests {
         let (snapshots, outcome) = watcher.join().unwrap();
         assert!(snapshots >= 1);
         assert!(matches!(outcome, WatchOutcome::Ended(s) if s.state == "cancelled"));
+        client.shutdown().unwrap();
+        daemon.join();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A `JOB.json` that does not decode — here an unknown state — is
+    /// skipped at recovery like an unparseable one, not guessed to be
+    /// `pending` and re-run.
+    #[test]
+    fn undecodable_job_records_are_skipped_at_recovery() {
+        let dir = temp_dir("bad_record");
+        let job_dir = dir.join("JOB_0");
+        std::fs::create_dir_all(&job_dir).unwrap();
+        std::fs::write(
+            job_dir.join(JOB_FILE),
+            r#"{"schema":1,"id":0,"state":"paused"}"#,
+        )
+        .unwrap();
+        let daemon = Daemon::start(DaemonConfig::new(&dir)).unwrap();
+        let mut client = connect(&daemon);
+        assert!(client.jobs().unwrap().is_empty());
         client.shutdown().unwrap();
         daemon.join();
         std::fs::remove_dir_all(&dir).unwrap();

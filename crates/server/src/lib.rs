@@ -20,10 +20,12 @@
 //!   safe to parse). [`transport::duplex`] is the deterministic in-process
 //!   twin, so the protocol suite runs without real sockets — the same
 //!   scalar-reference safety pattern the hot-path kernels use.
-//! * [`proto`] defines the request/response frames: submit a sweep
-//!   configuration, stream round-by-round coverage snapshots, query, cancel,
-//!   and shut down. See ROADMAP.md for the wire-protocol and job-lifecycle
-//!   documentation.
+//! * [`proto`] defines the request/response frames as the
+//!   [`proto::Request`] and [`proto::Response`] types, encoded through the
+//!   workspace's one JSON codec, [`harp_sim::minijson::JsonCodec`]: submit a
+//!   sweep configuration, stream round-by-round coverage snapshots, query,
+//!   cancel, and shut down. See ROADMAP.md for the wire-protocol and
+//!   job-lifecycle documentation.
 //! * [`client`] is the blocking client used by the `harp submit` / `harp
 //!   watch` / `harp jobs` / `harp shutdown` subcommands.
 

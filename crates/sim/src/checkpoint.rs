@@ -26,9 +26,11 @@
 //!   [`CoverageSeries::checked_final_direct_coverage`] instead of trusting
 //!   the silent 0.0 of an empty series.
 //!
-//! All persistence goes through [`crate::minijson`]: `u64` seeds and RNG
-//! block counters are stored as raw literals (never through `f64`), so a
-//! resumed RNG stream is positioned bit-exactly.
+//! All persistence goes through [`crate::minijson`]'s one codec trait,
+//! [`JsonCodec`]: every archive file and shard output is a record type
+//! below, read by [`read_record`] and written by [`write_record`]. `u64`
+//! seeds and RNG block counters are stored as raw literals (never through
+//! `f64`), so a resumed RNG stream is positioned bit-exactly.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -38,7 +40,7 @@ use harp_ecc::{HammingCode, LinearBlockCode};
 use harp_memsim::pattern::DataPattern;
 use harp_profiler::{
     BatchRun, CampaignBatch, CampaignCheckpoint, CoverageSeries, ProfilerKind, ProfilerState,
-    WordCheckpoint,
+    RoundSnapshot, WordCheckpoint,
 };
 use rand_chacha::ChaCha8RngState;
 
@@ -46,7 +48,8 @@ use crate::config::EvaluationConfig;
 use crate::experiments::sweep::{
     group_batch, label_series, score_group, CoverageSweep, WordEvaluation,
 };
-use crate::minijson::{Json, NonFiniteFloat};
+use crate::json_record;
+use crate::minijson::{named, DecodeError, Json, JsonCodec, NonFiniteFloat};
 use crate::report::{fixed, TextTable};
 use crate::runner::parallel_map_mut;
 use crate::sample::{group_by_code, sample_words_with};
@@ -287,25 +290,26 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
     pub fn write_archive(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
         for unit in &self.units {
-            let round = unit.runs.first().map_or(self.round, |run| run.round());
-            let json = encode_group(unit, round);
-            write_atomically(
+            let group = GroupFile {
+                group_index: unit.group_index,
+                cell_index: unit.cell_index,
+                code_index: unit.code_index,
+                round: unit.runs.first().map_or(self.round, BatchRun::round),
+                campaigns: unit.runs.iter().map(BatchRun::checkpoint).collect(),
+            };
+            write_record(
                 &dir.join(group_file_name(unit.cell_index, unit.code_index)),
-                &json,
+                &group,
             )?;
         }
-        write_atomically(&dir.join(MANIFEST_FILE), &self.manifest_json())
-    }
-
-    fn manifest_json(&self) -> Json {
-        Json::Object(vec![
-            ("schema".into(), Json::from_u64(CHECKPOINT_SCHEMA_VERSION)),
-            ("round".into(), Json::from_usize(self.round)),
-            ("shard".into(), encode_shard(self.shard)),
-            ("profilers".into(), encode_profilers(&self.profilers)),
-            ("config".into(), encode_config(&self.config)),
-            ("num_groups".into(), Json::from_usize(self.units.len())),
-        ])
+        let manifest = Manifest {
+            round: self.round,
+            shard: self.shard,
+            profilers: self.profilers.clone(),
+            config: self.config.clone(),
+            num_groups: self.units.len(),
+        };
+        write_record(&dir.join(MANIFEST_FILE), &manifest)
     }
 
     /// Reconstructs a sweep at exactly the position of the archive in `dir`.
@@ -334,24 +338,19 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
         );
         for unit in &mut sweep.units {
             let path = dir.join(group_file_name(unit.cell_index, unit.code_index));
-            let text = std::fs::read_to_string(&path)?;
-            let json =
-                Json::parse(&text).map_err(|e| invalid(format!("{}: {e}", path.display())))?;
-            let (round, checkpoints) = decode_group(&json, &manifest)
-                .map_err(|e| invalid(format!("{}: {e}", path.display())))?;
+            let group: GroupFile = read_record(&path)?;
+            let fail = |message: String| invalid(format!("{}: {message}", path.display()));
+            let round = group.round;
             if round < manifest.round || round > manifest.config.rounds {
-                return Err(invalid(format!(
-                    "{}: group frozen at round {round}, manifest says {} of {}",
-                    path.display(),
-                    manifest.round,
-                    manifest.config.rounds
+                return Err(fail(format!(
+                    "group frozen at round {round}, manifest says {} of {}",
+                    manifest.round, manifest.config.rounds
                 )));
             }
-            if checkpoints.len() != sweep.profilers.len() {
-                return Err(invalid(format!(
-                    "{}: {} campaign checkpoints for {} profilers",
-                    path.display(),
-                    checkpoints.len(),
+            if group.campaigns.len() != sweep.profilers.len() {
+                return Err(fail(format!(
+                    "{} campaign checkpoints for {} profilers",
+                    group.campaigns.len(),
                     sweep.profilers.len()
                 )));
             }
@@ -361,11 +360,18 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
             // profiler kinds feed their restored sets into exhaustive
             // error-space enumeration).
             let codeword_len = unit.batch.code().codeword_len();
-            for checkpoint in &checkpoints {
-                validate_campaign_checkpoint(checkpoint, round, unit.batch.len(), codeword_len)
-                    .map_err(|e| invalid(format!("{}: {e}", path.display())))?;
+            for (checkpoint, &kind) in group.campaigns.iter().zip(&sweep.profilers) {
+                validate_campaign_checkpoint(
+                    checkpoint,
+                    kind,
+                    round,
+                    unit.batch.len(),
+                    codeword_len,
+                )
+                .map_err(fail)?;
             }
-            unit.runs = checkpoints
+            unit.runs = group
+                .campaigns
                 .iter()
                 .map(|checkpoint| BatchRun::resume(&unit.batch, checkpoint))
                 .collect();
@@ -474,34 +480,25 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
     ///
     /// Panics if the sweep has not completed all configured rounds.
     pub fn write_shard_output(&self, path: &Path) -> io::Result<()> {
-        let groups = self
-            .owned_evaluations()
-            .into_iter()
-            .map(|(group_index, evaluations)| {
-                let evaluations = evaluations
-                    .iter()
-                    .map(try_encode_evaluation)
-                    .collect::<Result<Vec<Json>, _>>()
-                    .map_err(|e| invalid(e.to_string()))?;
-                Ok(Json::Object(vec![
-                    ("group_index".into(), Json::from_usize(group_index)),
-                    ("evaluations".into(), Json::Array(evaluations)),
-                ]))
-            })
-            .collect::<io::Result<Vec<Json>>>()?;
-        let json = Json::Object(vec![
-            ("schema".into(), Json::from_u64(CHECKPOINT_SCHEMA_VERSION)),
-            ("shard".into(), encode_shard(self.shard)),
-            ("profilers".into(), encode_profilers(&self.profilers)),
-            ("config".into(), encode_config(&self.config)),
-            ("groups".into(), Json::Array(groups)),
-        ]);
+        let output = ShardOutput {
+            shard: self.shard,
+            profilers: self.profilers.clone(),
+            config: self.config.clone(),
+            groups: self
+                .owned_evaluations()
+                .into_iter()
+                .map(|(group_index, evaluations)| ShardGroup {
+                    group_index,
+                    evaluations,
+                })
+                .collect(),
+        };
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        write_atomically(path, &json)
+        write_record(path, &output)
     }
 }
 
@@ -531,6 +528,8 @@ pub struct Manifest {
     pub profilers: Vec<ProfilerKind>,
     /// The sweep configuration the archive was generated from.
     pub config: EvaluationConfig,
+    /// Number of code groups the worker owns (one group file each).
+    pub num_groups: usize,
 }
 
 /// Reads and validates the manifest of a checkpoint archive.
@@ -540,20 +539,7 @@ pub struct Manifest {
 /// Returns an error when the manifest is missing, malformed, or of an
 /// unsupported schema version.
 pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
-    let path = dir.join(MANIFEST_FILE);
-    let text = std::fs::read_to_string(&path)?;
-    let json = Json::parse(&text).map_err(|e| invalid(format!("{}: {e}", path.display())))?;
-    decode_manifest(&json).map_err(|e| invalid(format!("{}: {e}", path.display())))
-}
-
-fn decode_manifest(json: &Json) -> Result<Manifest, String> {
-    check_schema(json)?;
-    Ok(Manifest {
-        round: require_usize(json, "round")?,
-        shard: decode_shard(require(json, "shard")?)?,
-        profilers: decode_profilers(require(json, "profilers")?)?,
-        config: decode_config(require(json, "config")?)?,
-    })
+    read_record(&dir.join(MANIFEST_FILE))
 }
 
 /// Folds the shard-output files of a distributed sweep back into the single
@@ -576,13 +562,12 @@ pub fn merge_shards(paths: &[PathBuf]) -> io::Result<CoverageSweep> {
     let mut reference: Option<(EvaluationConfig, Vec<ProfilerKind>)> = None;
     let mut groups: BTreeMap<usize, Vec<WordEvaluation>> = BTreeMap::new();
     for path in paths {
-        let text = std::fs::read_to_string(path)?;
-        let json = Json::parse(&text).map_err(|e| invalid(format!("{}: {e}", path.display())))?;
-        let fail = |e: String| invalid(format!("{}: {e}", path.display()));
-        check_schema(&json).map_err(fail)?;
-        let config = decode_config(require(&json, "config").map_err(fail)?).map_err(fail)?;
-        let profilers =
-            decode_profilers(require(&json, "profilers").map_err(fail)?).map_err(fail)?;
+        let ShardOutput {
+            shard: _,
+            profilers,
+            config,
+            groups: shard_groups,
+        } = read_record(path)?;
         match &reference {
             None => reference = Some((config, profilers)),
             Some((ref_config, ref_profilers)) => {
@@ -594,25 +579,11 @@ pub fn merge_shards(paths: &[PathBuf]) -> io::Result<CoverageSweep> {
                 }
             }
         }
-        let shard_groups = require(&json, "groups")
-            .map_err(fail)?
-            .as_array()
-            .ok_or_else(|| invalid(format!("{}: 'groups' is not an array", path.display())))?;
-        for group in shard_groups {
-            let group_index = require_usize(group, "group_index").map_err(fail)?;
-            let evaluations = require(group, "evaluations")
-                .map_err(fail)?
-                .as_array()
-                .ok_or_else(|| {
-                    invalid(format!(
-                        "{}: group evaluations are not an array",
-                        path.display()
-                    ))
-                })?
-                .iter()
-                .map(decode_evaluation)
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(fail)?;
+        for ShardGroup {
+            group_index,
+            evaluations,
+        } in shard_groups
+        {
             if groups.insert(group_index, evaluations).is_some() {
                 return Err(invalid(format!(
                     "group {group_index} appears in more than one shard"
@@ -758,10 +729,6 @@ pub fn write_json_atomically(path: &Path, json: &Json) -> io::Result<()> {
     write_durably_with(&mut RealFs, path, json)
 }
 
-fn write_atomically(path: &Path, json: &Json) -> io::Result<()> {
-    write_json_atomically(path, json)
-}
-
 fn write_durably_with<F: ArchiveFs>(fs: &mut F, path: &Path, json: &Json) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
@@ -777,375 +744,202 @@ fn write_durably_with<F: ArchiveFs>(fs: &mut F, path: &Path, json: &Json) -> io:
     Ok(())
 }
 
+/// Reads and decodes one record file (an archive group or manifest, a shard
+/// output, a daemon job record). Decode failures name the file.
+///
+/// # Errors
+///
+/// Returns any I/O error from reading, or an `InvalidData` error naming the
+/// file and the path to the first bad value.
+pub fn read_record<T: JsonCodec>(path: &Path) -> io::Result<T> {
+    let text = std::fs::read_to_string(path)?;
+    Json::parse(&text)
+        .map_err(DecodeError::from)
+        .and_then(|json| T::from_json(&json))
+        .map_err(|e| invalid(format!("{}: {e}", path.display())))
+}
+
+/// Encodes a record and writes it through [`write_json_atomically`].
+///
+/// # Errors
+///
+/// Returns any I/O error from writing, or an `InvalidData` error if the
+/// record holds a non-finite float (the writers run on worker paths that
+/// must not panic).
+pub fn write_record<T: JsonCodec>(path: &Path, record: &T) -> io::Result<()> {
+    let json = record.to_json().map_err(|e| invalid(e.to_string()))?;
+    write_json_atomically(path, &json)
+}
+
 // ---------------------------------------------------------------------------
-// Codecs: hand-rolled because the vendored serde stack has no parser. Every
-// encode/decode pair below is covered by a round-trip test.
+// Record codecs. The key order of every record is part of the archive and
+// wire formats (`tests/golden/` pins it byte for byte).
 // ---------------------------------------------------------------------------
 
-fn check_schema(json: &Json) -> Result<(), String> {
-    let schema = require_u64(json, "schema")?;
-    if schema != CHECKPOINT_SCHEMA_VERSION {
+/// One `GROUP_<cell>_<code>.json` file: every profiler's campaign over one
+/// code group, frozen at `round`.
+struct GroupFile {
+    group_index: usize,
+    cell_index: usize,
+    code_index: usize,
+    round: usize,
+    campaigns: Vec<CampaignCheckpoint>,
+}
+
+/// A `SHARD_i_of_N.json` file: the finished evaluations of one worker's
+/// groups.
+struct ShardOutput {
+    shard: ShardSpec,
+    profilers: Vec<ProfilerKind>,
+    config: EvaluationConfig,
+    groups: Vec<ShardGroup>,
+}
+
+struct ShardGroup {
+    group_index: usize,
+    evaluations: Vec<WordEvaluation>,
+}
+
+json_record!(Manifest as "schema": CHECKPOINT_SCHEMA_VERSION {
+    round, shard, profilers, config, num_groups
+});
+json_record!(GroupFile as "schema": CHECKPOINT_SCHEMA_VERSION {
+    group_index, cell_index, code_index, round, campaigns
+});
+json_record!(ShardOutput as "schema": CHECKPOINT_SCHEMA_VERSION {
+    shard, profilers, config, groups
+});
+json_record!(ShardGroup {
+    group_index,
+    evaluations
+});
+// The daemon's result payload: the encoding is fully deterministic
+// (ordered keys, shortest-round-trip floats), so two sweeps are equal iff
+// their rendered encodings are byte-identical.
+json_record!(CoverageSweep as "schema": CHECKPOINT_SCHEMA_VERSION {
+    rounds, error_counts, probabilities, profilers, evaluations
+});
+json_record!(WordEvaluation {
+    error_count,
+    probability,
+    profiler,
+    series
+});
+json_record!(CoverageSeries {
+    profiler,
+    direct_coverage,
+    missed_indirect,
+    max_simultaneous,
+    bootstrap_round,
+    direct_truth_len,
+    indirect_truth_len,
+});
+json_record!(CampaignCheckpoint { kind, round, words });
+json_record!(WordCheckpoint {
+    rng,
+    profiler,
+    snapshots
+});
+json_record!(ProfilerState {
+    identified,
+    observed_indirect,
+    crafted_rounds
+});
+json_record!(RoundSnapshot {
+    round,
+    identified,
+    predicted
+});
+json_record!(ChaCha8RngState { key, counter, cursor } where check_rng_cursor);
+// All fields, so an archive is self-describing and resume needs no flags.
+// A decoded configuration is untrusted input, and every consumer
+// downstream (word sampling, code generation, the sharded group partition)
+// assumes a usable one.
+json_record!(EvaluationConfig {
+    data_bits,
+    num_codes,
+    words_per_code,
+    rounds,
+    error_counts,
+    probabilities,
+    pattern,
+    base_seed,
+    threads,
+} where EvaluationConfig::check);
+
+/// Legitimate positions are even word offsets within the 16-word block, or
+/// 16 (exhausted). `ChaCha8Rng::from_state` would silently treat anything
+/// above 16 as exhausted, mispositioning the stream instead of surfacing
+/// the corruption.
+fn check_rng_cursor(state: &ChaCha8RngState) -> Result<(), String> {
+    if state.cursor > 16 || !state.cursor.is_multiple_of(2) {
         return Err(format!(
-            "schema version {schema} is not the supported {CHECKPOINT_SCHEMA_VERSION}"
+            "RNG cursor {} is not a valid block position",
+            state.cursor
         ));
     }
     Ok(())
 }
 
-fn require<'a>(json: &'a Json, key: &str) -> Result<&'a Json, String> {
-    json.get(key).ok_or_else(|| format!("missing key '{key}'"))
-}
-
-fn require_u64(json: &Json, key: &str) -> Result<u64, String> {
-    require(json, key)?
-        .as_u64()
-        .ok_or_else(|| format!("'{key}' is not a u64"))
-}
-
-fn require_usize(json: &Json, key: &str) -> Result<usize, String> {
-    require(json, key)?
-        .as_usize()
-        .ok_or_else(|| format!("'{key}' is not a usize"))
-}
-
-fn require_f64(json: &Json, key: &str) -> Result<f64, String> {
-    require(json, key)?
-        .as_f64()
-        .ok_or_else(|| format!("'{key}' is not a number"))
-}
-
-fn require_str<'a>(json: &'a Json, key: &str) -> Result<&'a str, String> {
-    require(json, key)?
-        .as_str()
-        .ok_or_else(|| format!("'{key}' is not a string"))
-}
-
-fn require_array<'a>(json: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    require(json, key)?
-        .as_array()
-        .ok_or_else(|| format!("'{key}' is not an array"))
-}
-
-fn usize_array(json: &Json, key: &str) -> Result<Vec<usize>, String> {
-    require_array(json, key)?
-        .iter()
-        .map(|v| {
-            v.as_usize()
-                .ok_or_else(|| format!("'{key}' holds a non-usize"))
-        })
-        .collect()
-}
-
-fn f64_array(json: &Json, key: &str) -> Result<Vec<f64>, String> {
-    require_array(json, key)?
-        .iter()
-        .map(|v| {
-            v.as_f64()
-                .ok_or_else(|| format!("'{key}' holds a non-number"))
-        })
-        .collect()
-}
-
-fn encode_shard(shard: ShardSpec) -> Json {
-    Json::Str(shard.to_string())
-}
-
-fn decode_shard(json: &Json) -> Result<ShardSpec, String> {
-    ShardSpec::parse(json.as_str().ok_or("shard is not a string")?)
-}
-
-fn encode_profilers(profilers: &[ProfilerKind]) -> Json {
-    Json::Array(
-        profilers
-            .iter()
-            .map(|kind| Json::Str(kind.name().to_owned()))
-            .collect(),
-    )
-}
-
-fn decode_profilers(json: &Json) -> Result<Vec<ProfilerKind>, String> {
-    json.as_array()
-        .ok_or("profilers is not an array")?
-        .iter()
-        .map(|v| {
-            let name = v.as_str().ok_or("profiler name is not a string")?;
-            ProfilerKind::from_name(name).ok_or_else(|| format!("unknown profiler '{name}'"))
-        })
-        .collect()
-}
-
-fn decode_pattern(name: &str) -> Result<DataPattern, String> {
-    [
-        DataPattern::Charged,
-        DataPattern::Discharged,
-        DataPattern::Checkered,
-        DataPattern::Random,
-    ]
-    .into_iter()
-    .find(|pattern| pattern.name() == name)
-    .ok_or_else(|| format!("unknown data pattern '{name}'"))
-}
-
-/// Encodes a sweep configuration (all fields, so an archive is
-/// self-describing and resume needs no flags).
-pub fn encode_config(config: &EvaluationConfig) -> Json {
-    Json::Object(vec![
-        ("data_bits".into(), Json::from_usize(config.data_bits)),
-        ("num_codes".into(), Json::from_usize(config.num_codes)),
-        (
-            "words_per_code".into(),
-            Json::from_usize(config.words_per_code),
-        ),
-        ("rounds".into(), Json::from_usize(config.rounds)),
-        (
-            "error_counts".into(),
-            Json::Array(
-                config
-                    .error_counts
-                    .iter()
-                    .map(|&c| Json::from_usize(c))
-                    .collect(),
-            ),
-        ),
-        (
-            "probabilities".into(),
-            Json::Array(
-                config
-                    .probabilities
-                    .iter()
-                    .map(|&p| Json::from_f64(p))
-                    .collect(),
-            ),
-        ),
-        (
-            "pattern".into(),
-            Json::Str(config.pattern.name().to_owned()),
-        ),
-        ("base_seed".into(), Json::from_u64(config.base_seed)),
-        ("threads".into(), Json::from_usize(config.threads)),
-    ])
-}
-
-/// Decodes a sweep configuration written by [`encode_config`].
-///
-/// # Errors
-///
-/// Returns a description of the first missing or mistyped field, or of the
-/// first [`EvaluationConfig::check`] violation — a decoded configuration is
-/// untrusted input, and every consumer downstream of this point (word
-/// sampling, code generation, the sharded group partition) assumes a usable
-/// one.
-pub fn decode_config(json: &Json) -> Result<EvaluationConfig, String> {
-    let config = EvaluationConfig {
-        data_bits: require_usize(json, "data_bits")?,
-        num_codes: require_usize(json, "num_codes")?,
-        words_per_code: require_usize(json, "words_per_code")?,
-        rounds: require_usize(json, "rounds")?,
-        error_counts: usize_array(json, "error_counts")?,
-        probabilities: f64_array(json, "probabilities")?,
-        pattern: decode_pattern(require_str(json, "pattern")?)?,
-        base_seed: require_u64(json, "base_seed")?,
-        threads: require_usize(json, "threads")?,
-    };
-    config
-        .check()
-        .map_err(|e| format!("invalid configuration: {e}"))?;
-    Ok(config)
-}
-
-fn encode_rng_state(state: &ChaCha8RngState) -> Json {
-    Json::Object(vec![
-        (
-            "key".into(),
-            Json::Array(
-                state
-                    .key
-                    .iter()
-                    .map(|&w| Json::from_u64(w as u64))
-                    .collect(),
-            ),
-        ),
-        ("counter".into(), Json::from_u64(state.counter)),
-        ("cursor".into(), Json::from_usize(state.cursor)),
-    ])
-}
-
-fn decode_rng_state(json: &Json) -> Result<ChaCha8RngState, String> {
-    let key_words = require_array(json, "key")?;
-    if key_words.len() != 8 {
-        return Err(format!(
-            "RNG key holds {} words, expected 8",
-            key_words.len()
-        ));
+impl JsonCodec for ProfilerKind {
+    fn to_json(&self) -> Result<Json, NonFiniteFloat> {
+        Ok(Json::from(self.name()))
     }
-    let mut key = [0u32; 8];
-    for (slot, word) in key.iter_mut().zip(key_words) {
-        let value = word.as_u64().ok_or("RNG key word is not a number")?;
-        *slot = u32::try_from(value).map_err(|_| "RNG key word exceeds u32")?;
+
+    fn from_json(json: &Json) -> Result<Self, DecodeError> {
+        named(json, "profiler", ProfilerKind::from_name)
     }
-    let cursor = require_usize(json, "cursor")?;
-    // Legitimate positions are even word offsets within the 16-word block,
-    // or 16 (exhausted). `ChaCha8Rng::from_state` would silently treat
-    // anything >= 16 as exhausted, mispositioning the stream instead of
-    // surfacing the corruption.
-    if cursor > 16 || cursor % 2 != 0 {
-        return Err(format!("RNG cursor {cursor} is not a valid block position"));
-    }
-    Ok(ChaCha8RngState {
-        key,
-        counter: require_u64(json, "counter")?,
-        cursor,
-    })
 }
 
-fn encode_bit_set(bits: &std::collections::BTreeSet<usize>) -> Json {
-    Json::Array(bits.iter().map(|&b| Json::from_usize(b)).collect())
-}
+impl JsonCodec for DataPattern {
+    fn to_json(&self) -> Result<Json, NonFiniteFloat> {
+        Ok(Json::from(self.name()))
+    }
 
-fn decode_bit_set(json: &Json, what: &str) -> Result<std::collections::BTreeSet<usize>, String> {
-    json.as_array()
-        .ok_or_else(|| format!("{what} is not an array"))?
-        .iter()
-        .map(|v| {
-            v.as_usize()
-                .ok_or_else(|| format!("{what} holds a non-usize"))
+    fn from_json(json: &Json) -> Result<Self, DecodeError> {
+        named(json, "data pattern", |name| {
+            [
+                DataPattern::Charged,
+                DataPattern::Discharged,
+                DataPattern::Checkered,
+                DataPattern::Random,
+            ]
+            .into_iter()
+            .find(|pattern| pattern.name() == name)
         })
-        .collect()
+    }
 }
 
-fn encode_profiler_state(state: &ProfilerState) -> Json {
-    Json::Object(vec![
-        ("identified".into(), encode_bit_set(&state.identified)),
-        (
-            "observed_indirect".into(),
-            encode_bit_set(&state.observed_indirect),
-        ),
-        (
-            "crafted_rounds".into(),
-            Json::from_usize(state.crafted_rounds),
-        ),
-    ])
-}
+/// A shard assignment travels in its CLI form, `"i/N"`.
+impl JsonCodec for ShardSpec {
+    fn to_json(&self) -> Result<Json, NonFiniteFloat> {
+        Ok(Json::Str(self.to_string()))
+    }
 
-fn decode_profiler_state(json: &Json) -> Result<ProfilerState, String> {
-    Ok(ProfilerState {
-        identified: decode_bit_set(require(json, "identified")?, "identified")?,
-        observed_indirect: decode_bit_set(
-            require(json, "observed_indirect")?,
-            "observed_indirect",
-        )?,
-        crafted_rounds: require_usize(json, "crafted_rounds")?,
-    })
-}
-
-fn encode_snapshot(snapshot: &harp_profiler::RoundSnapshot) -> Json {
-    Json::Object(vec![
-        ("round".into(), Json::from_usize(snapshot.round)),
-        ("identified".into(), encode_bit_set(&snapshot.identified)),
-        ("predicted".into(), encode_bit_set(&snapshot.predicted)),
-    ])
-}
-
-fn decode_snapshot(json: &Json) -> Result<harp_profiler::RoundSnapshot, String> {
-    Ok(harp_profiler::RoundSnapshot {
-        round: require_usize(json, "round")?,
-        identified: decode_bit_set(require(json, "identified")?, "identified")?,
-        predicted: decode_bit_set(require(json, "predicted")?, "predicted")?,
-    })
-}
-
-fn encode_word_checkpoint(word: &WordCheckpoint) -> Json {
-    Json::Object(vec![
-        ("rng".into(), encode_rng_state(&word.rng)),
-        ("profiler".into(), encode_profiler_state(&word.profiler)),
-        (
-            "snapshots".into(),
-            Json::Array(word.snapshots.iter().map(encode_snapshot).collect()),
-        ),
-    ])
-}
-
-fn decode_word_checkpoint(json: &Json) -> Result<WordCheckpoint, String> {
-    Ok(WordCheckpoint {
-        rng: decode_rng_state(require(json, "rng")?)?,
-        profiler: decode_profiler_state(require(json, "profiler")?)?,
-        snapshots: require_array(json, "snapshots")?
-            .iter()
-            .map(decode_snapshot)
-            .collect::<Result<_, _>>()?,
-    })
-}
-
-/// Encodes one frozen campaign (all words of one code group under one
-/// profiler kind).
-pub fn encode_campaign_checkpoint(checkpoint: &CampaignCheckpoint) -> Json {
-    Json::Object(vec![
-        ("kind".into(), Json::Str(checkpoint.kind.name().to_owned())),
-        ("round".into(), Json::from_usize(checkpoint.round)),
-        (
-            "words".into(),
-            Json::Array(
-                checkpoint
-                    .words
-                    .iter()
-                    .map(encode_word_checkpoint)
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Decodes a campaign checkpoint written by [`encode_campaign_checkpoint`].
-///
-/// # Errors
-///
-/// Returns a description of the first missing or mistyped field.
-pub fn decode_campaign_checkpoint(json: &Json) -> Result<CampaignCheckpoint, String> {
-    let name = require_str(json, "kind")?;
-    Ok(CampaignCheckpoint {
-        kind: ProfilerKind::from_name(name).ok_or_else(|| format!("unknown profiler '{name}'"))?,
-        round: require_usize(json, "round")?,
-        words: require_array(json, "words")?
-            .iter()
-            .map(decode_word_checkpoint)
-            .collect::<Result<_, _>>()?,
-    })
-}
-
-fn encode_group<C: LinearBlockCode + Clone + Send + 'static>(
-    unit: &SweepUnit<C>,
-    round: usize,
-) -> Json {
-    Json::Object(vec![
-        ("schema".into(), Json::from_u64(CHECKPOINT_SCHEMA_VERSION)),
-        ("group_index".into(), Json::from_usize(unit.group_index)),
-        ("cell_index".into(), Json::from_usize(unit.cell_index)),
-        ("code_index".into(), Json::from_usize(unit.code_index)),
-        ("round".into(), Json::from_usize(round)),
-        (
-            "campaigns".into(),
-            Json::Array(
-                unit.runs
-                    .iter()
-                    .map(|run| encode_campaign_checkpoint(&run.checkpoint()))
-                    .collect(),
-            ),
-        ),
-    ])
+    fn from_json(json: &Json) -> Result<Self, DecodeError> {
+        ShardSpec::parse(&String::from_json(json)?).map_err(DecodeError::new)
+    }
 }
 
 /// Rejects campaign checkpoints whose state cannot have come from a run over
-/// this batch: wrong word count (a downstream `assert!`), a frozen round
-/// disagreeing with the group file's, snapshot histories that do not span
-/// the completed rounds, bit positions outside the codeword, or identified
-/// sets too large for the exhaustive error-space enumeration the predicting
-/// profiler kinds perform on restore.
+/// this batch: a profiler kind out of lineup order, wrong word count (a
+/// downstream `assert!`), a frozen round disagreeing with the group file's,
+/// snapshot histories that do not span the completed rounds, bit positions
+/// outside the codeword, or identified sets too large for the exhaustive
+/// error-space enumeration the predicting profiler kinds perform on restore.
 fn validate_campaign_checkpoint(
     checkpoint: &CampaignCheckpoint,
+    kind: ProfilerKind,
     round: usize,
     batch_len: usize,
     codeword_len: usize,
 ) -> Result<(), String> {
+    if checkpoint.kind != kind {
+        return Err(format!(
+            "campaign order mismatch: found {}, manifest says {kind}",
+            checkpoint.kind
+        ));
+    }
     if checkpoint.round != round {
         return Err(format!(
             "{} campaign frozen at round {}, group file says {round}",
@@ -1191,193 +985,15 @@ fn validate_campaign_checkpoint(
     Ok(())
 }
 
-fn decode_group(
-    json: &Json,
-    manifest: &Manifest,
-) -> Result<(usize, Vec<CampaignCheckpoint>), String> {
-    check_schema(json)?;
-    let round = require_usize(json, "round")?;
-    let campaigns = require_array(json, "campaigns")?
-        .iter()
-        .map(decode_campaign_checkpoint)
-        .collect::<Result<Vec<_>, _>>()?;
-    for (checkpoint, &kind) in campaigns.iter().zip(&manifest.profilers) {
-        if checkpoint.kind != kind {
-            return Err(format!(
-                "campaign order mismatch: found {}, manifest says {}",
-                checkpoint.kind, kind
-            ));
-        }
-    }
-    Ok((round, campaigns))
-}
-
-/// The fallible series encoder: coverage fractions are *computed* means, so
-/// a NaN escaping a stats pipeline must be reportable, not fatal.
-fn try_encode_series(series: &CoverageSeries) -> Result<Json, NonFiniteFloat> {
-    let direct_coverage = series
-        .direct_coverage
-        .iter()
-        .map(|&c| Json::try_from_f64(c))
-        .collect::<Result<Vec<Json>, NonFiniteFloat>>()?;
-    Ok(Json::Object(vec![
-        ("profiler".into(), Json::Str(series.profiler.clone())),
-        ("direct_coverage".into(), Json::Array(direct_coverage)),
-        (
-            "missed_indirect".into(),
-            Json::Array(
-                series
-                    .missed_indirect
-                    .iter()
-                    .map(|&m| Json::from_usize(m))
-                    .collect(),
-            ),
-        ),
-        (
-            "max_simultaneous".into(),
-            Json::Array(
-                series
-                    .max_simultaneous
-                    .iter()
-                    .map(|&m| Json::from_usize(m))
-                    .collect(),
-            ),
-        ),
-        (
-            "bootstrap_round".into(),
-            match series.bootstrap_round {
-                Some(round) => Json::from_usize(round),
-                None => Json::Null,
-            },
-        ),
-        (
-            "direct_truth_len".into(),
-            Json::from_usize(series.direct_truth_len),
-        ),
-        (
-            "indirect_truth_len".into(),
-            Json::from_usize(series.indirect_truth_len),
-        ),
-    ]))
-}
-
-fn decode_series(json: &Json) -> Result<CoverageSeries, String> {
-    let bootstrap = require(json, "bootstrap_round")?;
-    Ok(CoverageSeries {
-        profiler: require_str(json, "profiler")?.to_owned(),
-        direct_coverage: f64_array(json, "direct_coverage")?,
-        missed_indirect: usize_array(json, "missed_indirect")?,
-        max_simultaneous: usize_array(json, "max_simultaneous")?,
-        bootstrap_round: match bootstrap {
-            Json::Null => None,
-            value => Some(value.as_usize().ok_or("'bootstrap_round' is not a usize")?),
-        },
-        direct_truth_len: require_usize(json, "direct_truth_len")?,
-        indirect_truth_len: require_usize(json, "indirect_truth_len")?,
-    })
-}
-
-fn try_encode_evaluation(evaluation: &WordEvaluation) -> Result<Json, NonFiniteFloat> {
-    Ok(Json::Object(vec![
-        (
-            "error_count".into(),
-            Json::from_usize(evaluation.error_count),
-        ),
-        (
-            "probability".into(),
-            Json::try_from_f64(evaluation.probability)?,
-        ),
-        (
-            "profiler".into(),
-            Json::Str(evaluation.profiler.name().to_owned()),
-        ),
-        ("series".into(), try_encode_series(&evaluation.series)?),
-    ]))
-}
-
-fn decode_evaluation(json: &Json) -> Result<WordEvaluation, String> {
-    let name = require_str(json, "profiler")?;
-    Ok(WordEvaluation {
-        error_count: require_usize(json, "error_count")?,
-        probability: require_f64(json, "probability")?,
-        profiler: ProfilerKind::from_name(name)
-            .ok_or_else(|| format!("unknown profiler '{name}'"))?,
-        series: decode_series(require(json, "series")?)?,
-    })
-}
-
-/// Encodes a completed [`CoverageSweep`] — the daemon's result payload and
-/// the unit of the differential byte-identity test: the encoding is fully
-/// deterministic (ordered keys, shortest-round-trip floats), so two sweeps
-/// are equal iff their rendered encodings are byte-identical.
-///
-/// # Panics
-///
-/// Panics if the sweep contains a non-finite float; render paths that must
-/// not panic (the daemon worker) use [`try_encode_sweep`].
-pub fn encode_sweep(sweep: &CoverageSweep) -> Json {
-    match try_encode_sweep(sweep) {
-        Ok(json) => json,
-        // lint:allow(panic) documented-panicking convenience twin; panic-free callers use try_encode_sweep
-        Err(err) => panic!("{err}"),
-    }
-}
-
-/// The fallible twin of [`encode_sweep`]: a NaN/∞ anywhere in the sweep —
-/// e.g. a coverage mean produced by a buggy stats pipeline — surfaces as a
-/// typed [`NonFiniteFloat`] so the daemon can fail the *job* instead of
-/// losing the worker thread to a render panic.
+/// Encodes a completed [`CoverageSweep`]; the same as `sweep.to_json()`.
 ///
 /// # Errors
 ///
-/// Returns the first non-finite float encountered while encoding.
+/// Returns the first non-finite float in the sweep — e.g. a coverage mean
+/// produced by a buggy stats pipeline — so the daemon can fail the *job*
+/// instead of losing the worker thread to a render panic.
 pub fn try_encode_sweep(sweep: &CoverageSweep) -> Result<Json, NonFiniteFloat> {
-    let probabilities = sweep
-        .probabilities
-        .iter()
-        .map(|&p| Json::try_from_f64(p))
-        .collect::<Result<Vec<Json>, NonFiniteFloat>>()?;
-    let evaluations = sweep
-        .evaluations
-        .iter()
-        .map(try_encode_evaluation)
-        .collect::<Result<Vec<Json>, NonFiniteFloat>>()?;
-    Ok(Json::Object(vec![
-        ("schema".into(), Json::from_u64(CHECKPOINT_SCHEMA_VERSION)),
-        ("rounds".into(), Json::from_usize(sweep.rounds)),
-        (
-            "error_counts".into(),
-            Json::Array(
-                sweep
-                    .error_counts
-                    .iter()
-                    .map(|&c| Json::from_usize(c))
-                    .collect(),
-            ),
-        ),
-        ("probabilities".into(), Json::Array(probabilities)),
-        ("profilers".into(), encode_profilers(&sweep.profilers)),
-        ("evaluations".into(), Json::Array(evaluations)),
-    ]))
-}
-
-/// Decodes a sweep written by [`encode_sweep`].
-///
-/// # Errors
-///
-/// Returns a description of the first missing or mistyped field.
-pub fn decode_sweep(json: &Json) -> Result<CoverageSweep, String> {
-    check_schema(json)?;
-    Ok(CoverageSweep {
-        rounds: require_usize(json, "rounds")?,
-        error_counts: usize_array(json, "error_counts")?,
-        probabilities: f64_array(json, "probabilities")?,
-        profilers: decode_profilers(require(json, "profilers")?)?,
-        evaluations: require_array(json, "evaluations")?
-            .iter()
-            .map(decode_evaluation)
-            .collect::<Result<_, _>>()?,
-    })
+    sweep.to_json()
 }
 
 #[cfg(test)]
@@ -1537,7 +1153,10 @@ mod tests {
     #[test]
     fn config_and_checkpoint_codecs_round_trip() {
         let config = tiny_config();
-        assert_eq!(decode_config(&encode_config(&config)).unwrap(), config);
+        assert_eq!(
+            EvaluationConfig::from_json(&config.to_json().unwrap()).unwrap(),
+            config
+        );
 
         let code = HammingCode::random(32, 9).unwrap();
         let batch = CampaignBatch::new(
@@ -1552,10 +1171,10 @@ mod tests {
             let mut run = BatchRun::new(&batch, kind);
             run.advance(9);
             let checkpoint = run.checkpoint();
-            let json = encode_campaign_checkpoint(&checkpoint);
+            let json = checkpoint.to_json().unwrap();
             let reparsed = Json::parse(&json.render()).unwrap();
             assert_eq!(
-                decode_campaign_checkpoint(&reparsed).unwrap(),
+                CampaignCheckpoint::from_json(&reparsed).unwrap(),
                 checkpoint,
                 "{kind}"
             );
@@ -1650,14 +1269,14 @@ mod tests {
             counter: 3,
             cursor: 6,
         };
-        let encoded = encode_rng_state(&state);
-        assert_eq!(decode_rng_state(&encoded).unwrap(), state);
+        let encoded = state.to_json().unwrap();
+        assert_eq!(ChaCha8RngState::from_json(&encoded).unwrap(), state);
         for bad_cursor in [17usize, 5, 100] {
             let text = encoded
                 .render()
                 .replace("\"cursor\":6", &format!("\"cursor\":{bad_cursor}"));
-            let err = decode_rng_state(&Json::parse(&text).unwrap()).unwrap_err();
-            assert!(err.contains("cursor"), "{bad_cursor}: {err}");
+            let err = ChaCha8RngState::from_json(&Json::parse(&text).unwrap()).unwrap_err();
+            assert!(err.message.contains("cursor"), "{bad_cursor}: {err}");
         }
     }
 
@@ -1675,81 +1294,38 @@ mod tests {
         sweep.advance(2);
         sweep.write_archive(&dir).unwrap();
         let group_path = dir.join(group_file_name(0, 0));
-        let pristine = std::fs::read_to_string(&group_path).unwrap();
+        let pristine: GroupFile = read_record(&group_path).unwrap();
+        let mutate = |corrupt: &dyn Fn(&mut GroupFile)| {
+            let mut group = read_record(&group_path).unwrap();
+            corrupt(&mut group);
+            write_record(&group_path, &group).unwrap();
+            let err = ResumableSweep::<HammingCode>::resume(&dir, make_code(&config)).unwrap_err();
+            write_record(&group_path, &pristine).unwrap();
+            err
+        };
 
         // Drop one word from the first campaign.
-        let json = Json::parse(&pristine).unwrap();
-        let mutate = |mutated: Json| {
-            std::fs::write(&group_path, mutated.render()).unwrap();
-            ResumableSweep::<HammingCode>::resume(&dir, make_code(&config)).unwrap_err()
-        };
-        let mut fewer_words = json.clone();
-        if let Json::Object(entries) = &mut fewer_words {
-            for (key, value) in entries {
-                if key == "campaigns" {
-                    if let Json::Array(campaigns) = value {
-                        if let Json::Object(campaign) = &mut campaigns[0] {
-                            for (ckey, cvalue) in campaign {
-                                if ckey == "words" {
-                                    if let Json::Array(words) = cvalue {
-                                        words.pop();
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let err = mutate(fewer_words);
+        let err = mutate(&|group| {
+            group.campaigns[0].words.pop();
+        });
         assert!(err.to_string().contains("words"), "{err}");
 
         // Overwrite campaign 0 / word 0's *profiler* identified set (the
-        // snapshots also carry sets named "identified", which resume does
-        // not feed into restore).
+        // snapshots carry identified sets too, which resume does not feed
+        // into restore).
         let poison_identified = |bits: Vec<usize>| {
-            let mut poisoned = json.clone();
-            let entry = |object: &mut Json, key: &str| -> Json {
-                match object {
-                    Json::Object(entries) => entries
-                        .iter_mut()
-                        .find(|(k, _)| k == key)
-                        .map(|(_, v)| std::mem::replace(v, Json::Null))
-                        .unwrap(),
-                    _ => panic!("not an object"),
-                }
-            };
-            let put = |object: &mut Json, key: &str, value: Json| match object {
-                Json::Object(entries) => {
-                    entries.iter_mut().find(|(k, _)| k == key).unwrap().1 = value;
-                }
-                _ => panic!("not an object"),
-            };
-            let mut campaigns = entry(&mut poisoned, "campaigns");
-            if let Json::Array(list) = &mut campaigns {
-                let mut words = entry(&mut list[0], "words");
-                if let Json::Array(word_list) = &mut words {
-                    let mut profiler = entry(&mut word_list[0], "profiler");
-                    put(
-                        &mut profiler,
-                        "identified",
-                        Json::Array(bits.iter().map(|&b| Json::from_usize(b)).collect()),
-                    );
-                    put(&mut word_list[0], "profiler", profiler);
-                }
-                put(&mut list[0], "words", words);
+            move |group: &mut GroupFile| {
+                group.campaigns[0].words[0].profiler.identified = bits.iter().copied().collect();
             }
-            put(&mut poisoned, "campaigns", campaigns);
-            poisoned
         };
 
         // Past the exhaustive-analysis limit for the predicting HARP-A
         // campaign: used to abort inside `restore`'s enumeration assert.
-        let err = mutate(poison_identified((0..30).collect()));
+        let err = mutate(&poison_identified((0..30).collect()));
         assert!(err.to_string().contains("exhaustive-analysis"), "{err}");
 
         // A profiler bit outside the codeword.
-        let err = mutate(poison_identified(vec![9999]));
+        let err = mutate(&poison_identified(vec![9999]));
         assert!(err.to_string().contains("outside"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1780,15 +1356,11 @@ mod tests {
     fn sweep_codec_round_trips_byte_identically() {
         let config = tiny_config();
         let sweep = run_coverage_sweep(&config, &KINDS);
-        let encoded = encode_sweep(&sweep);
-        let rendered = encoded.render();
-        let reparsed = Json::parse(&rendered).unwrap();
-        assert_eq!(decode_sweep(&reparsed).unwrap(), sweep);
+        let rendered = sweep.to_json().unwrap().render();
+        let decoded = CoverageSweep::from_json(&Json::parse(&rendered).unwrap()).unwrap();
+        assert_eq!(decoded, sweep);
         // Deterministic: re-encoding the decoded sweep reproduces the bytes.
-        assert_eq!(
-            encode_sweep(&decode_sweep(&reparsed).unwrap()).render(),
-            rendered
-        );
+        assert_eq!(decoded.to_json().unwrap().render(), rendered);
     }
 
     /// Regression: a NaN coverage mean used to panic the encoder (and with

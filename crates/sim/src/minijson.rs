@@ -21,8 +21,15 @@
 //! stack), and duplicate object keys are rejected at parse time — two
 //! `"rounds"` keys in a corrupt archive are corruption, not a choice for
 //! [`Json::get`] to resolve silently.
+//!
+//! Typed values cross into and out of the tree through one trait,
+//! [`JsonCodec`]: every checkpoint-archive record, shard-output file, and
+//! `harpd` frame or job record implements it, most of them through the
+//! [`json_record!`](crate::json_record) macro. Decoding treats its input as
+//! untrusted, and a failure is a [`DecodeError`] naming the path to the
+//! offending value (`campaigns[0].words[1].rng.cursor`).
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// A parsed or constructed JSON value.
@@ -67,6 +74,8 @@ impl std::fmt::Display for ParseError {
     }
 }
 
+impl std::error::Error for ParseError {}
+
 /// A render-side failure: a float with no JSON representation (NaN or ±∞).
 ///
 /// This is a *typed* error so render paths that handle untrusted or
@@ -92,32 +101,8 @@ impl Json {
         Json::Number(value.to_string())
     }
 
-    /// Builds a number from a `usize` without loss.
-    pub fn from_usize(value: usize) -> Self {
-        Json::Number(value.to_string())
-    }
-
     /// Builds a number from a finite `f64` using the shortest representation
     /// that parses back to the identical value.
-    ///
-    /// Use [`Json::try_from_f64`] wherever the value is computed rather than
-    /// constructed — a NaN from a stats pipeline must become an error frame,
-    /// not a dead worker thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-finite values (JSON has no representation for them).
-    pub fn from_f64(value: f64) -> Self {
-        match Json::try_from_f64(value) {
-            Ok(json) => json,
-            // lint:allow(panic) documented-panicking convenience twin; panic-free callers use try_from_f64
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// The fallible twin of [`Json::from_f64`]: returns a typed
-    /// [`NonFiniteFloat`] error instead of panicking when `value` has no
-    /// JSON representation.
     ///
     /// # Errors
     ///
@@ -127,31 +112,6 @@ impl Json {
             return Err(NonFiniteFloat { value });
         }
         Ok(Json::Number(format!("{value}")))
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as a `u64`, if it is a number with an exact `u64` literal.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Number(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as a `usize`, if it is a number with an exact `usize`
-    /// literal.
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Json::Number(raw) => raw.parse().ok(),
-            _ => None,
-        }
     }
 
     /// The value as an `f64`, if it is a number.
@@ -250,18 +210,6 @@ impl Json {
             return Err(parser.error("trailing characters after JSON value"));
         }
         Ok(value)
-    }
-}
-
-/// Convenience: objects as sorted-key maps for comparisons that must ignore
-/// key order (e.g. schema checks). Arrays keep their order.
-pub fn object_keys(value: &Json) -> BTreeMap<&str, &Json> {
-    match value {
-        Json::Object(entries) => entries
-            .iter()
-            .map(|(key, val)| (key.as_str(), val))
-            .collect(),
-        _ => BTreeMap::new(),
     }
 }
 
@@ -523,6 +471,383 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// A decode failure: the path from the document root to the offending value
+/// and what was wrong with it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodeError {
+    /// Object keys and array indices from the root, e.g.
+    /// `campaigns[0].words[1].rng.cursor`; empty for the root itself.
+    pub path: String,
+    /// What was wrong with the value.
+    pub message: String,
+}
+
+impl DecodeError {
+    /// An error at the value being decoded.
+    pub fn new(message: impl Into<String>) -> Self {
+        Self {
+            path: String::new(),
+            message: message.into(),
+        }
+    }
+
+    /// The same error, seen from the object holding the value under `key`.
+    #[must_use]
+    pub fn at_key(self, key: &str) -> Self {
+        self.within(key)
+    }
+
+    /// The same error, seen from the array holding the value at `index`.
+    #[must_use]
+    pub fn at_index(self, index: usize) -> Self {
+        self.within(&format!("[{index}]"))
+    }
+
+    fn within(mut self, segment: &str) -> Self {
+        let separator = if self.path.is_empty() || self.path.starts_with('[') {
+            ""
+        } else {
+            "."
+        };
+        self.path = format!("{segment}{separator}{}", self.path);
+        self
+    }
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.path.is_empty() {
+            f.write_str(&self.message)
+        } else {
+            write!(f, "{}: {}", self.path, self.message)
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+impl From<ParseError> for DecodeError {
+    fn from(err: ParseError) -> Self {
+        DecodeError::new(err.to_string())
+    }
+}
+
+/// The one JSON codec: every checkpoint-archive record, shard-output file,
+/// and `harpd` frame converts to and from [`Json`] through this trait.
+///
+/// Encoding fails only on a float JSON cannot represent, so render paths
+/// that must not panic report NaN and ±∞ as a [`NonFiniteFloat`]. Decoding
+/// treats its input as untrusted: a missing key, a mistyped value, or a
+/// value outside its type's range is a [`DecodeError`], never a panic.
+pub trait JsonCodec: Sized {
+    /// Encodes `self` as a JSON value.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first non-finite float met.
+    fn to_json(&self) -> Result<Json, NonFiniteFloat>;
+
+    /// Decodes a value written by [`JsonCodec::to_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] naming the path to the first bad value.
+    fn from_json(json: &Json) -> Result<Self, DecodeError>;
+}
+
+/// Describes a value for an error message: a number by its literal, any
+/// other value by its kind.
+fn describe(json: &Json) -> String {
+    match json {
+        Json::Null => "null".to_owned(),
+        Json::Bool(_) => "a bool".to_owned(),
+        Json::Number(raw) => raw.clone(),
+        Json::Str(_) => "a string".to_owned(),
+        Json::Array(_) => "an array".to_owned(),
+        Json::Object(_) => "an object".to_owned(),
+    }
+}
+
+fn expected(what: &str, found: &Json) -> DecodeError {
+    DecodeError::new(format!("expected {what}, found {}", describe(found)))
+}
+
+/// Decodes the value under `key` of an object: the building block of record
+/// decoders. A missing key is an error.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] when `json` is not an object, lacks `key`, or
+/// holds a value `T` cannot decode.
+pub fn field<T: JsonCodec>(json: &Json, key: &str) -> Result<T, DecodeError> {
+    optional_field(json, key)?.ok_or_else(|| DecodeError::new(format!("missing key '{key}'")))
+}
+
+/// Decodes the value under `key` of an object, or `None` when the key is
+/// absent.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] when `json` is not an object or holds a value
+/// `T` cannot decode.
+pub fn optional_field<T: JsonCodec>(json: &Json, key: &str) -> Result<Option<T>, DecodeError> {
+    if !matches!(json, Json::Object(_)) {
+        return Err(expected("an object", json));
+    }
+    json.get(key)
+        .map(|value| T::from_json(value).map_err(|e| e.at_key(key)))
+        .transpose()
+}
+
+/// Checks a record's constant leading entry: its schema version or its
+/// frame type.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] when the entry is missing or holds another
+/// value.
+pub fn check_tag(json: &Json, key: &str, tag: &Json) -> Result<(), DecodeError> {
+    let found: Json = field(json, key)?;
+    if found == *tag {
+        Ok(())
+    } else {
+        Err(DecodeError::new(format!(
+            "expected {}, found {}",
+            tag.render(),
+            describe(&found)
+        ))
+        .at_key(key))
+    }
+}
+
+/// Decodes a string naming one of a fixed set of values (a profiler kind, a
+/// data pattern, a job state); `what` names the set in the error.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] for a non-string or an unknown name.
+pub fn named<T>(
+    json: &Json,
+    what: &str,
+    lookup: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, DecodeError> {
+    let name = json.as_str().ok_or_else(|| expected("a string", json))?;
+    lookup(name).ok_or_else(|| DecodeError::new(format!("unknown {what} '{name}'")))
+}
+
+impl From<u64> for Json {
+    fn from(value: u64) -> Self {
+        Json::from_u64(value)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(value: &str) -> Self {
+        Json::Str(value.to_owned())
+    }
+}
+
+impl JsonCodec for Json {
+    fn to_json(&self) -> Result<Json, NonFiniteFloat> {
+        Ok(self.clone())
+    }
+
+    fn from_json(json: &Json) -> Result<Self, DecodeError> {
+        Ok(json.clone())
+    }
+}
+
+/// Unsigned integers decode from exact literals only: no sign, fraction,
+/// exponent, or value past the type's range.
+macro_rules! unsigned_codec {
+    ($($ty:ty),*) => {$(
+        impl JsonCodec for $ty {
+            fn to_json(&self) -> Result<Json, NonFiniteFloat> {
+                Ok(Json::Number(self.to_string()))
+            }
+
+            fn from_json(json: &Json) -> Result<Self, DecodeError> {
+                match json {
+                    Json::Number(raw) => raw.parse().ok(),
+                    _ => None,
+                }
+                .ok_or_else(|| expected(concat!("a ", stringify!($ty)), json))
+            }
+        }
+    )*};
+}
+
+unsigned_codec!(u32, u64, usize);
+
+impl JsonCodec for f64 {
+    fn to_json(&self) -> Result<Json, NonFiniteFloat> {
+        Json::try_from_f64(*self)
+    }
+
+    fn from_json(json: &Json) -> Result<Self, DecodeError> {
+        json.as_f64().ok_or_else(|| expected("a number", json))
+    }
+}
+
+impl JsonCodec for String {
+    fn to_json(&self) -> Result<Json, NonFiniteFloat> {
+        Ok(Json::Str(self.clone()))
+    }
+
+    fn from_json(json: &Json) -> Result<Self, DecodeError> {
+        json.as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| expected("a string", json))
+    }
+}
+
+/// `None` is `null`. A record field that is omitted when `None` is declared
+/// in [`json_record!`](crate::json_record)'s `optional` list instead.
+impl<T: JsonCodec> JsonCodec for Option<T> {
+    fn to_json(&self) -> Result<Json, NonFiniteFloat> {
+        self.as_ref().map_or(Ok(Json::Null), T::to_json)
+    }
+
+    fn from_json(json: &Json) -> Result<Self, DecodeError> {
+        match json {
+            Json::Null => Ok(None),
+            value => T::from_json(value).map(Some),
+        }
+    }
+}
+
+/// Decodes every item of a JSON array, each error naming its index.
+fn decode_items<'a, T: JsonCodec + 'a, C: FromIterator<T>>(
+    json: &'a Json,
+) -> Result<C, DecodeError> {
+    json.as_array()
+        .ok_or_else(|| expected("an array", json))?
+        .iter()
+        .enumerate()
+        .map(|(index, item)| T::from_json(item).map_err(|e| e.at_index(index)))
+        .collect()
+}
+
+fn encode_items<'a, T: JsonCodec + 'a>(
+    items: impl ExactSizeIterator<Item = &'a T>,
+) -> Result<Json, NonFiniteFloat> {
+    // Sized up front: collecting through `Result` would lose the length
+    // hint, and archives are mostly arrays of small sets.
+    let mut array = Vec::with_capacity(items.len());
+    for item in items {
+        array.push(item.to_json()?);
+    }
+    Ok(Json::Array(array))
+}
+
+impl<T: JsonCodec> JsonCodec for Vec<T> {
+    fn to_json(&self) -> Result<Json, NonFiniteFloat> {
+        encode_items(self.iter())
+    }
+
+    fn from_json(json: &Json) -> Result<Self, DecodeError> {
+        decode_items(json)
+    }
+}
+
+impl<T: JsonCodec + Ord> JsonCodec for BTreeSet<T> {
+    fn to_json(&self) -> Result<Json, NonFiniteFloat> {
+        encode_items(self.iter())
+    }
+
+    fn from_json(json: &Json) -> Result<Self, DecodeError> {
+        decode_items(json)
+    }
+}
+
+impl<T: JsonCodec, const N: usize> JsonCodec for [T; N] {
+    fn to_json(&self) -> Result<Json, NonFiniteFloat> {
+        encode_items(self.iter())
+    }
+
+    fn from_json(json: &Json) -> Result<Self, DecodeError> {
+        let items: Vec<T> = decode_items(json)?;
+        let len = items.len();
+        items
+            .try_into()
+            .map_err(|_| DecodeError::new(format!("expected {N} items, found {len}")))
+    }
+}
+
+/// Implements [`JsonCodec`](crate::minijson::JsonCodec) for a plain record
+/// struct: one object entry per listed field, in the listed order, each
+/// through the field type's own codec.
+///
+/// * `as "key": TAG` puts a constant entry first — a schema version or a
+///   frame type — which decoding checks before it reads any field;
+/// * `optional { … }` appends `Option` fields that are omitted when `None`
+///   (an `Option` in the main list encodes `None` as `null`);
+/// * `where CHECK` runs `CHECK(&decoded) -> Result<(), String>` on the
+///   decoded record, for invariants across fields or beyond their types.
+///
+/// ```
+/// use harp_sim::json_record;
+/// use harp_sim::minijson::{Json, JsonCodec};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Status {
+///     job: u64,
+///     message: Option<String>,
+/// }
+/// json_record!(Status as "type": "status" { job } optional { message });
+///
+/// let status = Status { job: 7, message: None };
+/// let json = status.to_json()?;
+/// assert_eq!(json.render(), r#"{"type":"status","job":7}"#);
+/// assert_eq!(Status::from_json(&json)?, status);
+/// assert!(Status::from_json(&Json::parse(r#"{"type":"job","job":7}"#)?).is_err());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[macro_export]
+macro_rules! json_record {
+    (
+        $ty:ty $(as $tag:literal : $tag_value:tt)? { $($field:ident),* $(,)? }
+        $(optional { $($optional:ident),* $(,)? })?
+        $(where $check:path)?
+    ) => {
+        impl $crate::minijson::JsonCodec for $ty {
+            fn to_json(
+                &self,
+            ) -> ::std::result::Result<$crate::minijson::Json, $crate::minijson::NonFiniteFloat> {
+                #[allow(unused_mut)]
+                let mut entries: ::std::vec::Vec<(::std::string::String, $crate::minijson::Json)> = vec![
+                    $(($tag.to_owned(), $crate::minijson::Json::from($tag_value)),)?
+                    $((
+                        stringify!($field).to_owned(),
+                        $crate::minijson::JsonCodec::to_json(&self.$field)?,
+                    ),)*
+                ];
+                $($(
+                    if let Some(value) = &self.$optional {
+                        entries.push((
+                            stringify!($optional).to_owned(),
+                            $crate::minijson::JsonCodec::to_json(value)?,
+                        ));
+                    }
+                )*)?
+                Ok($crate::minijson::Json::Object(entries))
+            }
+
+            fn from_json(
+                json: &$crate::minijson::Json,
+            ) -> ::std::result::Result<Self, $crate::minijson::DecodeError> {
+                $($crate::minijson::check_tag(json, $tag, &$crate::minijson::Json::from($tag_value))?;)?
+                let record = Self {
+                    $($field: $crate::minijson::field(json, stringify!($field))?,)*
+                    $($($optional: $crate::minijson::optional_field(json, stringify!($optional))?,)*)?
+                };
+                $($check(&record).map_err($crate::minijson::DecodeError::new)?;)?
+                Ok(record)
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,7 +872,7 @@ mod tests {
         for value in [(1u64 << 53) + 1, u64::MAX, 0x5EED_CAFE_F00D] {
             let json = Json::from_u64(value);
             let reparsed = Json::parse(&json.render()).unwrap();
-            assert_eq!(reparsed.as_u64(), Some(value));
+            assert_eq!(u64::from_json(&reparsed), Ok(value));
             // The raw literal is preserved verbatim.
             assert_eq!(reparsed.render(), value.to_string());
         }
@@ -556,7 +881,7 @@ mod tests {
     #[test]
     fn f64_round_trips_bit_exactly() {
         for value in [0.1, 0.25, 1.0 / 3.0, 1e-12, 123456.789, f64::MIN_POSITIVE] {
-            let reparsed = Json::parse(&Json::from_f64(value).render()).unwrap();
+            let reparsed = Json::parse(&Json::try_from_f64(value).unwrap().render()).unwrap();
             assert_eq!(reparsed.as_f64().unwrap().to_bits(), value.to_bits());
         }
     }
@@ -570,7 +895,7 @@ mod tests {
                 Json::Array(vec![
                     Json::Object(vec![
                         ("seed".into(), Json::from_u64(u64::MAX)),
-                        ("bits".into(), Json::Array(vec![Json::from_usize(3)])),
+                        ("bits".into(), Json::Array(vec![Json::from_u64(3)])),
                     ]),
                     Json::Null,
                 ]),
@@ -587,16 +912,12 @@ mod tests {
     fn accessors_navigate_objects_and_arrays() {
         let value = Json::parse(r#"{"a": [1, 2.5, "x"], "b": {"c": true}}"#).unwrap();
         let items = value.get("a").unwrap().as_array().unwrap();
-        assert_eq!(items[0].as_usize(), Some(1));
+        assert_eq!(usize::from_json(&items[0]), Ok(1));
         assert_eq!(items[1].as_f64(), Some(2.5));
-        assert_eq!(items[1].as_u64(), None);
+        assert!(u64::from_json(&items[1]).is_err());
         assert_eq!(items[2].as_str(), Some("x"));
-        assert_eq!(
-            value.get("b").unwrap().get("c").unwrap().as_bool(),
-            Some(true)
-        );
+        assert_eq!(value.get("b").unwrap().get("c"), Some(&Json::Bool(true)));
         assert!(value.get("missing").is_none());
-        assert_eq!(object_keys(&value).len(), 2);
     }
 
     #[test]
@@ -624,12 +945,6 @@ mod tests {
         let parsed = Json::parse("1.5e-3").unwrap();
         assert_eq!(parsed.as_f64(), Some(0.0015));
         assert_eq!(parsed.render(), "1.5e-3");
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot represent")]
-    fn non_finite_floats_are_rejected() {
-        let _ = Json::from_f64(f64::NAN);
     }
 
     /// Regression: render paths that cannot afford a panic (the daemon's
@@ -691,5 +1006,120 @@ mod tests {
         // The same key in *different* objects is fine.
         assert!(Json::parse(r#"{"a":{"k":1},"b":{"k":2}}"#).is_ok());
         assert!(Json::parse(r#"[{"k":1},{"k":2}]"#).is_ok());
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Inner {
+        key: [u32; 2],
+        seen: BTreeSet<usize>,
+    }
+    json_record!(Inner { key, seen });
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Outer {
+        round: u64,
+        weight: f64,
+        first: Option<usize>,
+        inner: Vec<Inner>,
+        note: Option<String>,
+    }
+    json_record!(Outer as "schema": 3 { round, weight, first, inner } optional { note });
+
+    fn outer() -> Outer {
+        Outer {
+            round: u64::MAX,
+            weight: 0.1,
+            first: None,
+            inner: vec![
+                Inner {
+                    key: [1, u32::MAX],
+                    seen: BTreeSet::new(),
+                },
+                Inner {
+                    key: [0, 7],
+                    seen: [4, 9].into_iter().collect(),
+                },
+            ],
+            note: None,
+        }
+    }
+
+    #[test]
+    fn records_round_trip_through_the_codec() {
+        let value = outer();
+        let text = value.to_json().unwrap().render();
+        assert_eq!(
+            text,
+            r#"{"schema":3,"round":18446744073709551615,"weight":0.1,"first":null,"inner":[{"key":[1,4294967295],"seen":[]},{"key":[0,7],"seen":[4,9]}]}"#
+        );
+        assert_eq!(
+            Outer::from_json(&Json::parse(&text).unwrap()).unwrap(),
+            value
+        );
+        let noted = Outer {
+            first: Some(2),
+            note: Some("kept".into()),
+            ..value
+        };
+        let json = noted.to_json().unwrap();
+        assert!(json.render().ends_with(r#""note":"kept"}"#));
+        assert_eq!(Outer::from_json(&json).unwrap(), noted);
+    }
+
+    #[test]
+    fn decode_errors_name_the_path_to_the_bad_value() {
+        let good = outer().to_json().unwrap().render();
+        for (from, to, path, needle) in [
+            (
+                r#""schema":3"#,
+                r#""schema":4"#,
+                "schema",
+                "expected 3, found 4",
+            ),
+            (
+                r#""round":18446744073709551615,"#,
+                "",
+                "",
+                "missing key 'round'",
+            ),
+            (
+                "4294967295",
+                "4294967296",
+                "inner[0].key[1]",
+                "expected a u32",
+            ),
+            (
+                "[0,7]",
+                "[0,7,1]",
+                "inner[1].key",
+                "expected 2 items, found 3",
+            ),
+            ("[4,9]", r#"[4,"x"]"#, "inner[1].seen[1]", "found a string"),
+            (
+                r#""weight":0.1"#,
+                r#""weight":null"#,
+                "weight",
+                "expected a number",
+            ),
+            (r#""first":null"#, r#""first":-1"#, "first", "found -1"),
+        ] {
+            let text = good.replacen(from, to, 1);
+            let err = Outer::from_json(&Json::parse(&text).unwrap()).unwrap_err();
+            assert_eq!(err.path, path, "{text}: {err}");
+            assert!(err.message.contains(needle), "{text}: {err}");
+        }
+        let err = Outer::from_json(&Json::from_u64(1)).unwrap_err();
+        assert!(err.to_string().contains("expected an object"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_floats_fail_to_encode() {
+        let err = Outer {
+            weight: f64::INFINITY,
+            ..outer()
+        }
+        .to_json()
+        .unwrap_err();
+        assert_eq!(err.value, f64::INFINITY);
     }
 }

@@ -31,13 +31,12 @@ use harp_bch::BchCode;
 use harp_ecc::{ExtendedHammingCode, HammingCode, LinearBlockCode};
 use harp_memsim::pattern::DataPattern;
 use harp_memsim::FaultModel;
-use harp_profiler::{BatchRun, BatchWord, CampaignBatch, CampaignResult, ProfilerKind};
-use harp_sim::checkpoint::{
-    decode_campaign_checkpoint, encode_campaign_checkpoint, merge_shards, shard_file_name,
-    ResumableSweep, ShardSpec,
+use harp_profiler::{
+    BatchRun, BatchWord, CampaignBatch, CampaignCheckpoint, CampaignResult, ProfilerKind,
 };
+use harp_sim::checkpoint::{merge_shards, shard_file_name, ResumableSweep, ShardSpec};
 use harp_sim::experiments::sweep::{run_coverage_sweep, run_coverage_sweep_with, CoverageSweep};
-use harp_sim::minijson::Json;
+use harp_sim::minijson::{Json, JsonCodec};
 use harp_sim::EvaluationConfig;
 
 /// Dataword length shared by all three families in this suite.
@@ -90,9 +89,12 @@ fn interrupted<C: LinearBlockCode + Clone + Send + 'static>(
         run.advance(round - run.round());
         let frozen = run.checkpoint();
         // Full persistence round trip: encode → render → parse → decode.
-        let rendered = encode_campaign_checkpoint(&frozen).render();
+        let rendered = frozen
+            .to_json()
+            .expect("checkpoints hold no floats")
+            .render();
         let parsed = Json::parse(&rendered).expect("rendered checkpoint parses");
-        let thawed = decode_campaign_checkpoint(&parsed).expect("rendered checkpoint decodes");
+        let thawed = CampaignCheckpoint::from_json(&parsed).expect("rendered checkpoint decodes");
         assert_eq!(
             thawed, frozen,
             "{kind}: checkpoint changed across the JSON round trip"

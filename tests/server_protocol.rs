@@ -6,8 +6,8 @@
 //! and locks down the daemon's two core guarantees:
 //!
 //! * **Differential** — two concurrent jobs served from the worker pool
-//!   return sweeps *byte-identical* (via the deterministic
-//!   [`encode_sweep`] rendering) to single-process
+//!   return sweeps *byte-identical* (via their deterministic
+//!   [`JsonCodec`] rendering) to single-process
 //!   [`run_coverage_sweep`] runs of the same configurations.
 //! * **Crash durability** — a state directory left behind by a `kill -9`'d
 //!   daemon (job record still `running`, archive at its last checkpoint) is
@@ -17,19 +17,23 @@
 //!
 //! Protocol-level misuse (unknown jobs, malformed frames, unusable submit
 //! configurations) must answer with `error` frames on a connection that
-//! stays usable, never with a dropped daemon.
+//! stays usable, never with a dropped daemon; and no frame, however
+//! mangled, makes either side's decoder panic.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+use proptest::prelude::*;
 
 use harp_ecc::HammingCode;
 use harp_profiler::ProfilerKind;
 use harp_server::client::{Client, WatchOutcome};
 use harp_server::daemon::{Daemon, DaemonConfig, JOB_FILE};
+use harp_server::proto::{JobStatus, Request, Response};
 use harp_server::transport::{duplex, FrameTransport, PairTransport};
-use harp_sim::checkpoint::{encode_sweep, write_json_atomically, ResumableSweep};
-use harp_sim::experiments::sweep::run_coverage_sweep;
-use harp_sim::minijson::Json;
+use harp_sim::checkpoint::{write_json_atomically, ResumableSweep};
+use harp_sim::experiments::sweep::{run_coverage_sweep, CoverageSweep};
+use harp_sim::minijson::{Json, JsonCodec};
 use harp_sim::EvaluationConfig;
 
 /// A quick-scale sweep: small enough to finish in well under a second per
@@ -63,8 +67,15 @@ fn connect(daemon: &Daemon) -> Client<PairTransport> {
 }
 
 /// The deterministic byte rendering both sides are compared by.
+fn sweep_bytes(sweep: &CoverageSweep) -> String {
+    sweep
+        .to_json()
+        .expect("coverage values are finite")
+        .render()
+}
+
 fn reference_bytes(config: &EvaluationConfig, profilers: &[ProfilerKind]) -> String {
-    encode_sweep(&run_coverage_sweep(config, profilers)).render()
+    sweep_bytes(&run_coverage_sweep(config, profilers))
 }
 
 fn watch_to_bytes(mut client: Client<PairTransport>, job: u64) -> (String, Vec<usize>) {
@@ -75,7 +86,7 @@ fn watch_to_bytes(mut client: Client<PairTransport>, job: u64) -> (String, Vec<u
     let WatchOutcome::Completed(sweep) = outcome else {
         panic!("job {job} did not complete: {outcome:?}");
     };
-    (encode_sweep(&sweep).render(), rounds_seen)
+    (sweep_bytes(&sweep), rounds_seen)
 }
 
 #[test]
@@ -279,9 +290,9 @@ fn protocol_misuse_answers_with_errors_on_a_live_connection() {
     let handler = daemon.clone();
     std::thread::spawn(move || handler.handle(server_end));
     for (frame, needle) in [
-        (r#"{"job":1}"#, "no 'type'"),
+        (r#"{"job":1}"#, "missing key 'type'"),
         (r#"{"type":"frobnicate"}"#, "unknown request type"),
-        (r#"{"type":"watch"}"#, "no numeric 'job'"),
+        (r#"{"type":"watch"}"#, "missing key 'job'"),
         (r#"{"type":"status","job":42}"#, "no job 42"),
     ] {
         raw.send(&Json::parse(frame).expect("test frame"))
@@ -315,4 +326,81 @@ fn protocol_misuse_answers_with_errors_on_a_live_connection() {
     connect(&daemon).shutdown().expect("shutdown");
     daemon.join();
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Valid frames of every request type and of the response types that carry
+/// nested records, rendered: the seeds the mangling property starts from.
+fn seed_frames() -> Vec<String> {
+    let config = quick_scale(7);
+    let requests = [
+        Request::Submit {
+            config: config.clone(),
+            profilers: vec![ProfilerKind::HarpA, ProfilerKind::Beep],
+        },
+        Request::Status { job: 1 },
+        Request::List,
+        Request::Watch { job: 2 },
+        Request::Cancel { job: 3 },
+        Request::Shutdown,
+    ];
+    let status = JobStatus {
+        job: 5,
+        state: "failed".to_owned(),
+        round: 3,
+        rounds: 10,
+        message: Some("worker panicked".to_owned()),
+    };
+    let responses = [
+        Response::Jobs {
+            jobs: vec![status.clone()],
+        },
+        Response::Job(status),
+        Response::Result {
+            job: 5,
+            sweep: run_coverage_sweep(
+                &EvaluationConfig {
+                    num_codes: 1,
+                    words_per_code: 1,
+                    rounds: 2,
+                    error_counts: vec![2],
+                    ..config
+                },
+                &[ProfilerKind::HarpU],
+            ),
+        },
+    ];
+    requests
+        .iter()
+        .map(|request| request.to_json())
+        .chain(responses.iter().map(|response| response.to_json()))
+        .map(|json| json.expect("test frames are finite").render())
+        .collect()
+}
+
+proptest! {
+    /// Frames cross a trust boundary in both directions: a mangled frame
+    /// (cut short, one byte changed, or one byte dropped) either fails to
+    /// parse or decodes to `Ok` or a typed error — neither decoder panics.
+    #[test]
+    fn mangled_frames_never_panic_the_decoders(
+        seed in 0usize..64,
+        at in 0u32..1000,
+        byte in any::<u8>(),
+        mangle in 0u8..3,
+    ) {
+        let frames = seed_frames();
+        let mut bytes = frames[seed % frames.len()].clone().into_bytes();
+        let index = (bytes.len() - 1) * at as usize / 1000;
+        match mangle {
+            0 => bytes.truncate(index),
+            1 => bytes[index] = byte,
+            _ => {
+                bytes.remove(index);
+            }
+        }
+        if let Ok(json) = Json::parse(&String::from_utf8_lossy(&bytes)) {
+            let _ = Request::from_json(&json);
+            let _ = Response::from_json(&json);
+        }
+    }
 }
