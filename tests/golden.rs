@@ -9,6 +9,10 @@
 //! * `fig10.txt` — the data-retention case study;
 //! * `ext_codes.txt` — `run_coverage_sweep_with` over all three code
 //!   families;
+//! * `fig2.txt`, `table2.txt`, `fig4.txt`, `summary.txt`, `ablation.txt`
+//!   and `ext_bch.txt`, `ext_beer.txt`, `ext_module.txt`, `ext_repair.txt`,
+//!   `ext_vrt.txt`, `ext_traffic.txt` — the rendered output of every other
+//!   experiment command (fig2 and table2 take no configuration);
 //! * `sweep_summary.txt` — `render_sweep_summary` of a [`ResumableSweep`]
 //!   that was archived to disk mid-run and resumed;
 //! * `sweep_archive.txt` — every file of a `harp sweep --checkpoint-dir`
@@ -34,7 +38,10 @@ use harp_server::daemon::{Daemon, DaemonConfig, JOB_FILE, RESULT_FILE};
 use harp_server::transport::{duplex, FrameTransport, PairTransport};
 use harp_sim::checkpoint::{render_sweep_summary, shard_file_name, ResumableSweep, ShardSpec};
 use harp_sim::experiments::sweep::run_coverage_sweep;
-use harp_sim::experiments::{ext_codes, fig10, fig6, fig7, fig8, fig9};
+use harp_sim::experiments::{
+    ablation, ext_bch, ext_beer, ext_codes, ext_module, ext_repair, ext_traffic, ext_vrt, fig10,
+    fig2, fig4, fig6, fig7, fig8, fig9, headline, table2,
+};
 use harp_sim::minijson::Json;
 use harp_sim::EvaluationConfig;
 
@@ -106,6 +113,85 @@ fn ext_codes_matches_golden() {
     assert_matches_golden(
         "ext_codes.txt",
         &ext_codes::run(&EvaluationConfig::smoke()).render(),
+    );
+}
+
+#[test]
+fn fig2_matches_golden() {
+    assert_matches_golden("fig2.txt", &fig2::run().render());
+}
+
+#[test]
+fn table2_matches_golden() {
+    assert_matches_golden("table2.txt", &table2::run().render());
+}
+
+#[test]
+fn fig4_matches_golden() {
+    assert_matches_golden("fig4.txt", &fig4::run(&EvaluationConfig::smoke()).render());
+}
+
+#[test]
+fn summary_matches_golden() {
+    assert_matches_golden(
+        "summary.txt",
+        &headline::run(&EvaluationConfig::smoke()).render(),
+    );
+}
+
+#[test]
+fn ablation_matches_golden() {
+    assert_matches_golden(
+        "ablation.txt",
+        &ablation::run(&EvaluationConfig::smoke()).render(),
+    );
+}
+
+#[test]
+fn ext_bch_matches_golden() {
+    assert_matches_golden(
+        "ext_bch.txt",
+        &ext_bch::run(&EvaluationConfig::smoke()).render(),
+    );
+}
+
+#[test]
+fn ext_beer_matches_golden() {
+    assert_matches_golden(
+        "ext_beer.txt",
+        &ext_beer::run(&EvaluationConfig::smoke()).render(),
+    );
+}
+
+#[test]
+fn ext_module_matches_golden() {
+    assert_matches_golden(
+        "ext_module.txt",
+        &ext_module::run(&EvaluationConfig::smoke()).render(),
+    );
+}
+
+#[test]
+fn ext_repair_matches_golden() {
+    assert_matches_golden(
+        "ext_repair.txt",
+        &ext_repair::run(&EvaluationConfig::smoke()).render(),
+    );
+}
+
+#[test]
+fn ext_vrt_matches_golden() {
+    assert_matches_golden(
+        "ext_vrt.txt",
+        &ext_vrt::run(&EvaluationConfig::smoke()).render(),
+    );
+}
+
+#[test]
+fn ext_traffic_matches_golden() {
+    assert_matches_golden(
+        "ext_traffic.txt",
+        &ext_traffic::run(&EvaluationConfig::smoke()).render(),
     );
 }
 
