@@ -60,22 +60,28 @@ fn bench_checkpoint_path<C: LinearBlockCode + Clone + Send + 'static>(
     // JSON round trip.
     let reference = batch.run(ProfilerKind::HarpU, ROUNDS);
     let mut first = BatchRun::new(&batch, ProfilerKind::HarpU);
-    first.advance(FREEZE_AT);
+    first.advance(FREEZE_AT, |_, _| {});
     let frozen = first.checkpoint();
     let rendered = frozen.to_json().expect("no floats").render();
     let json = Json::parse(&rendered).expect("valid JSON");
     let thawed = CampaignCheckpoint::from_json(&json).expect("valid checkpoint");
     assert_eq!(thawed, frozen);
     let mut resumed = BatchRun::resume(&batch, &thawed);
-    resumed.advance(ROUNDS - FREEZE_AT);
-    assert_eq!(resumed.results(), reference);
+    let mut expected: Vec<_> = reference
+        .iter()
+        .map(|result| result.snapshots[FREEZE_AT..].iter())
+        .collect();
+    resumed.advance(ROUNDS - FREEZE_AT, |word, profiler| {
+        let snapshot = expected[word].next().expect("one snapshot per round");
+        assert_eq!(profiler.identified(), &snapshot.identified);
+    });
 
     let mut group = c.benchmark_group(format!("checkpoint_path/{label}"));
     group.bench_function(format!("uninterrupted_{CELL_WORDS}x{ROUNDS}"), |b| {
         b.iter(|| {
             let mut run = BatchRun::new(&batch, ProfilerKind::HarpU);
-            run.advance(ROUNDS);
-            black_box(run.results().len())
+            run.advance(ROUNDS, |_, _| {});
+            black_box(run.round())
         })
     });
     group.bench_function(format!("freeze_{CELL_WORDS}x{FREEZE_AT}"), |b| {

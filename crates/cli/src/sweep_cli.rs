@@ -11,9 +11,9 @@
 
 use std::path::{Path, PathBuf};
 
-use harp_ecc::HammingCode;
 use harp_sim::checkpoint::{
-    merge_shards, read_manifest, render_sweep_summary, shard_file_name, ResumableSweep, ShardSpec,
+    hamming_factory, merge_shards, read_manifest, render_sweep_summary, shard_file_name,
+    ResumableSweep, ShardSpec,
 };
 use harp_sim::experiments::fig6;
 use harp_sim::EvaluationConfig;
@@ -100,23 +100,9 @@ pub fn run_sweep(args: &[String]) -> Result<(), String> {
     let mut sweep = if options.resume {
         let dir = PathBuf::from(options.checkpoint_dir.as_deref().expect("validated"));
         let manifest = read_manifest(&dir).map_err(|e| e.to_string())?;
-        let data_bits = manifest.config.data_bits;
-        // The archive is untrusted input: a corrupt `data_bits` must surface
-        // as an error like every other archive-validation failure, not a
-        // panic. Code construction succeeds or fails independently of the
-        // seed (the seed only shuffles candidate columns), so one probe
-        // clears every per-group construction below.
-        HammingCode::random(data_bits, 0).map_err(|e| {
-            format!(
-                "cannot resume from {}: archived data_bits {data_bits} does not \
-                 yield a valid Hamming code: {e}",
-                dir.display()
-            )
-        })?;
-        let sweep = ResumableSweep::resume(&dir, |seed| {
-            HammingCode::random(data_bits, seed).expect("probed above, seed-independent")
-        })
-        .map_err(|e| e.to_string())?;
+        let make_code = hamming_factory(manifest.config.data_bits)
+            .map_err(|e| format!("cannot resume from {}: archived {e}", dir.display()))?;
+        let sweep = ResumableSweep::resume(&dir, make_code).map_err(|e| e.to_string())?;
         eprintln!(
             "resumed shard {} at round {} of {} ({} code groups)",
             sweep.shard(),
@@ -134,10 +120,8 @@ pub fn run_sweep(args: &[String]) -> Result<(), String> {
         if options.long_code {
             config = config.with_long_code();
         }
-        let data_bits = config.data_bits;
-        let sweep = ResumableSweep::sharded(&config, &fig6::PROFILERS, shard, |seed| {
-            HammingCode::random(data_bits, seed).expect("valid configuration yields valid codes")
-        });
+        let make_code = hamming_factory(config.data_bits)?;
+        let sweep = ResumableSweep::sharded(&config, &fig6::PROFILERS, shard, make_code);
         eprintln!(
             "sweep shard {}: {} of {} code groups, {} rounds",
             shard,
@@ -287,9 +271,11 @@ mod tests {
             threads: 1,
             ..harp_sim::EvaluationConfig::quick()
         };
-        let mut sweep = ResumableSweep::new(&config, &fig6::PROFILERS, |seed| {
-            HammingCode::random(config.data_bits, seed).unwrap()
-        });
+        let mut sweep = ResumableSweep::new(
+            &config,
+            &fig6::PROFILERS,
+            hamming_factory(config.data_bits).unwrap(),
+        );
         sweep.advance(2);
         sweep.write_archive(&dir).unwrap();
 

@@ -54,7 +54,7 @@ use harp_ecc::{ErrorSpace, LinearBlockCode};
 use harp_memsim::pattern::DataPattern;
 use harp_memsim::FaultModel;
 
-use crate::campaign::{CampaignResult, ProfilingCampaign};
+use crate::campaign::{CampaignResult, ProfilingCampaign, RoundSnapshot};
 use crate::checkpoint::BatchRun;
 use crate::traits::ProfilerKind;
 
@@ -162,11 +162,24 @@ impl<C: LinearBlockCode + Clone + Send + 'static> CampaignBatch<C> {
     /// Runs a freshly instantiated profiler of the given kind on every word
     /// of the cell for `rounds` rounds, returning one [`CampaignResult`] per
     /// word in word order: a [`BatchRun`] advanced once and never
-    /// checkpointed.
+    /// checkpointed, recording each word's [`RoundSnapshot`] after every
+    /// round.
     pub fn run(&self, kind: ProfilerKind, rounds: usize) -> Vec<CampaignResult> {
-        let mut run = BatchRun::new(self, kind);
-        run.advance(rounds);
-        run.into_results()
+        let mut results: Vec<CampaignResult> = (0..self.len())
+            .map(|_| CampaignResult {
+                profiler: kind.name().to_owned(),
+                snapshots: Vec::with_capacity(rounds),
+            })
+            .collect();
+        BatchRun::new(self, kind).advance(rounds, |word, profiler| {
+            let snapshots = &mut results[word].snapshots;
+            snapshots.push(RoundSnapshot {
+                round: snapshots.len(),
+                identified: profiler.identified().clone(),
+                predicted: profiler.predicted(),
+            });
+        });
+        results
     }
 }
 

@@ -60,15 +60,6 @@ impl CampaignResult {
         self.snapshots.len()
     }
 
-    /// The snapshot after round `round`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `round >= rounds()`.
-    pub fn snapshot(&self, round: usize) -> &RoundSnapshot {
-        &self.snapshots[round]
-    }
-
     /// The identified set after the final round (empty set if no rounds ran).
     pub fn final_identified(&self) -> BTreeSet<usize> {
         self.snapshots
@@ -217,7 +208,7 @@ mod tests {
             assert!(window[0].identified.is_subset(&window[1].identified));
             assert_eq!(window[1].round, window[0].round + 1);
         }
-        assert_eq!(result.snapshot(15).identified, result.final_identified());
+        assert_eq!(result.snapshots[15].identified, result.final_identified());
     }
 
     #[test]

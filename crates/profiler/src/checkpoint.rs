@@ -10,16 +10,17 @@
 //!   counter and cursor are stored);
 //! * the profiler's accumulators ([`ProfilerState`] — identified bits plus,
 //!   for the BEEP-flavoured kinds, observed indirect bits and the crafted
-//!   pattern counter; HARP-A's predictions are recomputed on restore);
-//! * the per-round snapshots recorded so far.
+//!   pattern counter; HARP-A's predictions are recomputed on restore).
 //!
 //! Chip contents need no checkpointing: every round rewrites each slot before
 //! the burst read, and the pattern schedule is a pure function of the round
-//! index. [`BatchRun`] is the one batched campaign engine:
+//! index. Nor is there a history to store: after each round,
+//! [`BatchRun::advance`] hands every word's profiler to the caller, which
+//! records what it needs. [`BatchRun`] is the one batched campaign engine:
 //! [`CampaignBatch::run`] is a `BatchRun` advanced once, and a scalar
 //! campaign is a one-word `BatchRun`. Checkpoint-at-round-k-then-resume
-//! produces the same [`CampaignResult`]s as an uninterrupted run, and both
-//! match the scalar oracle
+//! continues exactly as an uninterrupted run, and both match the scalar
+//! oracle
 //! [`ProfilingCampaign::run_profiler`](crate::campaign::ProfilingCampaign::run_profiler)
 //! word for word — the invariants `tests/checkpoint_resume.rs` and
 //! `tests/campaign_equivalence.rs` lock down across all profiler kinds and
@@ -34,7 +35,7 @@ use harp_ecc::LinearBlockCode;
 use harp_memsim::{BurstScratch, MemoryChip};
 
 use crate::batch::CampaignBatch;
-use crate::campaign::{CampaignResult, RoundSnapshot, CAMPAIGN_RNG_SALT};
+use crate::campaign::CAMPAIGN_RNG_SALT;
 use crate::traits::{Profiler, ProfilerKind};
 
 /// The mutable accumulators of any [`Profiler`] implementation, in one
@@ -68,16 +69,14 @@ impl ProfilerState {
     }
 }
 
-/// Everything needed to resume one word of a campaign: RNG position,
-/// profiler accumulators, and the snapshots recorded so far.
+/// Everything needed to resume one word of a campaign: RNG position and
+/// profiler accumulators.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WordCheckpoint {
     /// The word's fault-injection RNG position.
     pub rng: ChaCha8RngState,
     /// The word's profiler accumulators.
     pub profiler: ProfilerState,
-    /// Per-round snapshots recorded before the checkpoint.
-    pub snapshots: Vec<RoundSnapshot>,
 }
 
 /// A whole campaign frozen after `round` completed rounds: one
@@ -110,14 +109,17 @@ pub struct CampaignCheckpoint {
 ///     vec![BatchWord::new(FaultModel::uniform(&[5, 9], 0.5), DataPattern::Random, 0xFEED)],
 /// );
 /// let mut run = BatchRun::new(&batch, ProfilerKind::HarpU);
-/// run.advance(10);
+/// run.advance(10, |_, _| {});
 /// let frozen = run.checkpoint();
 /// let mut resumed = BatchRun::resume(&batch, &frozen);
-/// run.advance(22);
-/// resumed.advance(22);
-/// // Identical to the scalar oracle running the word alone:
-/// assert_eq!(run.results()[0], batch.scalar_campaign(0).run(ProfilerKind::HarpU, 32));
-/// assert_eq!(resumed.into_results(), run.results());
+/// // Both continue identically: word 0 knows the same bits after each round.
+/// let (mut direct, mut thawed) = (Vec::new(), Vec::new());
+/// run.advance(22, |_, profiler| direct.push(profiler.identified().clone()));
+/// resumed.advance(22, |_, profiler| thawed.push(profiler.identified().clone()));
+/// assert_eq!(direct, thawed);
+/// // And match the scalar oracle running the word alone:
+/// let oracle = batch.scalar_campaign(0).run(ProfilerKind::HarpU, 32);
+/// assert_eq!(direct[21], oracle.final_identified());
 /// # Ok::<(), harp_ecc::CodeError>(())
 /// ```
 #[derive(Debug)]
@@ -127,7 +129,6 @@ pub struct BatchRun<C: LinearBlockCode = harp_ecc::HammingCode> {
     rngs: Vec<ChaCha8Rng>,
     scratch: BurstScratch,
     profilers: Vec<Box<dyn Profiler>>,
-    snapshots: Vec<Vec<RoundSnapshot>>,
     round: usize,
 }
 
@@ -153,7 +154,6 @@ impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
                 .iter()
                 .map(|word| kind.instantiate(batch.code(), word.pattern, word.seed))
                 .collect(),
-            snapshots: (0..count).map(|_| Vec::new()).collect(),
             round: 0,
         }
     }
@@ -179,7 +179,6 @@ impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
         for (slot, word) in checkpoint.words.iter().enumerate() {
             run.rngs[slot] = ChaCha8Rng::from_state(word.rng);
             run.profilers[slot].restore(&word.profiler);
-            run.snapshots[slot] = word.snapshots.clone();
         }
         run
     }
@@ -197,13 +196,13 @@ impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
     /// Runs `rounds` further rounds. This is the only batched round loop:
     /// each round writes every slot's dataword, scrubs the whole cell with
     /// **one** [`MemoryChip::read_burst_with_rngs`] (slot `i` draws its raw
-    /// errors from word `i`'s own RNG stream only), and lets each profiler
-    /// observe its own slot. `BurstScratch` persists across rounds, so the
-    /// steady-state decode path performs no heap allocation.
-    pub fn advance(&mut self, rounds: usize) {
-        for snapshots in &mut self.snapshots {
-            snapshots.reserve(rounds);
-        }
+    /// errors from word `i`'s own RNG stream only), lets each profiler
+    /// observe its own slot, and then calls `on_round(word, profiler)` for
+    /// every word in word order. The engine keeps no per-round history: what
+    /// a round produced is whatever the caller records from the profilers.
+    /// `BurstScratch` persists across rounds, so the steady-state decode
+    /// path performs no heap allocation.
+    pub fn advance(&mut self, rounds: usize, mut on_round: impl FnMut(usize, &dyn Profiler)) {
         let count = self.profilers.len();
         for _ in 0..rounds {
             let round = self.round;
@@ -214,18 +213,11 @@ impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
             let observations =
                 self.chip
                     .read_burst_with_rngs(0..count, &mut self.rngs, &mut self.scratch);
-            for ((profiler, observation), snapshots) in self
-                .profilers
-                .iter_mut()
-                .zip(observations)
-                .zip(&mut self.snapshots)
+            for (slot, (profiler, observation)) in
+                self.profilers.iter_mut().zip(observations).enumerate()
             {
                 profiler.observe_round(round, observation);
-                snapshots.push(RoundSnapshot {
-                    round,
-                    identified: profiler.identified().clone(),
-                    predicted: profiler.predicted(),
-                });
+                on_round(slot, profiler.as_ref());
             }
             self.round += 1;
         }
@@ -240,40 +232,12 @@ impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
                 .rngs
                 .iter()
                 .zip(&self.profilers)
-                .zip(&self.snapshots)
-                .map(|((rng, profiler), snapshots)| WordCheckpoint {
+                .map(|(rng, profiler)| WordCheckpoint {
                     rng: rng.state(),
                     profiler: profiler.state(),
-                    snapshots: snapshots.clone(),
                 })
                 .collect(),
         }
-    }
-
-    /// The per-word results so far, in word order (clones the snapshots;
-    /// see [`BatchRun::into_results`] to move them out).
-    pub fn results(&self) -> Vec<CampaignResult> {
-        self.profilers
-            .iter()
-            .zip(&self.snapshots)
-            .map(|(profiler, snapshots)| CampaignResult {
-                profiler: profiler.name().to_owned(),
-                snapshots: snapshots.clone(),
-            })
-            .collect()
-    }
-
-    /// Consumes the run into its per-word results, moving the snapshots out
-    /// instead of cloning them.
-    pub fn into_results(self) -> Vec<CampaignResult> {
-        self.profilers
-            .iter()
-            .zip(self.snapshots)
-            .map(|(profiler, snapshots)| CampaignResult {
-                profiler: profiler.name().to_owned(),
-                snapshots,
-            })
-            .collect()
     }
 }
 
@@ -285,6 +249,7 @@ mod tests {
     use harp_memsim::FaultModel;
 
     use crate::batch::BatchWord;
+    use crate::campaign::{CampaignResult, RoundSnapshot};
 
     fn cell(seed: u64) -> CampaignBatch {
         let code = HammingCode::random(64, seed).unwrap();
@@ -318,13 +283,31 @@ mod tests {
             .collect()
     }
 
+    /// Advances `run`, appending each word's snapshot of every round to
+    /// `results` (one entry per word, named after the run's kind).
+    fn advance_recording(run: &mut BatchRun, rounds: usize, results: &mut Vec<CampaignResult>) {
+        results.resize_with(run.profilers.len(), || CampaignResult {
+            profiler: run.kind().name().to_owned(),
+            snapshots: Vec::new(),
+        });
+        run.advance(rounds, |word, profiler| {
+            let snapshots = &mut results[word].snapshots;
+            snapshots.push(RoundSnapshot {
+                round: snapshots.len(),
+                identified: profiler.identified().clone(),
+                predicted: profiler.predicted(),
+            });
+        });
+    }
+
     #[test]
     fn uninterrupted_batch_run_matches_the_batch_reference() {
         let batch = cell(5);
         for kind in ProfilerKind::ALL {
             let mut run = BatchRun::new(&batch, kind);
-            run.advance(24);
-            assert_eq!(run.results(), scalar_reference(&batch, kind, 24), "{kind}");
+            let mut results = Vec::new();
+            advance_recording(&mut run, 24, &mut results);
+            assert_eq!(results, scalar_reference(&batch, kind, 24), "{kind}");
             assert_eq!(run.round(), 24);
             assert_eq!(run.kind(), kind);
         }
@@ -337,12 +320,14 @@ mod tests {
         for kind in ProfilerKind::ALL {
             let reference = scalar_reference(&batch, kind, rounds);
             for k in 0..=rounds {
+                let mut results = Vec::new();
                 let mut first = BatchRun::new(&batch, kind);
-                first.advance(k);
+                advance_recording(&mut first, k, &mut results);
                 let frozen = first.checkpoint();
                 let mut resumed = BatchRun::resume(&batch, &frozen);
-                resumed.advance(rounds - k);
-                assert_eq!(resumed.results(), reference, "{kind} at round {k}");
+                assert_eq!(resumed.round(), k);
+                advance_recording(&mut resumed, rounds - k, &mut results);
+                assert_eq!(results, reference, "{kind} at round {k}");
             }
         }
     }
@@ -354,7 +339,7 @@ mod tests {
         for kind in ProfilerKind::ALL {
             let mut original = kind.instantiate(&code, DataPattern::Random, 3);
             let mut run = BatchRun::new(&batch, kind);
-            run.advance(12);
+            run.advance(12, |_, _| {});
             let state = run.profilers[0].state();
             original.restore(&state);
             assert_eq!(original.state(), state, "{kind}");
@@ -368,7 +353,7 @@ mod tests {
     fn word_count_mismatch_is_rejected() {
         let batch = cell(15);
         let mut run = BatchRun::new(&batch, ProfilerKind::Naive);
-        run.advance(2);
+        run.advance(2, |_, _| {});
         let mut frozen = run.checkpoint();
         frozen.words.pop();
         let _ = BatchRun::resume(&batch, &frozen);

@@ -48,23 +48,6 @@ pub fn missed_indirect(known: &BTreeSet<usize>, indirect_truth: &BTreeSet<usize>
     indirect_truth.difference(known).count()
 }
 
-/// The first round (0-based) in which the profiler had identified at least
-/// one ground-truth direct-error at-risk bit, or `None` if it never did.
-///
-/// This reproduces the bootstrapping metric of Fig. 7: profilers that rely on
-/// post-correction errors must wait for a specific uncorrectable combination
-/// to occur before they learn anything.
-pub fn bootstrap_round(result: &CampaignResult, direct_truth: &BTreeSet<usize>) -> Option<usize> {
-    if direct_truth.is_empty() {
-        return Some(0);
-    }
-    result
-        .snapshots
-        .iter()
-        .find(|s| s.identified.intersection(direct_truth).next().is_some())
-        .map(|s| s.round)
-}
-
 /// Per-round coverage metrics for one (word, profiler) pair.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoverageSeries {
@@ -86,28 +69,55 @@ pub struct CoverageSeries {
 }
 
 impl CoverageSeries {
-    /// Scores a campaign result against the ground-truth error space.
-    pub fn from_campaign(result: &CampaignResult, space: &ErrorSpace) -> Self {
-        let direct_truth = space.direct_at_risk();
-        let indirect_truth = space.indirect_at_risk();
-        let mut direct_cov = Vec::with_capacity(result.rounds());
-        let mut missed = Vec::with_capacity(result.rounds());
-        let mut max_sim = Vec::with_capacity(result.rounds());
-        for snapshot in &result.snapshots {
-            let known = snapshot.known();
-            direct_cov.push(direct_coverage(&snapshot.identified, direct_truth));
-            missed.push(missed_indirect(&known, indirect_truth));
-            max_sim.push(space.max_simultaneous_errors_outside(&known));
-        }
+    /// An empty series for one word's `profiler`, before any round, scored
+    /// against the word's ground truth `space`.
+    pub fn new(profiler: &str, space: &ErrorSpace) -> Self {
+        let direct_truth_len = space.direct_at_risk().len();
         Self {
-            profiler: result.profiler.clone(),
-            direct_coverage: direct_cov,
-            missed_indirect: missed,
-            max_simultaneous: max_sim,
-            bootstrap_round: bootstrap_round(result, direct_truth),
-            direct_truth_len: direct_truth.len(),
-            indirect_truth_len: indirect_truth.len(),
+            profiler: profiler.to_owned(),
+            direct_coverage: Vec::new(),
+            missed_indirect: Vec::new(),
+            max_simultaneous: Vec::new(),
+            // With no direct-error bits to find, the profiler is
+            // bootstrapped from the start.
+            bootstrap_round: (direct_truth_len == 0).then_some(0),
+            direct_truth_len,
+            indirect_truth_len: space.indirect_at_risk().len(),
         }
+    }
+
+    /// Scores the next round: what the profiler had `identified` and
+    /// `predicted` after it, against the word's ground truth `space` (the
+    /// one the series was created with). This is the one scoring step;
+    /// every sweep calls it as each round is produced.
+    pub fn push_round(
+        &mut self,
+        space: &ErrorSpace,
+        identified: &BTreeSet<usize>,
+        predicted: &BTreeSet<usize>,
+    ) {
+        let direct_truth = space.direct_at_risk();
+        if self.bootstrap_round.is_none() && identified.intersection(direct_truth).next().is_some()
+        {
+            self.bootstrap_round = Some(self.rounds());
+        }
+        let known: BTreeSet<usize> = identified.union(predicted).copied().collect();
+        self.direct_coverage
+            .push(direct_coverage(identified, direct_truth));
+        self.missed_indirect
+            .push(missed_indirect(&known, space.indirect_at_risk()));
+        self.max_simultaneous
+            .push(space.max_simultaneous_errors_outside(&known));
+    }
+
+    /// Scores a whole campaign result against the ground-truth error space:
+    /// [`CoverageSeries::push_round`] folded over its snapshots.
+    pub fn from_campaign(result: &CampaignResult, space: &ErrorSpace) -> Self {
+        let mut series = Self::new(&result.profiler, space);
+        for snapshot in &result.snapshots {
+            series.push_round(space, &snapshot.identified, &snapshot.predicted);
+        }
+        series
     }
 
     /// Number of rounds in the series.
@@ -268,7 +278,6 @@ mod tests {
         );
         let space = campaign.error_space();
         let result = campaign.run(ProfilerKind::Naive, 16);
-        assert_eq!(bootstrap_round(&result, space.direct_at_risk()), None);
         let series = CoverageSeries::from_campaign(&result, &space);
         assert_eq!(series.bootstrap_round, None);
         assert_eq!(series.final_direct_coverage(), 0.0);

@@ -176,27 +176,23 @@ impl<C: LinearBlockCode + Send> Profiler for HarpAProfiler<C> {
 /// the identified set alongside the bypass observations.
 #[derive(Debug, Clone)]
 pub struct HarpABeepProfiler<C: LinearBlockCode = harp_ecc::HammingCode> {
-    code: C,
     harp_a: HarpAProfiler<C>,
     observed_indirect: BTreeSet<usize>,
     union: BTreeSet<usize>,
     crafted_rounds: usize,
 }
 
-impl<C: LinearBlockCode + Clone> HarpABeepProfiler<C> {
+impl<C: LinearBlockCode> HarpABeepProfiler<C> {
     /// Creates a HARP-A+BEEP profiler for the given on-die ECC code.
     pub fn new(code: C, pattern: DataPattern, seed: u64) -> Self {
         Self {
-            harp_a: HarpAProfiler::new(code.clone(), pattern, seed),
-            code,
+            harp_a: HarpAProfiler::new(code, pattern, seed),
             observed_indirect: BTreeSet::new(),
             union: BTreeSet::new(),
             crafted_rounds: 0,
         }
     }
-}
 
-impl<C: LinearBlockCode> HarpABeepProfiler<C> {
     fn rebuild_union(&mut self) {
         self.union = self
             .harp_a
@@ -221,7 +217,7 @@ impl<C: LinearBlockCode + Send> Profiler for HarpABeepProfiler<C> {
             // finding direct bits that have not failed yet).
             if round.is_multiple_of(2) {
                 self.crafted_rounds += 1;
-                return craft_beep_pattern(&self.code, &known, self.crafted_rounds);
+                return craft_beep_pattern(&self.harp_a.code, &known, self.crafted_rounds);
             }
         }
         self.harp_a.dataword_for_round(round)

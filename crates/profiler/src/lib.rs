@@ -27,8 +27,9 @@
 //! [`batch::CampaignBatch`] drives a whole sweep cell of words sharing one
 //! code, scrubbing all of them with a single multi-word burst per round while
 //! producing snapshots bit-identical to the per-word path; [`coverage`]
-//! scores those snapshots against the exact ground truth from
-//! [`harp_ecc::ErrorSpace`].
+//! scores each round against the exact ground truth from
+//! [`harp_ecc::ErrorSpace`], as the round is produced or after the fact
+//! from a snapshot history.
 //!
 //! # Example
 //!
@@ -64,7 +65,7 @@ pub use batch::{BatchWord, CampaignBatch};
 pub use beep::BeepProfiler;
 pub use campaign::{CampaignResult, ProfilingCampaign, RoundSnapshot};
 pub use checkpoint::{BatchRun, CampaignCheckpoint, ProfilerState, WordCheckpoint};
-pub use coverage::{bootstrap_round, direct_coverage, missed_indirect, CoverageSeries};
+pub use coverage::{direct_coverage, missed_indirect, CoverageSeries};
 pub use harp::{HarpABeepProfiler, HarpAProfiler, HarpUProfiler};
 pub use naive::NaiveProfiler;
 pub use reactive::ReactiveProfiler;

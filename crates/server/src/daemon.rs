@@ -24,10 +24,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use harp_ecc::HammingCode;
 use harp_profiler::ProfilerKind;
 use harp_sim::checkpoint::{
-    read_manifest, read_record, write_json_atomically, write_record, ResumableSweep,
+    hamming_factory, read_manifest, read_record, write_json_atomically, write_record,
+    ResumableSweep,
 };
 use harp_sim::json_record;
 use harp_sim::minijson::{named, DecodeError, Json, JsonCodec, NonFiniteFloat};
@@ -139,9 +139,10 @@ struct JobProgress {
     round: usize,
     rounds: usize,
     /// Snapshot frames in publication order; watchers replay from index 0.
+    /// A completed job's `result` frame is not held here: watchers read it
+    /// from the job's `RESULT.json`, so finished jobs do not keep their
+    /// whole sweep in daemon memory.
     frames: Vec<Json>,
-    /// The terminal `result` frame, once the job completes.
-    result: Option<Json>,
     message: Option<String>,
     cancel_requested: bool,
 }
@@ -289,7 +290,9 @@ fn begin_shutdown(shared: &Shared) {
 /// Rebuilds the job table from the state directory. Unreadable job records
 /// are skipped with a warning (a crash between directory creation and the
 /// first durable write leaves an empty shell); unfinished jobs re-enter the
-/// queue.
+/// queue. Every `JOB_<n>` directory, skipped or not, keeps its id: new
+/// jobs are numbered past all of them, so none is written into an old
+/// job's directory.
 fn recover_jobs(shared: &Arc<Shared>) -> io::Result<()> {
     let mut max_id = 0u64;
     for entry in std::fs::read_dir(&shared.config.state_dir)? {
@@ -302,6 +305,7 @@ fn recover_jobs(shared: &Arc<Shared>) -> io::Result<()> {
         else {
             continue;
         };
+        max_id = max_id.max(id.saturating_add(1));
         let dir = entry.path();
         let record: JobRecord = match read_record(&dir.join(JOB_FILE)) {
             Ok(record) => record,
@@ -313,22 +317,21 @@ fn recover_jobs(shared: &Arc<Shared>) -> io::Result<()> {
                 continue;
             }
         };
-        max_id = max_id.max(id.saturating_add(1));
         let (round, rounds) = match read_manifest(&dir) {
             Ok(manifest) => (manifest.round, manifest.config.rounds),
             Err(_) => (0, 0),
         };
-        let (phase, result) = match record.state {
+        let phase = match record.state {
             JobPhase::Done => match read_record::<Json>(&dir.join(RESULT_FILE)) {
-                Ok(result) => (JobPhase::Done, Some(result)),
+                Ok(_) => JobPhase::Done,
                 // A `done` record without a readable result cannot happen
                 // under the durable write order; treat it as corruption.
-                Err(_) => (JobPhase::Failed, None),
+                Err(_) => JobPhase::Failed,
             },
             // `pending` and `running` (the kill -9 case) both restart from
             // the last checkpoint archive.
-            JobPhase::Queued | JobPhase::Running => (JobPhase::Queued, None),
-            terminal => (terminal, None),
+            JobPhase::Queued | JobPhase::Running => JobPhase::Queued,
+            terminal => terminal,
         };
         let cell = Arc::new(JobCell {
             id,
@@ -338,7 +341,6 @@ fn recover_jobs(shared: &Arc<Shared>) -> io::Result<()> {
                 round,
                 rounds,
                 frames: Vec::new(),
-                result,
                 message: record.message,
                 cancel_requested: false,
             }),
@@ -372,19 +374,14 @@ fn submit_job(
     config: &EvaluationConfig,
     profilers: &[ProfilerKind],
 ) -> Result<u64, String> {
-    let data_bits = config.data_bits;
-    HammingCode::random(data_bits, 0)
-        .map_err(|e| format!("data_bits {data_bits} does not yield a valid code: {e}"))?;
+    let make_code = hamming_factory(config.data_bits)?;
     let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
     let dir = shared.config.state_dir.join(format!("JOB_{id}"));
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
     // The round-0 archive plus the job record make the job durable *before*
     // the acknowledgement: once the submitter sees an id, a killed daemon
     // will finish the job after restart.
-    let sweep = ResumableSweep::new(config, profilers, |seed| {
-        // lint:allow(panic) validity is seed-independent and was probed above; the factory closure has no error channel
-        HammingCode::random(data_bits, seed).expect("probed above, seed-independent")
-    });
+    let sweep = ResumableSweep::new(config, profilers, make_code);
     sweep
         .write_archive(&dir)
         .map_err(|e| format!("could not write job archive: {e}"))?;
@@ -396,7 +393,6 @@ fn submit_job(
             round: 0,
             rounds: config.rounds,
             frames: Vec::new(),
-            result: None,
             message: None,
             cancel_requested: false,
         }),
@@ -479,14 +475,9 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
 /// archive must fail the job, never the daemon.
 fn drive_job(shared: &Shared, cell: &JobCell) -> Result<(), String> {
     let manifest = read_manifest(&cell.dir).map_err(|e| e.to_string())?;
-    let data_bits = manifest.config.data_bits;
-    HammingCode::random(data_bits, 0)
-        .map_err(|e| format!("archived data_bits {data_bits} does not yield a valid code: {e}"))?;
-    let mut sweep = ResumableSweep::resume(&cell.dir, |seed| {
-        // lint:allow(panic) validity is seed-independent and was probed above; the factory closure has no error channel
-        HammingCode::random(data_bits, seed).expect("probed above, seed-independent")
-    })
-    .map_err(|e| e.to_string())?;
+    let make_code =
+        hamming_factory(manifest.config.data_bits).map_err(|e| format!("archived {e}"))?;
+    let mut sweep = ResumableSweep::resume(&cell.dir, make_code).map_err(|e| e.to_string())?;
     push_snapshot(cell, &sweep)?;
     let interval = shared.config.checkpoint_interval.max(1);
     while !sweep.is_complete() {
@@ -532,7 +523,6 @@ fn drive_job(shared: &Shared, cell: &JobCell) -> Result<(), String> {
     persist_job_record(cell, JobPhase::Done, None)?;
     let mut state = lock_unpoisoned(&cell.state);
     state.phase = JobPhase::Done;
-    state.result = Some(result);
     cell.cv.notify_all();
     Ok(())
 }
@@ -630,8 +620,8 @@ fn request_cancel(cell: &JobCell) {
 }
 
 /// Streams the job's snapshot frames from round 0, then exactly one
-/// terminal frame: the stored `result` for completed jobs, a `job` status
-/// frame for cancelled/failed ones.
+/// terminal frame: the `result` stored in `RESULT.json` for completed jobs,
+/// a `job` status frame for cancelled/failed ones.
 fn watch_job<T: FrameTransport>(
     shared: &Shared,
     cell: &JobCell,
@@ -657,21 +647,25 @@ fn watch_job<T: FrameTransport>(
             }
             let pending: Vec<Json> = state.frames[cursor..].to_vec();
             cursor = state.frames.len();
-            let terminal = if state.phase.is_terminal() {
-                Some(match (&state.result, state.phase) {
-                    (Some(result), JobPhase::Done) => Ok(result.clone()),
-                    _ => Response::Job(job_status_locked(cell.id, &state)).to_json(),
-                })
-            } else {
-                None
-            };
+            // `None` inside: the job is done, and its result is on disk.
+            let terminal = state.phase.is_terminal().then(|| {
+                (state.phase != JobPhase::Done)
+                    .then(|| Response::Job(job_status_locked(cell.id, &state)))
+            });
             (pending, terminal)
         };
         for frame in &pending {
             transport.send(frame)?;
         }
-        if let Some(frame) = terminal {
-            return transport.send(&frame.map_err(invalid_frame)?);
+        match terminal {
+            None => {}
+            Some(Some(status)) => return send(transport, &status),
+            Some(None) => {
+                return match read_record::<Json>(&cell.dir.join(RESULT_FILE)) {
+                    Ok(result) => transport.send(&result),
+                    Err(err) => send_error(transport, format!("unreadable job result: {err}")),
+                }
+            }
         }
     }
 }
@@ -931,6 +925,37 @@ mod tests {
         assert!(client.jobs().unwrap().is_empty());
         client.shutdown().unwrap();
         daemon.join();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Regression: a skipped directory used to leave its id free, so the
+    /// next submit was numbered into it and wrote its own `JOB.json`,
+    /// `MANIFEST.json` and group file next to the old job's files.
+    #[test]
+    fn skipped_job_directories_keep_their_ids() {
+        let dir = temp_dir("skipped_id");
+        let job_dir = dir.join("JOB_3");
+        std::fs::create_dir_all(&job_dir).unwrap();
+        let unreadable = r#"{"schema":1,"id":3,"state":"paused"}"#;
+        std::fs::write(job_dir.join(JOB_FILE), unreadable).unwrap();
+        let daemon = Daemon::start(DaemonConfig::new(&dir)).unwrap();
+        let mut client = connect(&daemon);
+        let job = client
+            .submit(&tiny_config(), &[ProfilerKind::HarpU])
+            .unwrap();
+        assert_eq!(job, 4);
+        let _ = client.watch(job, |_| {}).unwrap();
+        client.shutdown().unwrap();
+        daemon.join();
+        let skipped: Vec<_> = std::fs::read_dir(&job_dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(skipped, [JOB_FILE]);
+        assert_eq!(
+            std::fs::read_to_string(job_dir.join(JOB_FILE)).unwrap(),
+            unreadable
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -36,18 +36,16 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use harp_ecc::{HammingCode, LinearBlockCode};
+use harp_ecc::{ErrorSpace, HammingCode, LinearBlockCode};
 use harp_memsim::pattern::DataPattern;
 use harp_profiler::{
     BatchRun, CampaignBatch, CampaignCheckpoint, CoverageSeries, ProfilerKind, ProfilerState,
-    RoundSnapshot, WordCheckpoint,
+    WordCheckpoint,
 };
 use rand_chacha::ChaCha8RngState;
 
 use crate::config::EvaluationConfig;
-use crate::experiments::sweep::{
-    group_batch, label_series, score_group, CoverageSweep, WordEvaluation,
-};
+use crate::experiments::sweep::{CoverageSweep, GroupUnit, WordEvaluation};
 use crate::json_record;
 use crate::minijson::{named, DecodeError, Json, JsonCodec, NonFiniteFloat};
 use crate::report::{fixed, TextTable};
@@ -55,10 +53,15 @@ use crate::runner::parallel_map_mut;
 use crate::sample::{group_by_code, sample_words_with};
 use crate::stats::mean;
 
-/// Version of the on-disk checkpoint and shard-output schema. Bump on any
-/// incompatible layout change; readers reject mismatched versions instead of
-/// misinterpreting them.
+/// Version of the manifest, shard-output and sweep-result schema. Bump on
+/// any incompatible layout change; readers reject mismatched versions
+/// instead of misinterpreting them.
 pub const CHECKPOINT_SCHEMA_VERSION: u64 = 1;
+
+/// Version of the `GROUP_<cell>_<code>.json` schema. Version 2 stores each
+/// word's scored coverage series instead of its per-round snapshot
+/// history; a version-1 group file fails to decode with a `schema` error.
+pub const GROUP_SCHEMA_VERSION: u64 = 2;
 
 /// Name of the archive manifest file.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";
@@ -128,7 +131,7 @@ impl std::fmt::Display for ShardSpec {
 }
 
 /// One resumable work unit: all profilers over one code group of one sweep
-/// cell.
+/// cell, with the group's place in the sweep.
 #[derive(Debug)]
 struct SweepUnit<C: LinearBlockCode> {
     group_index: usize,
@@ -136,8 +139,7 @@ struct SweepUnit<C: LinearBlockCode> {
     code_index: usize,
     error_count: usize,
     probability: f64,
-    batch: CampaignBatch<C>,
-    runs: Vec<BatchRun<C>>,
+    group: GroupUnit<C>,
 }
 
 /// The resumable coverage sweep: the checkpointable twin of
@@ -145,10 +147,12 @@ struct SweepUnit<C: LinearBlockCode> {
 ///
 /// Construction regenerates the word population deterministically from the
 /// configuration (samples are never persisted — only mutable campaign state
-/// is), builds one [`BatchRun`] per (cell, code group, profiler), and
-/// advances all of them in lock-step round increments. After
-/// `config.rounds` rounds, [`ResumableSweep::into_sweep`] assembles the
-/// exact [`CoverageSweep`] the one-shot path produces.
+/// and the series scored so far are), builds one [`BatchRun`] per (cell,
+/// code group, profiler), and advances all of them in lock-step round
+/// increments, scoring every round into its word's [`CoverageSeries`] as it
+/// runs. After `config.rounds` rounds, [`ResumableSweep::into_sweep`]
+/// labels those series into the exact [`CoverageSweep`] the one-shot path
+/// produces.
 #[derive(Debug)]
 pub struct ResumableSweep<C: LinearBlockCode = HammingCode> {
     config: EvaluationConfig,
@@ -187,19 +191,13 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
                     if !shard.owns(group_index) {
                         continue;
                     }
-                    let batch = group_batch(group, config.pattern);
-                    let runs = profilers
-                        .iter()
-                        .map(|&kind| BatchRun::new(&batch, kind))
-                        .collect();
                     units.push(SweepUnit {
                         group_index,
                         cell_index,
                         code_index,
                         error_count,
                         probability,
-                        batch,
-                        runs,
+                        group: GroupUnit::new(group, profilers, config.pattern),
                     });
                 }
                 cell_index += 1;
@@ -262,19 +260,15 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
         }
         let threads = self.config.threads;
         parallel_map_mut(&mut self.units, threads, |unit| {
-            for run in &mut unit.runs {
-                let behind = target.saturating_sub(run.round());
-                if behind > 0 {
-                    run.advance(behind);
-                }
-            }
+            unit.group.advance_to(target)
         });
         self.round = target;
     }
 
     /// Writes a checkpoint archive of the current state into `dir`
     /// (created if needed): one `GROUP_<cell>_<code>.json` per owned code
-    /// group, then the manifest. Every file goes through the durable
+    /// group (each word's RNG position and profiler state, plus its series
+    /// scored so far), then the manifest. Every file goes through the durable
     /// temp-file/fsync/rename sequence of [`write_json_atomically`], and the
     /// manifest is written last — and only after its groups are on disk, not
     /// merely renamed — so an archive with a readable manifest always has
@@ -294,8 +288,9 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
                 group_index: unit.group_index,
                 cell_index: unit.cell_index,
                 code_index: unit.code_index,
-                round: unit.runs.first().map_or(self.round, BatchRun::round),
-                campaigns: unit.runs.iter().map(BatchRun::checkpoint).collect(),
+                round: unit.group.runs.first().map_or(self.round, BatchRun::round),
+                campaigns: unit.group.runs.iter().map(BatchRun::checkpoint).collect(),
+                series: unit.group.series.clone(),
             };
             write_record(
                 &dir.join(group_file_name(unit.cell_index, unit.code_index)),
@@ -347,34 +342,37 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
                     manifest.round, manifest.config.rounds
                 )));
             }
-            if group.campaigns.len() != sweep.profilers.len() {
+            let profilers = sweep.profilers.len();
+            if (group.campaigns.len(), group.series.len()) != (profilers, profilers) {
                 return Err(fail(format!(
-                    "{} campaign checkpoints for {} profilers",
+                    "{} campaigns and {} series lists for {profilers} profilers",
                     group.campaigns.len(),
-                    sweep.profilers.len()
+                    group.series.len(),
                 )));
             }
             // Reject corrupt per-word state here, where the batch geometry
-            // is known, so resumption never trips a downstream panic
-            // (`BatchRun::resume` asserts the word count; the predicting
-            // profiler kinds feed their restored sets into exhaustive
-            // error-space enumeration).
-            let codeword_len = unit.batch.code().codeword_len();
-            for (checkpoint, &kind) in group.campaigns.iter().zip(&sweep.profilers) {
-                validate_campaign_checkpoint(
-                    checkpoint,
-                    kind,
-                    round,
-                    unit.batch.len(),
-                    codeword_len,
-                )
-                .map_err(fail)?;
-            }
-            unit.runs = group
+            // and each word's ground truth are known, so resumption never
+            // trips a downstream panic (`BatchRun::resume` asserts the word
+            // count; the predicting profiler kinds feed their restored sets
+            // into exhaustive error-space enumeration; pattern crafting
+            // indexes the dataword).
+            let batch = &unit.group.batch;
+            for ((checkpoint, series), &kind) in group
                 .campaigns
                 .iter()
-                .map(|checkpoint| BatchRun::resume(&unit.batch, checkpoint))
+                .zip(&group.series)
+                .zip(&sweep.profilers)
+            {
+                validate_campaign_checkpoint(checkpoint, kind, round, batch)
+                    .and_then(|()| validate_series(series, kind, round, &unit.group.spaces))
+                    .map_err(fail)?;
+            }
+            unit.group.runs = group
+                .campaigns
+                .iter()
+                .map(|checkpoint| BatchRun::resume(batch, checkpoint))
                 .collect();
+            unit.group.series = group.series;
         }
         sweep.round = manifest.round;
         Ok(sweep)
@@ -383,23 +381,15 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
     /// A progress snapshot at the current round: for each profiler in
     /// lineup order, the mean direct coverage across every word of every
     /// owned group (0.0 before any rounds have run). This is what the
-    /// daemon streams to `harp watch` clients between checkpoints, derived
-    /// from the same per-round snapshots the final series are.
-    ///
-    /// It is **not** cheap: every call re-enumerates every owned word's
-    /// `ErrorSpace` and re-scores every snapshot taken so far, so calling it
-    /// after each of `R` rounds costs O(R²) snapshot scorings. On a 2-core
-    /// host, a quick-configuration sweep of the three Fig. 6 profilers that
-    /// called it after every one of its 128 rounds spent 27–33 s in
-    /// `progress`, against 0.5–0.7 s in `advance`. ROADMAP item 3
-    /// (first-seen ledgers instead of per-round snapshot sets) is the fix.
+    /// daemon streams to `harp watch` clients between checkpoints: the last
+    /// entry of each word's series, scored when its round ran, so a call
+    /// costs O(words).
     pub fn progress(&self) -> Vec<(ProfilerKind, f64)> {
         let mut sums = vec![0.0_f64; self.profilers.len()];
         let mut words = 0usize;
         for unit in &self.units {
-            words += unit.batch.len();
-            let per_profiler = score_group(&unit.batch, unit.runs.iter().map(BatchRun::results));
-            for (sum, series) in sums.iter_mut().zip(&per_profiler) {
+            words += unit.group.batch.len();
+            for (sum, series) in sums.iter_mut().zip(&unit.group.series) {
                 for word in series {
                     *sum += word.final_direct_coverage();
                 }
@@ -412,8 +402,8 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
             .collect()
     }
 
-    /// Assembles the owned groups' evaluations, in global group order, once
-    /// all rounds have completed.
+    /// Labels the owned groups' series as evaluations, in global group
+    /// order, once all rounds have completed.
     ///
     /// # Panics
     ///
@@ -428,9 +418,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
         self.units
             .iter()
             .map(|unit| {
-                let series = score_group(&unit.batch, unit.runs.iter().map(BatchRun::results));
-                let evaluations =
-                    label_series(series, &self.profilers, unit.error_count, unit.probability);
+                let evaluations = unit.group.label(unit.error_count, unit.probability);
                 (unit.group_index, evaluations)
             })
             .collect()
@@ -509,6 +497,23 @@ pub fn shard_file_name(shard: ShardSpec) -> String {
 
 fn group_file_name(cell_index: usize, code_index: usize) -> String {
     format!("GROUP_{cell_index}_{code_index}.json")
+}
+
+/// The per-code-index SEC Hamming factory for an untrusted configuration
+/// (read from an archive or submitted to the daemon), or why its
+/// `data_bits` yields no code. Validity does not depend on the seed (it only
+/// shuffles candidate columns), so one probe clears every construction.
+///
+/// # Errors
+///
+/// Returns a description when `data_bits` yields no valid Hamming code.
+pub fn hamming_factory(data_bits: usize) -> Result<impl Fn(u64) -> HammingCode, String> {
+    HammingCode::random(data_bits, 0)
+        .map_err(|e| format!("data_bits {data_bits} does not yield a valid Hamming code: {e}"))?;
+    Ok(move |seed| {
+        // lint:allow(panic) validity is seed-independent and was probed above; the factory closure has no error channel
+        HammingCode::random(data_bits, seed).expect("probed above, seed-independent")
+    })
 }
 
 /// Total number of code groups a configuration produces (across all shards):
@@ -777,13 +782,15 @@ pub fn write_record<T: JsonCodec>(path: &Path, record: &T) -> io::Result<()> {
 // ---------------------------------------------------------------------------
 
 /// One `GROUP_<cell>_<code>.json` file: every profiler's campaign over one
-/// code group, frozen at `round`.
+/// code group, frozen at `round`, with `series[profiler][word]` scored so
+/// far.
 struct GroupFile {
     group_index: usize,
     cell_index: usize,
     code_index: usize,
     round: usize,
     campaigns: Vec<CampaignCheckpoint>,
+    series: Vec<Vec<CoverageSeries>>,
 }
 
 /// A `SHARD_i_of_N.json` file: the finished evaluations of one worker's
@@ -803,8 +810,8 @@ struct ShardGroup {
 json_record!(Manifest as "schema": CHECKPOINT_SCHEMA_VERSION {
     round, shard, profilers, config, num_groups
 });
-json_record!(GroupFile as "schema": CHECKPOINT_SCHEMA_VERSION {
-    group_index, cell_index, code_index, round, campaigns
+json_record!(GroupFile as "schema": GROUP_SCHEMA_VERSION {
+    group_index, cell_index, code_index, round, campaigns, series
 });
 json_record!(ShardOutput as "schema": CHECKPOINT_SCHEMA_VERSION {
     shard, profilers, config, groups
@@ -835,20 +842,11 @@ json_record!(CoverageSeries {
     indirect_truth_len,
 });
 json_record!(CampaignCheckpoint { kind, round, words });
-json_record!(WordCheckpoint {
-    rng,
-    profiler,
-    snapshots
-});
+json_record!(WordCheckpoint { rng, profiler });
 json_record!(ProfilerState {
     identified,
     observed_indirect,
     crafted_rounds
-});
-json_record!(RoundSnapshot {
-    round,
-    identified,
-    predicted
 });
 json_record!(ChaCha8RngState { key, counter, cursor } where check_rng_cursor);
 // All fields, so an archive is self-describing and resume needs no flags.
@@ -924,16 +922,17 @@ impl JsonCodec for ShardSpec {
 /// Rejects campaign checkpoints whose state cannot have come from a run over
 /// this batch: a profiler kind out of lineup order, wrong word count (a
 /// downstream `assert!`), a frozen round disagreeing with the group file's,
-/// snapshot histories that do not span the completed rounds, bit positions
-/// outside the codeword, or identified sets too large for the exhaustive
-/// error-space enumeration the predicting profiler kinds perform on restore.
-fn validate_campaign_checkpoint(
+/// bit positions outside the dataword (every profiler set holds dataword
+/// positions, and BEEP-style pattern crafting indexes the dataword with
+/// them), or identified sets too large for the exhaustive error-space
+/// enumeration the predicting profiler kinds perform on restore.
+fn validate_campaign_checkpoint<C: LinearBlockCode + Clone + Send + 'static>(
     checkpoint: &CampaignCheckpoint,
     kind: ProfilerKind,
     round: usize,
-    batch_len: usize,
-    codeword_len: usize,
+    batch: &CampaignBatch<C>,
 ) -> Result<(), String> {
+    let (batch_len, data_len) = (batch.len(), batch.code().data_len());
     if checkpoint.kind != kind {
         return Err(format!(
             "campaign order mismatch: found {}, manifest says {kind}",
@@ -954,31 +953,64 @@ fn validate_campaign_checkpoint(
         ));
     }
     for (index, word) in checkpoint.words.iter().enumerate() {
-        if word.snapshots.len() != round {
-            return Err(format!(
-                "word {index}: {} snapshots for {round} completed rounds",
-                word.snapshots.len()
-            ));
-        }
         let out_of_range = word
             .profiler
             .identified
             .iter()
             .chain(&word.profiler.observed_indirect)
-            .find(|&&bit| bit >= codeword_len);
+            .find(|&&bit| bit >= data_len);
         if let Some(bit) = out_of_range {
             return Err(format!(
-                "word {index}: profiler bit {bit} outside the {codeword_len}-bit codeword"
+                "word {index}: profiler bit {bit} outside the {data_len}-bit dataword"
             ));
         }
         let predicts = matches!(
             checkpoint.kind,
             ProfilerKind::HarpA | ProfilerKind::HarpABeep
         );
-        if predicts && word.profiler.identified.len() > harp_ecc::ErrorSpace::MAX_AT_RISK_BITS {
+        if predicts && word.profiler.identified.len() > ErrorSpace::MAX_AT_RISK_BITS {
             return Err(format!(
                 "word {index}: {} direct bits exceed the exhaustive-analysis limit",
                 word.profiler.identified.len()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Rejects a profiler's stored series that its campaign over this group
+/// cannot have scored: one per word, each named after the profiler, holding
+/// `round` rounds, with the truth-set sizes of the word's recomputed ground
+/// truth.
+fn validate_series(
+    series: &[CoverageSeries],
+    kind: ProfilerKind,
+    round: usize,
+    spaces: &[ErrorSpace],
+) -> Result<(), String> {
+    if series.len() != spaces.len() {
+        return Err(format!(
+            "{kind}: {} series for {} words",
+            series.len(),
+            spaces.len()
+        ));
+    }
+    for (index, (word, space)) in series.iter().zip(spaces).enumerate() {
+        let fresh = CoverageSeries::new(kind.name(), space);
+        let truth = |s: &CoverageSeries| (s.direct_truth_len, s.indirect_truth_len);
+        let lengths = [
+            word.direct_coverage.len(),
+            word.missed_indirect.len(),
+            word.max_simultaneous.len(),
+        ];
+        if lengths != [round; 3] || word.profiler != fresh.profiler || truth(word) != truth(&fresh)
+        {
+            return Err(format!(
+                "word {index}: a {} series of {lengths:?} rounds over {:?} truth bits \
+                 does not fit {kind} at round {round} over {:?}",
+                word.profiler,
+                truth(word),
+                truth(&fresh)
             ));
         }
     }
@@ -1169,7 +1201,7 @@ mod tests {
         );
         for kind in ProfilerKind::ALL {
             let mut run = BatchRun::new(&batch, kind);
-            run.advance(9);
+            run.advance(9, |_, _| {});
             let checkpoint = run.checkpoint();
             let json = checkpoint.to_json().unwrap();
             let reparsed = Json::parse(&json.render()).unwrap();
@@ -1209,6 +1241,23 @@ mod tests {
         .unwrap();
         let err = ResumableSweep::<HammingCode>::resume(&dir, make_code(&config)).unwrap_err();
         assert!(err.to_string().contains("schema"), "{err}");
+        std::fs::write(&manifest_path, text).unwrap();
+
+        // A group file from before scored series replaced snapshot
+        // histories (schema 1) is refused with the typed schema error.
+        let group_path = dir.join(group_file_name(1, 0));
+        let text = std::fs::read_to_string(&group_path).unwrap();
+        assert!(text.starts_with("{\"schema\":2,"), "{text}");
+        std::fs::write(
+            &group_path,
+            text.replacen("\"schema\":2", "\"schema\":1", 1),
+        )
+        .unwrap();
+        let err = ResumableSweep::<HammingCode>::resume(&dir, make_code(&config)).unwrap_err();
+        assert!(
+            err.to_string().contains("schema: expected 2, found 1"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1281,14 +1330,16 @@ mod tests {
     }
 
     /// Regression: these corruptions used to panic past the decode layer —
-    /// a word-count mismatch tripped `BatchRun::resume`'s assert, and an
+    /// a word-count mismatch tripped `BatchRun::resume`'s assert, an
     /// oversized identified set tripped the exhaustive-enumeration assert
-    /// inside the predicting profilers' `restore`. Both must surface as
-    /// `Err` from `resume`.
+    /// inside the predicting profilers' `restore`, and a BEEP bit past the
+    /// dataword (but inside the codeword, which is what resume used to
+    /// bound by) passed resume and tripped `craft_beep_pattern` on the next
+    /// advance. All must surface as `Err` from `resume`.
     #[test]
     fn corrupt_group_state_is_an_error_not_a_panic() {
         let config = tiny_config();
-        let kinds = [ProfilerKind::HarpA, ProfilerKind::Naive];
+        let kinds = [ProfilerKind::HarpA, ProfilerKind::Naive, ProfilerKind::Beep];
         let dir = temp_dir("corrupt_group");
         let mut sweep = ResumableSweep::new(&config, &kinds, make_code(&config));
         sweep.advance(2);
@@ -1310,23 +1361,67 @@ mod tests {
         });
         assert!(err.to_string().contains("words"), "{err}");
 
-        // Overwrite campaign 0 / word 0's *profiler* identified set (the
-        // snapshots carry identified sets too, which resume does not feed
-        // into restore).
-        let poison_identified = |bits: Vec<usize>| {
+        // Overwrite one campaign's word-0 profiler identified set.
+        let poison_identified = |campaign: usize, bits: Vec<usize>| {
             move |group: &mut GroupFile| {
-                group.campaigns[0].words[0].profiler.identified = bits.iter().copied().collect();
+                group.campaigns[campaign].words[0].profiler.identified =
+                    bits.iter().copied().collect();
             }
         };
 
         // Past the exhaustive-analysis limit for the predicting HARP-A
         // campaign: used to abort inside `restore`'s enumeration assert.
-        let err = mutate(&poison_identified((0..30).collect()));
+        let err = mutate(&poison_identified(0, (0..30).collect()));
         assert!(err.to_string().contains("exhaustive-analysis"), "{err}");
 
         // A profiler bit outside the codeword.
-        let err = mutate(&poison_identified(vec![9999]));
+        let err = mutate(&poison_identified(0, vec![9999]));
         assert!(err.to_string().contains("outside"), "{err}");
+
+        // A BEEP bit inside the 71-bit codeword but past the 64-bit
+        // dataword.
+        assert_eq!(config.data_bits, 64);
+        let err = mutate(&poison_identified(2, vec![66]));
+        assert!(
+            err.to_string().contains("outside the 64-bit dataword"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A stored series is checked against the ground truth recomputed from
+    /// the configuration: its length, its truth-set sizes and its profiler
+    /// name must all fit the group, or resume fails with a description.
+    #[test]
+    fn corrupt_group_series_are_rejected() {
+        let config = tiny_config();
+        let dir = temp_dir("corrupt_series");
+        let mut sweep = ResumableSweep::new(&config, &KINDS, make_code(&config));
+        sweep.advance(3);
+        sweep.write_archive(&dir).unwrap();
+        let group_path = dir.join(group_file_name(0, 0));
+        let pristine: GroupFile = read_record(&group_path).unwrap();
+        let reject = |corrupt: fn(&mut CoverageSeries)| {
+            let mut group = read_record::<GroupFile>(&group_path).unwrap();
+            corrupt(&mut group.series[0][1]);
+            write_record(&group_path, &group).unwrap();
+            let err = ResumableSweep::<HammingCode>::resume(&dir, make_code(&config)).unwrap_err();
+            write_record(&group_path, &pristine).unwrap();
+            let err = err.to_string();
+            assert!(
+                err.contains("word 1: a ") && err.contains("does not fit"),
+                "{err}"
+            );
+        };
+        reject(|series| series.direct_coverage.push(1.0));
+        reject(|series| series.max_simultaneous.clear());
+        reject(|series| series.indirect_truth_len += 1);
+        reject(|series| series.profiler = "Naive".to_owned());
+        let mut group = pristine;
+        group.series[1].pop();
+        write_record(&group_path, &group).unwrap();
+        let err = ResumableSweep::<HammingCode>::resume(&dir, make_code(&config)).unwrap_err();
+        assert!(err.to_string().contains("series for"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use harp_profiler::{CoverageSeries, ProfilerKind};
 
 use crate::config::EvaluationConfig;
-use crate::experiments::sweep;
+use crate::experiments::sweep::GroupUnit;
 use crate::report::{percent, scientific, TextTable};
 use crate::runner::parallel_map;
 use crate::sample::{group_by_code, sample_retention_words, shard_groups};
@@ -104,7 +104,9 @@ pub fn run_with_rbers(config: &EvaluationConfig, rbers: &[f64]) -> Fig10Result {
             );
             let per_group: Vec<Vec<Vec<CoverageSeries>>> =
                 parallel_map(&groups, config.threads, |group| {
-                    sweep::code_group_series(group, &PROFILERS, config.pattern, config.rounds)
+                    let mut unit = GroupUnit::new(group, &PROFILERS, config.pattern);
+                    unit.advance_to(config.rounds);
+                    unit.series
                 });
 
             for (profiler_index, &profiler) in PROFILERS.iter().enumerate() {

@@ -11,13 +11,15 @@
 //! grouped by code index ([`crate::sample::group_by_code`]), every group runs
 //! as one [`CampaignBatch`] whose words are scrubbed with a single multi-word
 //! burst per round, and [`parallel_map`] shards across the groups — batching
-//! inside a shard, threading across shards. Batched snapshots are
+//! inside a shard, threading across shards. Batched rounds are
 //! bit-identical to the per-word [`harp_profiler::ProfilingCampaign`]
 //! reference path (enforced by `tests/campaign_equivalence.rs`), so this is
 //! purely an execution-plan change.
 //!
-//! The group pipeline here — `group_batch`, `score_group` and
-//! `label_series` — is shared with the fig10 active phase and with
+//! Each round is scored where it runs: a code group is one `GroupUnit`,
+//! which pushes every word's round into its [`CoverageSeries`] as the
+//! campaign produces it, so no sweep keeps a snapshot history. The unit is
+//! shared with the fig10 active phase and with
 //! [`ResumableSweep`](crate::checkpoint::ResumableSweep), so every sweep
 //! builds, scores and labels a code group the same way.
 
@@ -25,7 +27,7 @@ use serde::{Deserialize, Serialize};
 
 use harp_ecc::{ErrorSpace, HammingCode, LinearBlockCode};
 use harp_memsim::pattern::DataPattern;
-use harp_profiler::{BatchWord, CampaignBatch, CampaignResult, CoverageSeries, ProfilerKind};
+use harp_profiler::{BatchRun, BatchWord, CampaignBatch, CoverageSeries, ProfilerKind};
 
 use crate::config::EvaluationConfig;
 use crate::runner::parallel_map;
@@ -86,95 +88,93 @@ impl CoverageSweep {
     }
 }
 
-/// Builds the cell-batched campaign of one code group (all words of a sweep
-/// cell sharing a code). The one-shot sweep, the fig10 active phase and
-/// [`ResumableSweep`](crate::checkpoint::ResumableSweep) all batch a group
-/// through this function.
-pub(crate) fn group_batch<C: LinearBlockCode + Clone + Send + 'static>(
-    group: &[WordSample<C>],
-    pattern: DataPattern,
-) -> CampaignBatch<C> {
-    CampaignBatch::new(
-        group[0].code.clone(),
-        group
-            .iter()
-            .map(|sample| BatchWord::new(sample.faults.clone(), pattern, sample.campaign_seed))
-            .collect(),
-    )
+/// One code group of one sweep cell, scored as it runs: the group's
+/// [`CampaignBatch`], each word's [`ErrorSpace`] (enumerated once), one
+/// [`BatchRun`] per profiler, and the running `series[profiler][word]`.
+/// The one-shot sweep and the fig10 active phase build one per group and
+/// drop it after labelling; [`ResumableSweep`](crate::checkpoint::ResumableSweep)
+/// keeps one per owned group between checkpoints.
+#[derive(Debug)]
+pub(crate) struct GroupUnit<C: LinearBlockCode> {
+    pub(crate) batch: CampaignBatch<C>,
+    pub(crate) spaces: Vec<ErrorSpace>,
+    pub(crate) runs: Vec<BatchRun<C>>,
+    pub(crate) series: Vec<Vec<CoverageSeries>>,
 }
 
-/// Scores each profiler's per-word results against the group's ground
-/// truth, returning `series[profiler][word]`.
-///
-/// Every word's [`ErrorSpace`] is enumerated once, before the first result
-/// is pulled, and shared across profilers. `per_profiler` is consumed one
-/// profiler at a time, so a lazy iterator that runs each campaign on demand
-/// keeps only one profiler's snapshots alive: they are reduced to compact
-/// series and dropped before the next profiler runs.
-pub(crate) fn score_group<C, I>(
-    batch: &CampaignBatch<C>,
-    per_profiler: I,
-) -> Vec<Vec<CoverageSeries>>
-where
-    C: LinearBlockCode + Clone + Send + 'static,
-    I: IntoIterator<Item = Vec<CampaignResult>>,
-{
-    let spaces: Vec<ErrorSpace> = (0..batch.len())
-        .map(|word| batch.error_space(word))
-        .collect();
-    per_profiler
-        .into_iter()
-        .map(|results| {
-            results
+impl<C: LinearBlockCode + Clone + Send + 'static> GroupUnit<C> {
+    /// Batches a code group (all words of a sweep cell sharing a code) for
+    /// every profiler, at round 0.
+    pub(crate) fn new(
+        group: &[WordSample<C>],
+        profilers: &[ProfilerKind],
+        pattern: DataPattern,
+    ) -> Self {
+        let batch = CampaignBatch::new(
+            group[0].code.clone(),
+            group
                 .iter()
-                .zip(&spaces)
-                .map(|(result, space)| CoverageSeries::from_campaign(result, space))
-                .collect()
-        })
-        .collect()
-}
-
-/// Runs every requested profiler to completion on one code group, one
-/// [`CampaignBatch::run`] (one burst per round) after another, and scores
-/// each as soon as it finishes: `series[profiler][word]`. This is the
-/// one-shot group pipeline behind the coverage sweep *and* the fig10 case
-/// study.
-pub(crate) fn code_group_series<C: LinearBlockCode + Clone + Send + 'static>(
-    group: &[WordSample<C>],
-    profilers: &[ProfilerKind],
-    pattern: DataPattern,
-    rounds: usize,
-) -> Vec<Vec<CoverageSeries>> {
-    let batch = group_batch(group, pattern);
-    score_group(
-        &batch,
-        profilers.iter().map(|&kind| batch.run(kind, rounds)),
-    )
-}
-
-/// Labels a group's `series[profiler][word]` as [`WordEvaluation`]s of one
-/// sweep cell, in word-major order (word, then profiler) — the order the
-/// historical per-word loop produced.
-pub(crate) fn label_series(
-    series: Vec<Vec<CoverageSeries>>,
-    profilers: &[ProfilerKind],
-    error_count: usize,
-    probability: f64,
-) -> Vec<WordEvaluation> {
-    let words = series.first().map_or(0, Vec::len);
-    let mut columns: Vec<_> = series.into_iter().map(Vec::into_iter).collect();
-    let mut evaluations = Vec::with_capacity(words * profilers.len());
-    for _ in 0..words {
-        for (&profiler, column) in profilers.iter().zip(&mut columns) {
-            evaluations.extend(column.next().map(|series| WordEvaluation {
-                error_count,
-                probability,
-                profiler,
-                series,
-            }));
+                .map(|sample| BatchWord::new(sample.faults.clone(), pattern, sample.campaign_seed))
+                .collect(),
+        );
+        let spaces: Vec<ErrorSpace> = (0..batch.len())
+            .map(|word| batch.error_space(word))
+            .collect();
+        let runs = profilers
+            .iter()
+            .map(|&kind| BatchRun::new(&batch, kind))
+            .collect();
+        let series = profilers
+            .iter()
+            .map(|kind| {
+                spaces
+                    .iter()
+                    .map(|space| CoverageSeries::new(kind.name(), space))
+                    .collect()
+            })
+            .collect();
+        Self {
+            batch,
+            spaces,
+            runs,
+            series,
         }
     }
-    evaluations
+
+    /// Advances every profiler's campaign to round `target`, one after
+    /// another, scoring each word's round into its series as it is
+    /// produced. A campaign already at or past `target` holds position.
+    pub(crate) fn advance_to(&mut self, target: usize) {
+        for (run, series) in self.runs.iter_mut().zip(&mut self.series) {
+            let behind = target.saturating_sub(run.round());
+            run.advance(behind, |word, profiler| {
+                series[word].push_round(
+                    &self.spaces[word],
+                    profiler.identified(),
+                    &profiler.predicted(),
+                );
+            });
+        }
+    }
+
+    /// Labels the series as [`WordEvaluation`]s of one sweep cell, in
+    /// word-major order (word, then profiler) — the order the historical
+    /// per-word loop produced.
+    pub(crate) fn label(&self, error_count: usize, probability: f64) -> Vec<WordEvaluation> {
+        (0..self.batch.len())
+            .flat_map(|word| {
+                self.runs
+                    .iter()
+                    .zip(&self.series)
+                    .map(move |(run, series)| WordEvaluation {
+                        error_count,
+                        probability,
+                        profiler: run.kind(),
+                        series: series[word].clone(),
+                    })
+            })
+            .collect()
+    }
 }
 
 /// Runs the full coverage sweep for the given profilers over any code
@@ -200,8 +200,9 @@ where
                 crate::runner::effective_threads(config.threads),
             );
             let per_group = parallel_map(&groups, config.threads, |group| {
-                let series = code_group_series(group, profilers, config.pattern, config.rounds);
-                label_series(series, profilers, error_count, probability)
+                let mut unit = GroupUnit::new(group, profilers, config.pattern);
+                unit.advance_to(config.rounds);
+                unit.label(error_count, probability)
             });
             evaluations.extend(per_group.into_iter().flatten());
         }

@@ -11,9 +11,16 @@
 //! per-bit probabilities, and data-dependence behaviours), and words whose
 //! cell membership changes.
 //!
+//! The sweeps never keep snapshots: they score each round into a
+//! [`CoverageSeries`] as the batched campaign produces it. A second property
+//! closes that gap, for every profiler kind and code family: each word's
+//! series in a sweep equals the scalar oracle's snapshot history scored
+//! after the fact by [`CoverageSeries::from_campaign`].
+//!
 //! This layer is what makes hot-path rewrites of the campaign engine safe to
 //! keep making: any future change that perturbs a single RNG draw, write
-//! order, or snapshot breaks these tests before it reaches an experiment.
+//! order, snapshot or score breaks these tests before it reaches an
+//! experiment.
 
 use proptest::prelude::*;
 
@@ -22,7 +29,10 @@ use harp_ecc::analysis::FailureDependence;
 use harp_ecc::{ExtendedHammingCode, HammingCode, LinearBlockCode};
 use harp_memsim::pattern::DataPattern;
 use harp_memsim::{AtRiskBit, FaultModel};
-use harp_profiler::{BatchWord, CampaignBatch, ProfilerKind};
+use harp_profiler::{BatchWord, CampaignBatch, CoverageSeries, ProfilerKind, ProfilingCampaign};
+use harp_sim::experiments::sweep::run_coverage_sweep_with;
+use harp_sim::sample::sample_words_with;
+use harp_sim::EvaluationConfig;
 
 /// Dataword length shared by all three families in this suite.
 const DATA_BITS: usize = 32;
@@ -128,6 +138,89 @@ proptest! {
             assert_cell_matches_scalar(&secded, &specs, kind);
             assert_cell_matches_scalar(&bch, &specs, kind);
         }
+    }
+}
+
+/// Asserts that every (word, profiler) series of a one-shot sweep over one
+/// code family equals the scalar oracle's result for that word, scored by
+/// [`CoverageSeries::from_campaign`].
+fn assert_sweep_series_match_scalar<C, F>(config: &EvaluationConfig, make_code: F)
+where
+    C: LinearBlockCode + Clone + Send + Sync + 'static,
+    F: Fn(u64) -> C + Copy,
+{
+    let sweep = run_coverage_sweep_with(config, &ProfilerKind::ALL, make_code);
+    // The sweep lists its evaluations cell by cell, word-major, in sample
+    // order.
+    let mut evaluations = sweep.evaluations.iter();
+    for &error_count in &config.error_counts {
+        for &probability in &config.probabilities {
+            for sample in sample_words_with(config, error_count, probability, make_code) {
+                let campaign = ProfilingCampaign::new(
+                    sample.code,
+                    sample.faults,
+                    config.pattern,
+                    sample.campaign_seed,
+                );
+                let space = campaign.error_space();
+                for kind in ProfilerKind::ALL {
+                    let evaluation = evaluations.next().expect("one evaluation per word");
+                    assert_eq!(evaluation.profiler, kind);
+                    assert_eq!(evaluation.error_count, error_count);
+                    let oracle =
+                        CoverageSeries::from_campaign(&campaign.run(kind, config.rounds), &space);
+                    assert_eq!(
+                        evaluation.series,
+                        oracle,
+                        "{} word {} of code {}: sweep series != scored scalar oracle ({})",
+                        kind,
+                        sample.word_index,
+                        sample.code_index,
+                        campaign.code().description()
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        evaluations.next().is_none(),
+        "the sweep has extra evaluations"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Scoring where the round runs is scoring after the fact: for random
+    /// word populations, every profiler kind's per-word series in the sweep
+    /// equals `CoverageSeries::from_campaign` of the scalar oracle's
+    /// snapshots, for all three code families.
+    #[test]
+    fn sweep_series_match_the_scored_scalar_oracle_for_all_kinds_and_codes(
+        base_seed in any::<u64>(),
+        error_count in 1usize..5,
+        probability in proptest::sample::select(vec![0.5f64, 0.75, 1.0]),
+    ) {
+        let config = EvaluationConfig {
+            data_bits: DATA_BITS,
+            num_codes: 2,
+            words_per_code: 2,
+            rounds: ROUNDS,
+            error_counts: vec![error_count],
+            probabilities: vec![probability],
+            pattern: DataPattern::Random,
+            base_seed,
+            threads: 2,
+        };
+        assert_sweep_series_match_scalar(&config, |seed| {
+            HammingCode::random(DATA_BITS, seed).expect("valid Hamming code")
+        });
+        assert_sweep_series_match_scalar(&config, |seed| {
+            ExtendedHammingCode::random(DATA_BITS, seed).expect("valid SEC-DED code")
+        });
+        assert_sweep_series_match_scalar(&config, |_seed| {
+            BchCode::dec(DATA_BITS).expect("valid BCH code")
+        });
     }
 }
 

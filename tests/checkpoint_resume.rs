@@ -6,11 +6,11 @@
 //! every layer of the stack:
 //!
 //! * **Campaign layer** — for **every profiler kind** and **every code
-//!   family** (SEC Hamming, SEC-DED extended Hamming, DEC BCH), a
-//!   [`BatchRun`] frozen at a random round, pushed through the full JSON
-//!   encode → render → parse → decode round trip, and thawed produces
-//!   snapshots byte-identical (serialized form included) to the
-//!   uninterrupted run — even when interrupted twice.
+//!   family** (SEC Hamming, SEC-DED extended Hamming, DEC BCH), a sweep
+//!   frozen at a random round into its group files on disk (each word's RNG
+//!   position and profiler state, plus the coverage series scored so far),
+//!   thawed from them, and frozen and thawed once more, finishes
+//!   byte-identical (serialized form included) to the uninterrupted run.
 //! * **Sweep layer** — a [`ResumableSweep`] driven through on-disk archives
 //!   (`write_archive` → `resume`, twice) reconstructs exactly the
 //!   [`CoverageSweep`] the one-shot [`run_coverage_sweep`] path computes,
@@ -30,13 +30,9 @@ use proptest::prelude::*;
 use harp_bch::BchCode;
 use harp_ecc::{ExtendedHammingCode, HammingCode, LinearBlockCode};
 use harp_memsim::pattern::DataPattern;
-use harp_memsim::FaultModel;
-use harp_profiler::{
-    BatchRun, BatchWord, CampaignBatch, CampaignCheckpoint, CampaignResult, ProfilerKind,
-};
+use harp_profiler::ProfilerKind;
 use harp_sim::checkpoint::{merge_shards, shard_file_name, ResumableSweep, ShardSpec};
 use harp_sim::experiments::sweep::{run_coverage_sweep, run_coverage_sweep_with, CoverageSweep};
-use harp_sim::minijson::{Json, JsonCodec};
 use harp_sim::EvaluationConfig;
 
 /// Dataword length shared by all three families in this suite.
@@ -46,127 +42,100 @@ const DATA_BITS: usize = 32;
 /// multi-round state: inversion schedules, bootstrapping, predictions).
 const ROUNDS: usize = 10;
 
-/// One generated word of a cell: raw at-risk positions (reduced modulo the
-/// code's length), a shared per-bit probability, and an RNG seed.
-type WordSpec = (Vec<usize>, f64, u64);
-
-/// Builds one batch word for a specific code, folding the raw positions
-/// into the code's own codeword length.
-fn batch_word_for(code: &dyn LinearBlockCode, spec: &WordSpec) -> BatchWord {
-    let (positions, probability, seed) = spec;
-    let n = code.codeword_len();
-    let mut folded: Vec<usize> = positions.iter().map(|&p| p % n).collect();
-    folded.sort_unstable();
-    folded.dedup();
-    BatchWord::new(
-        FaultModel::uniform(&folded, *probability),
-        DataPattern::Random,
-        *seed,
-    )
-}
-
-/// The uninterrupted reference: every word run alone through the scalar
-/// oracle, `ProfilingCampaign::run_profiler` (`CampaignBatch::run` is itself
-/// a `BatchRun`, so it cannot serve as an independent reference).
-fn uninterrupted<C: LinearBlockCode + Clone + Send + 'static>(
-    batch: &CampaignBatch<C>,
-    kind: ProfilerKind,
-) -> Vec<CampaignResult> {
-    (0..batch.len())
-        .map(|index| batch.scalar_campaign(index).run(kind, ROUNDS))
-        .collect()
-}
-
-/// Runs the same campaign but frozen (and JSON round-tripped) at each round
-/// in `freeze_at`, resuming from the decoded checkpoint every time.
-fn interrupted<C: LinearBlockCode + Clone + Send + 'static>(
-    batch: &CampaignBatch<C>,
-    kind: ProfilerKind,
+/// Runs `config` for `profilers` as a [`ResumableSweep`] that is archived
+/// to `dir`, dropped and resumed from disk after each round in `freeze_at`
+/// (ascending), then finished.
+fn archived_sweep<C, F>(
+    dir: &Path,
+    config: &EvaluationConfig,
+    profilers: &[ProfilerKind],
+    make_code: F,
     freeze_at: &[usize],
-) -> Vec<CampaignResult> {
-    let mut run = BatchRun::new(batch, kind);
+) -> CoverageSweep
+where
+    C: LinearBlockCode + Clone + Send + 'static,
+    F: Fn(u64) -> C + Copy,
+{
+    let mut sweep = ResumableSweep::new(config, profilers, make_code);
     for &round in freeze_at {
-        run.advance(round - run.round());
-        let frozen = run.checkpoint();
-        // Full persistence round trip: encode → render → parse → decode.
-        let rendered = frozen
-            .to_json()
-            .expect("checkpoints hold no floats")
-            .render();
-        let parsed = Json::parse(&rendered).expect("rendered checkpoint parses");
-        let thawed = CampaignCheckpoint::from_json(&parsed).expect("rendered checkpoint decodes");
-        assert_eq!(
-            thawed, frozen,
-            "{kind}: checkpoint changed across the JSON round trip"
-        );
-        run = BatchRun::resume(batch, &thawed);
-        assert_eq!(run.round(), round);
+        sweep.advance(round - sweep.round());
+        sweep.write_archive(dir).expect("archive writable");
+        drop(sweep);
+        sweep = ResumableSweep::resume(dir, make_code).expect("archive readable");
+        assert_eq!(sweep.round(), round);
     }
-    run.advance(ROUNDS - run.round());
-    run.results()
+    sweep.advance(config.rounds - sweep.round());
+    assert!(sweep.is_complete());
+    sweep.into_sweep()
 }
 
-/// Asserts resumed == uninterrupted for one (code, kind) pair, comparing
-/// both the structures and their serialized bytes.
-fn assert_resume_is_invisible<C: LinearBlockCode + Clone + Send + 'static>(
-    code: &C,
-    specs: &[WordSpec],
-    kind: ProfilerKind,
+/// Asserts resumed == uninterrupted for every profiler kind over one code
+/// family, comparing both the structures and their serialized bytes.
+fn assert_resume_is_invisible<C, F>(
+    name: &str,
+    config: &EvaluationConfig,
+    make_code: F,
     freeze_at: &[usize],
-) {
-    let words: Vec<BatchWord> = specs
-        .iter()
-        .map(|spec| batch_word_for(code, spec))
-        .collect();
-    let batch = CampaignBatch::new(code.clone(), words);
-    let reference = uninterrupted(&batch, kind);
-    let resumed = interrupted(&batch, kind, freeze_at);
-    assert_eq!(
-        resumed,
-        reference,
-        "{} resumed at rounds {:?} diverged from the uninterrupted run ({})",
-        kind,
+) where
+    C: LinearBlockCode + Clone + Send + Sync + 'static,
+    F: Fn(u64) -> C + Copy,
+{
+    let scratch = ScratchDir::new(name);
+    let reference = run_coverage_sweep_with(config, &ProfilerKind::ALL, make_code);
+    let resumed = archived_sweep(
+        scratch.path(),
+        config,
+        &ProfilerKind::ALL,
+        make_code,
         freeze_at,
-        code.description()
     );
-    // Byte-identical, not merely equal: the serialized archives match.
-    assert_eq!(
-        serde_json::to_string(&resumed).expect("serializable"),
-        serde_json::to_string(&reference).expect("serializable")
-    );
+    assert_sweeps_identical(&resumed, &reference);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The headline differential property: for random cells and two random
-    /// interruption points (including round 0 and the final round as edge
-    /// cases of the draw), every profiler kind finishes byte-identically
-    /// after resume, for all three code families.
+    /// The headline differential property: for random word populations and
+    /// two random interruption points (including round 0 and the final
+    /// round as edge cases of the draw), every profiler kind finishes
+    /// byte-identically after resuming from group files, for all three code
+    /// families.
     #[test]
     fn resume_equals_uninterrupted_for_all_kinds_and_codes(
-        seed in 0u64..200,
-        specs in proptest::collection::vec(
-            (
-                proptest::collection::vec(0usize..64, 1..4),
-                proptest::sample::select(vec![0.5f64, 0.75, 1.0]),
-                any::<u64>(),
-            ),
-            1..4,
-        ),
+        base_seed in any::<u64>(),
+        error_count in 1usize..4,
+        probability in proptest::sample::select(vec![0.5f64, 0.75, 1.0]),
         first_freeze in 0usize..=ROUNDS,
         second_freeze in 0usize..=ROUNDS,
     ) {
         let mut freeze_at = [first_freeze, second_freeze];
         freeze_at.sort_unstable();
-        let hamming = HammingCode::random(DATA_BITS, seed).expect("valid Hamming code");
-        let secded = ExtendedHammingCode::random(DATA_BITS, seed).expect("valid SEC-DED code");
-        let bch = BchCode::dec(DATA_BITS).expect("valid BCH code");
-        for kind in ProfilerKind::ALL {
-            assert_resume_is_invisible(&hamming, &specs, kind, &freeze_at);
-            assert_resume_is_invisible(&secded, &specs, kind, &freeze_at);
-            assert_resume_is_invisible(&bch, &specs, kind, &freeze_at);
-        }
+        let config = EvaluationConfig {
+            num_codes: 1,
+            rounds: ROUNDS,
+            error_counts: vec![error_count],
+            probabilities: vec![probability],
+            base_seed,
+            ..tiny_config()
+        };
+        assert_resume_is_invisible(
+            "campaign_hamming",
+            &config,
+            |seed| HammingCode::random(DATA_BITS, seed).expect("valid Hamming code"),
+            &freeze_at,
+        );
+        assert_resume_is_invisible(
+            "campaign_secded",
+            &config,
+            |seed| ExtendedHammingCode::random(DATA_BITS, seed).expect("valid SEC-DED code"),
+            &freeze_at,
+        );
+        assert_resume_is_invisible(
+            "campaign_bch",
+            &config,
+            |_seed| BchCode::dec(DATA_BITS).expect("valid BCH code"),
+            &freeze_at,
+        );
     }
 }
 
@@ -228,39 +197,23 @@ fn assert_sweeps_identical(resumed: &CoverageSweep, reference: &CoverageSweep) {
     );
 }
 
-/// Drives a sweep through two on-disk interruptions for an arbitrary code
-/// family and asserts the result matches the given one-shot reference.
+/// Drives a sweep through two on-disk interruptions (after rounds 4 and 9)
+/// for an arbitrary code family and asserts the result matches the given
+/// one-shot reference.
 fn assert_archived_sweep_matches<C, F>(name: &str, make_code: F, reference: &CoverageSweep)
 where
     C: LinearBlockCode + Clone + Send + 'static,
     F: Fn(u64) -> C + Copy,
 {
     let scratch = ScratchDir::new(name);
-    let config = tiny_config();
-
-    // Run 4 rounds, archive, and forget the in-memory state.
-    let mut first = ResumableSweep::new(&config, &SWEEP_PROFILERS, make_code);
-    first.advance(4);
-    first
-        .write_archive(scratch.path())
-        .expect("archive writable");
-    drop(first);
-
-    // Resume from disk, run 5 more rounds, archive again.
-    let mut second = ResumableSweep::resume(scratch.path(), make_code).expect("archive readable");
-    assert_eq!(second.round(), 4);
-    second.advance(5);
-    second
-        .write_archive(scratch.path())
-        .expect("archive writable");
-    drop(second);
-
-    // Resume once more and finish.
-    let mut third = ResumableSweep::resume(scratch.path(), make_code).expect("archive readable");
-    assert_eq!(third.round(), 9);
-    third.advance(config.rounds - 9);
-    assert!(third.is_complete());
-    assert_sweeps_identical(&third.into_sweep(), reference);
+    let resumed = archived_sweep(
+        scratch.path(),
+        &tiny_config(),
+        &SWEEP_PROFILERS,
+        make_code,
+        &[4, 9],
+    );
+    assert_sweeps_identical(&resumed, reference);
 }
 
 /// The sweep-layer guarantee: stop/archive/resume twice, finish, and the
