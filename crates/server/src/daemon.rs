@@ -629,7 +629,7 @@ fn watch_job<T: FrameTransport>(
 ) -> io::Result<()> {
     let mut cursor = 0usize;
     loop {
-        let (pending, terminal) = {
+        let (pending, done, status) = {
             let mut state = lock_unpoisoned(&cell.state);
             loop {
                 if cursor < state.frames.len() || state.phase.is_terminal() {
@@ -647,25 +647,22 @@ fn watch_job<T: FrameTransport>(
             }
             let pending: Vec<Json> = state.frames[cursor..].to_vec();
             cursor = state.frames.len();
-            // `None` inside: the job is done, and its result is on disk.
-            let terminal = state.phase.is_terminal().then(|| {
-                (state.phase != JobPhase::Done)
-                    .then(|| Response::Job(job_status_locked(cell.id, &state)))
-            });
-            (pending, terminal)
+            let done = state.phase == JobPhase::Done;
+            let status = (state.phase.is_terminal() && !done)
+                .then(|| Response::Job(job_status_locked(cell.id, &state)));
+            (pending, done, status)
         };
         for frame in &pending {
             transport.send(frame)?;
         }
-        match terminal {
-            None => {}
-            Some(Some(status)) => return send(transport, &status),
-            Some(None) => {
-                return match read_record::<Json>(&cell.dir.join(RESULT_FILE)) {
-                    Ok(result) => transport.send(&result),
-                    Err(err) => send_error(transport, format!("unreadable job result: {err}")),
-                }
-            }
+        if done {
+            return match read_record::<Json>(&cell.dir.join(RESULT_FILE)) {
+                Ok(result) => transport.send(&result),
+                Err(err) => send_error(transport, format!("unreadable job result: {err}")),
+            };
+        }
+        if let Some(status) = status {
+            return send(transport, &status);
         }
     }
 }
