@@ -12,6 +12,7 @@
 //!   profile (Fig. 9) — what reactive profiling / the secondary ECC must
 //!   still handle.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
@@ -101,7 +102,13 @@ impl CoverageSeries {
         {
             self.bootstrap_round = Some(self.rounds());
         }
-        let known: BTreeSet<usize> = identified.union(predicted).copied().collect();
+        // Only the HARP-A kinds predict; for the others the known set is
+        // the identified set, and copying it every round would be waste.
+        let known = if predicted.is_empty() {
+            Cow::Borrowed(identified)
+        } else {
+            Cow::Owned(identified.union(predicted).copied().collect())
+        };
         self.direct_coverage
             .push(direct_coverage(identified, direct_truth));
         self.missed_indirect
