@@ -5,7 +5,7 @@
 //!   [`BatchRun`] advanced through all rounds (the engine `harp sweep`
 //!   drives between checkpoints).
 //! * `checkpoint_path/<code>/freeze_*` — [`BatchRun::checkpoint`] plus the
-//!   JSON encode/render of the archive group file: the per-interval cost
+//!   JSON encode/render of an archive group record: the per-interval cost
 //!   `--checkpoint-dir` adds, minus the write syscall.
 //! * `checkpoint_path/<code>/thaw_*` — parse + decode + [`BatchRun::resume`]:
 //!   the one-time cost of `--resume`.

@@ -279,21 +279,22 @@ mod tests {
         sweep.advance(2);
         sweep.write_archive(&dir).unwrap();
 
-        let manifest_path = dir.join("MANIFEST.json");
-        let pristine = std::fs::read_to_string(&manifest_path).unwrap();
+        // Line 1 of the archive file is the manifest.
+        let archive_path = dir.join(harp_sim::checkpoint::ARCHIVE_FILE);
+        let pristine = std::fs::read_to_string(&archive_path).unwrap();
         let resume_args = args(&["--resume", "--checkpoint-dir", dir.to_str().unwrap()]);
         for corrupt in [
             pristine.replacen("\"data_bits\":64", "\"data_bits\":0", 1),
             pristine.replacen("\"data_bits\":64", "\"data_bits\":\"x\"", 1),
             "not json".to_owned(),
         ] {
-            std::fs::write(&manifest_path, corrupt).unwrap();
+            std::fs::write(&archive_path, corrupt).unwrap();
             let err = run_sweep(&resume_args).unwrap_err();
             assert!(!err.is_empty());
         }
 
         // The pristine archive still resumes and completes.
-        std::fs::write(&manifest_path, pristine).unwrap();
+        std::fs::write(&archive_path, pristine).unwrap();
         run_sweep(&resume_args).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }

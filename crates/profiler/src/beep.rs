@@ -1,10 +1,9 @@
 //! The BEEP baseline profiler.
 //!
 //! BEEP is the profiling algorithm supported by the BEER reverse-engineering
-//! methodology (Patel et al., MICRO 2020): it knows the on-die ECC
-//! parity-check matrix and crafts data patterns intended to systematically
-//! provoke post-correction errors. Following the paper's description
-//! (§7.1.1), our implementation:
+//! methodology (Patel et al., MICRO 2020): it crafts data patterns intended
+//! to systematically provoke post-correction errors. Following the paper's
+//! description (§7.1.1), our implementation:
 //!
 //! * uses a standard random data pattern until the first post-correction
 //!   error is confirmed (the *bootstrapping* phase);
@@ -14,16 +13,16 @@
 //!   the targeted combination fails the decoder is forced into a
 //!   miscorrection that exposes a new at-risk bit.
 //!
-//! The paper's replacement for the SAT-solver-driven pattern construction is
-//! the same combination-targeting logic expressed directly over the
-//! parity-check matrix (the constraints are linear; see DESIGN.md §2).
-//! Crafted patterns deliberately discharge untargeted cells, which is exactly
-//! why BEEP is slow at (and sometimes incapable of) achieving full coverage
-//! of direct errors — the behaviour the paper reports in §7.2.1.
+//! The paper's BEEP builds its patterns with a SAT solver over the
+//! parity-check matrix; this implementation targets the combinations
+//! directly, so crafting needs only the dataword length and the suspected
+//! bits, never the code itself. Crafted patterns deliberately discharge
+//! untargeted cells, which is exactly why BEEP is slow at (and sometimes
+//! incapable of) achieving full coverage of direct errors — the behaviour
+//! the paper reports in §7.2.1.
 
 use std::collections::BTreeSet;
 
-use harp_ecc::LinearBlockCode;
 use harp_gf2::BitVec;
 use harp_memsim::pattern::{DataPattern, PatternSchedule};
 use harp_memsim::ReadObservation;
@@ -31,8 +30,9 @@ use harp_memsim::ReadObservation;
 use crate::checkpoint::ProfilerState;
 use crate::traits::Profiler;
 
-/// Crafts a BEEP test pattern: charge a targeted combination of the known
-/// at-risk dataword positions and discharge every other data bit.
+/// Crafts a `data_len`-bit BEEP test pattern: charge a targeted combination
+/// of the known at-risk dataword positions and discharge every other data
+/// bit.
 ///
 /// `iteration` selects which combination (pairs first, then triples) is
 /// targeted, cycling deterministically so repeated calls explore different
@@ -40,17 +40,15 @@ use crate::traits::Profiler;
 ///
 /// # Panics
 ///
-/// Panics if any known position is not a data position of the code.
-pub fn craft_beep_pattern<C: LinearBlockCode + ?Sized>(
-    code: &C,
-    known_at_risk: &[usize],
-    iteration: usize,
-) -> BitVec {
-    let k = code.data_len();
+/// Panics if any known position is not below `data_len`.
+pub fn craft_beep_pattern(data_len: usize, known_at_risk: &[usize], iteration: usize) -> BitVec {
     let known: Vec<usize> = {
         let unique: BTreeSet<usize> = known_at_risk.iter().copied().collect();
         for &pos in &unique {
-            assert!(pos < k, "known at-risk position {pos} is not a data bit");
+            assert!(
+                pos < data_len,
+                "known at-risk position {pos} is not a data bit"
+            );
         }
         unique.into_iter().collect()
     };
@@ -58,15 +56,15 @@ pub fn craft_beep_pattern<C: LinearBlockCode + ?Sized>(
     if known.is_empty() {
         // Nothing to target yet: a discharged word (the caller normally uses
         // the random schedule in this situation).
-        return BitVec::zeros(k);
+        return BitVec::zeros(data_len);
     }
     if known.len() == 1 {
         // A single suspected bit cannot form an uncorrectable combination by
         // itself; charge it and vary the remaining bits deterministically so
         // different parity-bit values are explored across iterations.
-        let mut word = BitVec::zeros(k);
+        let mut word = BitVec::zeros(data_len);
         word.set(known[0], true);
-        for bit in 0..k {
+        for bit in 0..data_len {
             if bit != known[0] && (bit.wrapping_mul(31) ^ iteration).is_multiple_of(3) {
                 word.set(bit, true);
             }
@@ -91,42 +89,36 @@ pub fn craft_beep_pattern<C: LinearBlockCode + ?Sized>(
         }
     }
     let target = &combinations[iteration % combinations.len()];
-    BitVec::from_indices(k, target.iter().copied())
+    BitVec::from_indices(data_len, target.iter().copied())
 }
 
-/// The BEEP profiler: post-correction observation plus parity-check-matrix
-/// guided pattern crafting.
+/// The BEEP profiler: post-correction observation plus pattern crafting
+/// that targets combinations of the bits observed so far.
 ///
 /// # Example
 ///
 /// ```
-/// use harp_ecc::HammingCode;
 /// use harp_memsim::pattern::DataPattern;
 /// use harp_profiler::{BeepProfiler, Profiler};
 ///
-/// let code = HammingCode::random(64, 4)?;
-/// let mut profiler = BeepProfiler::new(code, DataPattern::Random, 9);
+/// let mut profiler = BeepProfiler::new(64, DataPattern::Random, 9);
 /// assert_eq!(profiler.name(), "BEEP");
 /// // Before any error is confirmed, BEEP falls back to the random pattern.
 /// let word = profiler.dataword_for_round(0);
 /// assert_eq!(word.len(), 64);
-/// # Ok::<(), harp_ecc::CodeError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct BeepProfiler<C: LinearBlockCode = harp_ecc::HammingCode> {
-    code: C,
+pub struct BeepProfiler {
     schedule: PatternSchedule,
     identified: BTreeSet<usize>,
     crafted_iterations: usize,
 }
 
-impl<C: LinearBlockCode> BeepProfiler<C> {
-    /// Creates a BEEP profiler for the given on-die ECC code.
-    pub fn new(code: C, fallback_pattern: DataPattern, seed: u64) -> Self {
-        let schedule = PatternSchedule::new(fallback_pattern, code.data_len(), seed);
+impl BeepProfiler {
+    /// Creates a BEEP profiler for a `data_bits`-bit dataword.
+    pub fn new(data_bits: usize, fallback_pattern: DataPattern, seed: u64) -> Self {
         Self {
-            code,
-            schedule,
+            schedule: PatternSchedule::new(fallback_pattern, data_bits, seed),
             identified: BTreeSet::new(),
             crafted_iterations: 0,
         }
@@ -139,7 +131,7 @@ impl<C: LinearBlockCode> BeepProfiler<C> {
     }
 }
 
-impl<C: LinearBlockCode + Send> Profiler for BeepProfiler<C> {
+impl Profiler for BeepProfiler {
     fn name(&self) -> &'static str {
         "BEEP"
     }
@@ -152,7 +144,7 @@ impl<C: LinearBlockCode + Send> Profiler for BeepProfiler<C> {
         } else {
             let known: Vec<usize> = self.identified.iter().copied().collect();
             self.crafted_iterations += 1;
-            craft_beep_pattern(&self.code, &known, self.crafted_iterations)
+            craft_beep_pattern(self.schedule.data_bits(), &known, self.crafted_iterations)
         }
     }
 
@@ -204,9 +196,8 @@ mod tests {
 
     #[test]
     fn crafted_pattern_charges_only_the_target_combination() {
-        let code = HammingCode::random(64, 15).unwrap();
         let known = [4usize, 10, 50];
-        let pattern = craft_beep_pattern(&code, &known, 0);
+        let pattern = craft_beep_pattern(64, &known, 0);
         let ones: Vec<usize> = pattern.iter_ones().collect();
         assert_eq!(ones.len(), 2);
         for bit in ones {
@@ -216,10 +207,9 @@ mod tests {
 
     #[test]
     fn crafted_patterns_cycle_through_combinations() {
-        let code = HammingCode::random(64, 16).unwrap();
         let known = [1usize, 2, 3];
         let patterns: BTreeSet<String> = (0..6)
-            .map(|i| craft_beep_pattern(&code, &known, i).to_string())
+            .map(|i| craft_beep_pattern(64, &known, i).to_string())
             .collect();
         // 3 pairs + 1 triple = 4 distinct combinations.
         assert_eq!(patterns.len(), 4);
@@ -227,30 +217,26 @@ mod tests {
 
     #[test]
     fn single_known_bit_is_always_charged() {
-        let code = HammingCode::random(64, 17).unwrap();
         for iteration in 0..5 {
-            let pattern = craft_beep_pattern(&code, &[13], iteration);
+            let pattern = craft_beep_pattern(64, &[13], iteration);
             assert!(pattern.get(13));
         }
     }
 
     #[test]
     fn empty_known_set_yields_discharged_word() {
-        let code = HammingCode::random(64, 18).unwrap();
-        assert!(craft_beep_pattern(&code, &[], 3).is_zero());
+        assert!(craft_beep_pattern(64, &[], 3).is_zero());
     }
 
     #[test]
     #[should_panic(expected = "not a data bit")]
     fn crafting_rejects_parity_positions() {
-        let code = HammingCode::random(64, 19).unwrap();
-        craft_beep_pattern(&code, &[70], 0);
+        craft_beep_pattern(64, &[70], 0);
     }
 
     #[test]
     fn beep_bootstraps_with_the_fallback_pattern() {
-        let code = HammingCode::random(64, 20).unwrap();
-        let mut profiler = BeepProfiler::new(code, DataPattern::Random, 5);
+        let mut profiler = BeepProfiler::new(64, DataPattern::Random, 5);
         assert!(profiler.is_bootstrapping());
         let w0 = profiler.dataword_for_round(0);
         let w1 = profiler.dataword_for_round(1);
@@ -260,9 +246,9 @@ mod tests {
     #[test]
     fn beep_identifies_direct_errors_from_always_failing_pairs() {
         let code = HammingCode::random(64, 21).unwrap();
-        let mut chip = MemoryChip::new(code.clone(), 1);
+        let mut chip = MemoryChip::new(code, 1);
         chip.set_fault_model(0, FaultModel::uniform(&[8, 30], 1.0));
-        let mut profiler = BeepProfiler::new(code, DataPattern::Random, 7);
+        let mut profiler = BeepProfiler::new(64, DataPattern::Random, 7);
         run_rounds(&mut profiler, &mut chip, 32, 8);
         assert!(!profiler.is_bootstrapping());
         assert!(profiler.identified().contains(&8));
@@ -274,9 +260,9 @@ mod tests {
         let code = HammingCode::random(64, 22).unwrap();
         let at_risk = [3usize, 12, 48];
         let space = ErrorSpace::enumerate(&code, &at_risk, FailureDependence::TrueCell);
-        let mut chip = MemoryChip::new(code.clone(), 1);
+        let mut chip = MemoryChip::new(code, 1);
         chip.set_fault_model(0, FaultModel::uniform(&at_risk, 0.75));
-        let mut profiler = BeepProfiler::new(code, DataPattern::Random, 11);
+        let mut profiler = BeepProfiler::new(64, DataPattern::Random, 11);
         run_rounds(&mut profiler, &mut chip, 128, 9);
         for bit in profiler.identified() {
             assert!(
@@ -295,9 +281,9 @@ mod tests {
         // observation, not a universal guarantee, hence the fixed seed.)
         let code = HammingCode::random(64, 23).unwrap();
         let at_risk = [5usize, 23, 59];
-        let mut chip = MemoryChip::new(code.clone(), 1);
+        let mut chip = MemoryChip::new(code, 1);
         chip.set_fault_model(0, FaultModel::uniform(&at_risk, 0.25));
-        let mut profiler = BeepProfiler::new(code, DataPattern::Random, 13);
+        let mut profiler = BeepProfiler::new(64, DataPattern::Random, 13);
         run_rounds(&mut profiler, &mut chip, 64, 10);
         let covered = at_risk
             .iter()

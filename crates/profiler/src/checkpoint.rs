@@ -167,20 +167,25 @@ impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
     ///
     /// Panics if the checkpoint's word count does not match the batch.
     pub fn resume(batch: &CampaignBatch<C>, checkpoint: &CampaignCheckpoint) -> Self {
-        assert_eq!(
-            checkpoint.words.len(),
-            batch.len(),
-            "checkpoint of {} words cannot resume a batch of {}",
-            checkpoint.words.len(),
-            batch.len()
-        );
         let mut run = Self::new(batch, checkpoint.kind);
-        run.round = checkpoint.round;
-        for (slot, word) in checkpoint.words.iter().enumerate() {
-            run.rngs[slot] = ChaCha8Rng::from_state(word.rng);
-            run.profilers[slot].restore(&word.profiler);
-        }
+        run.restore(checkpoint);
         run
+    }
+
+    /// Moves this run, in place, to exactly the checkpointed position (the
+    /// chip needs none: every round rewrites each slot).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the checkpoint is of another profiler kind or word count.
+    pub fn restore(&mut self, checkpoint: &CampaignCheckpoint) {
+        let fits = (checkpoint.kind, checkpoint.words.len()) == (self.kind, self.rngs.len());
+        assert!(fits, "a checkpoint of another shape cannot resume this run");
+        self.round = checkpoint.round;
+        for (slot, word) in checkpoint.words.iter().enumerate() {
+            self.rngs[slot] = ChaCha8Rng::from_state(word.rng);
+            self.profilers[slot].restore(&word.profiler);
+        }
     }
 
     /// Number of completed rounds.

@@ -217,7 +217,8 @@ impl<C: LinearBlockCode + Send> Profiler for HarpABeepProfiler<C> {
             // finding direct bits that have not failed yet).
             if round.is_multiple_of(2) {
                 self.crafted_rounds += 1;
-                return craft_beep_pattern(&self.harp_a.code, &known, self.crafted_rounds);
+                let data_bits = self.harp_a.code.data_len();
+                return craft_beep_pattern(data_bits, &known, self.crafted_rounds);
             }
         }
         self.harp_a.dataword_for_round(round)

@@ -16,8 +16,8 @@
 //!   at-risk bits the first time they fail ([`reactive::ReactiveProfiler`]).
 //!
 //! The whole crate is generic over the on-die ECC code: profilers that need
-//! the code structure ([`BeepProfiler`], [`HarpAProfiler`],
-//! [`HarpABeepProfiler`]) and the campaign driver are parameterized by
+//! the code structure ([`HarpAProfiler`], [`HarpABeepProfiler`]) and the
+//! campaign driver are parameterized by
 //! [`harp_ecc::LinearBlockCode`], so the identical lineup runs against SEC
 //! Hamming, SEC-DED, and DEC BCH words — there is exactly one implementation
 //! of each algorithm.

@@ -158,7 +158,7 @@ impl ProfilerKind {
     ) -> Box<dyn Profiler> {
         match self {
             ProfilerKind::Naive => Box::new(NaiveProfiler::new(code.data_len(), pattern, seed)),
-            ProfilerKind::Beep => Box::new(BeepProfiler::new(code.clone(), pattern, seed)),
+            ProfilerKind::Beep => Box::new(BeepProfiler::new(code.data_len(), pattern, seed)),
             ProfilerKind::HarpU => Box::new(HarpUProfiler::new(code.data_len(), pattern, seed)),
             ProfilerKind::HarpA => Box::new(HarpAProfiler::new(code.clone(), pattern, seed)),
             ProfilerKind::HarpABeep => {

@@ -1,9 +1,9 @@
 //! The `harpd` daemon: a worker pool serving concurrent, durable,
 //! resumable sweep jobs.
 //!
-//! Every job is backed by its own checkpoint archive directory
-//! (`<state_dir>/JOB_<id>/`) in exactly the format `harp sweep
-//! --checkpoint-dir` writes, plus a small `JOB.json` state record and, once
+//! Every job is backed by its own directory (`<state_dir>/JOB_<id>/`)
+//! holding the one-file checkpoint archive `harp sweep --checkpoint-dir`
+//! writes (`ARCHIVE.jsonl`), a small `JOB.json` state record and, once
 //! complete, a `RESULT.json` result frame. All three go through
 //! [`write_json_atomically`]'s durable write sequence, and a job is
 //! acknowledged to the submitter only after its archive and record are on
@@ -926,8 +926,8 @@ mod tests {
     }
 
     /// Regression: a skipped directory used to leave its id free, so the
-    /// next submit was numbered into it and wrote its own `JOB.json`,
-    /// `MANIFEST.json` and group file next to the old job's files.
+    /// next submit was numbered into it and wrote its own `JOB.json` and
+    /// archive next to the old job's files.
     #[test]
     fn skipped_job_directories_keep_their_ids() {
         let dir = temp_dir("skipped_id");
@@ -982,7 +982,7 @@ mod tests {
         // The submit acknowledgement means the archive is already durable.
         std::fs::write(
             dir.join(format!("JOB_{doomed}"))
-                .join(harp_sim::checkpoint::MANIFEST_FILE),
+                .join(harp_sim::checkpoint::ARCHIVE_FILE),
             b"not json",
         )
         .unwrap();

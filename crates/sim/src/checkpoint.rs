@@ -12,11 +12,11 @@
 //!   run and a stop-at-round-`k`-then-resume run produce byte-identical
 //!   [`CoverageSweep`]s (`tests/checkpoint_resume.rs` locks this down for
 //!   every profiler kind and code family).
-//! * A **versioned checkpoint archive**: a directory holding one JSON file
-//!   per code group plus a manifest, written durably (temp file, fsync,
-//!   rename, directory fsync — see [`write_json_atomically`]) so a crash
-//!   mid-checkpoint, including power loss, never corrupts a resumable
-//!   archive. Schema versioned like the `BENCH_<group>.json` contract.
+//! * A **versioned checkpoint archive**: one file, [`ARCHIVE_FILE`], of the
+//!   manifest and then one record per owned code group, committed by one
+//!   durable rename (see [`write_json_atomically`]) so a crash mid-write,
+//!   including power loss, leaves the previous archive intact. Schema
+//!   versioned like the `BENCH_<group>.json` contract.
 //! * [`ShardSpec`] worker mode: `--shard i/N` assigns each worker the code
 //!   groups whose **global group index** satisfies `g % N == i`. The group
 //!   index `g = cell_index * num_codes + code_index` depends only on the
@@ -27,20 +27,20 @@
 //!   the silent 0.0 of an empty series.
 //!
 //! All persistence goes through [`crate::minijson`]'s one codec trait,
-//! [`JsonCodec`]: every archive file and shard output is a record type
-//! below, read by [`read_record`] and written by [`write_record`]. `u64`
-//! seeds and RNG block counters are stored as raw literals (never through
-//! `f64`), so a resumed RNG stream is positioned bit-exactly.
+//! [`JsonCodec`]: every archive line and shard output is a record type
+//! below, and single-record files go through [`read_record`] and
+//! [`write_record`]. `u64` seeds and RNG block counters are stored as raw
+//! literals (never through `f64`), so a resumed RNG stream is positioned
+//! bit-exactly.
 
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
 
 use harp_ecc::{ErrorSpace, HammingCode, LinearBlockCode};
 use harp_memsim::pattern::DataPattern;
 use harp_profiler::{
-    BatchRun, CampaignBatch, CampaignCheckpoint, CoverageSeries, ProfilerKind, ProfilerState,
-    WordCheckpoint,
+    BatchRun, CampaignCheckpoint, CoverageSeries, ProfilerKind, ProfilerState, WordCheckpoint,
 };
 use rand_chacha::ChaCha8RngState;
 
@@ -58,13 +58,13 @@ use crate::stats::mean;
 /// instead of misinterpreting them.
 pub const CHECKPOINT_SCHEMA_VERSION: u64 = 1;
 
-/// Version of the `GROUP_<cell>_<code>.json` schema. Version 2 stores each
-/// word's scored coverage series instead of its per-round snapshot
-/// history; a version-1 group file fails to decode with a `schema` error.
+/// Version of the group-record schema. Version 2 stores each word's scored
+/// coverage series instead of its per-round snapshot history; a version-1
+/// group record fails to decode with a `schema` error.
 pub const GROUP_SCHEMA_VERSION: u64 = 2;
 
-/// Name of the archive manifest file.
-pub const MANIFEST_FILE: &str = "MANIFEST.json";
+/// Name of the archive file: the manifest, then one line per group record.
+pub const ARCHIVE_FILE: &str = "ARCHIVE.jsonl";
 
 /// Which slice of a sweep's code groups one worker owns: shard `i` of `N`
 /// takes every group whose global index is `≡ i (mod N)`.
@@ -140,6 +140,91 @@ struct SweepUnit<C: LinearBlockCode> {
     error_count: usize,
     probability: f64,
     group: GroupUnit<C>,
+}
+
+impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
+    /// Restores the unit's engines and series, in place, from its record once
+    /// the record fits this group at `round` and the lineup. Corrupt state
+    /// is rejected here, where batch geometry and ground truth are known, so
+    /// resuming never trips a downstream panic: `BatchRun::restore` asserts,
+    /// the predicting kinds enumerate error spaces over restored sets, and
+    /// crafting indexes the dataword and counts on (one pattern per round).
+    fn restore(
+        &mut self,
+        record: GroupRecord,
+        round: usize,
+        profilers: &[ProfilerKind],
+    ) -> Result<(), String> {
+        let found = (record.group_index, record.cell_index, record.code_index);
+        let expected = (self.group_index, self.cell_index, self.code_index);
+        if (found, record.round) != (expected, round) {
+            return Err(format!(
+                "group record (index, cell, code) {found:?} frozen at round {} \
+                 where {expected:?} at the manifest's round {round} belongs",
+                record.round
+            ));
+        }
+        let kinds = record.campaigns.iter().map(|campaign| campaign.kind);
+        if !kinds.eq(profilers.iter().copied()) || record.series.len() != profilers.len() {
+            return Err(format!("campaigns or series out of lineup {profilers:?}"));
+        }
+        let (words, data_len) = (self.group.batch.len(), self.group.batch.code().data_len());
+        for ((campaign, series), &kind) in
+            record.campaigns.iter().zip(&record.series).zip(profilers)
+        {
+            let shape = (campaign.round, campaign.words.len(), series.len());
+            if shape != (round, words, words) {
+                return Err(format!(
+                    "{kind} (round, words, series) {shape:?} where {:?} belongs",
+                    (round, words, words)
+                ));
+            }
+            let states = campaign.words.iter().map(|word| &word.profiler);
+            for (index, ((state, word), space)) in
+                states.zip(series).zip(&self.group.spaces).enumerate()
+            {
+                let mut bits = state.identified.iter().chain(&state.observed_indirect);
+                if let Some(bit) = bits.find(|&&bit| bit >= data_len) {
+                    return Err(format!(
+                        "word {index}: profiler bit {bit} outside the {data_len}-bit dataword"
+                    ));
+                }
+                let predicts = matches!(kind, ProfilerKind::HarpA | ProfilerKind::HarpABeep);
+                if predicts && state.identified.len() > ErrorSpace::MAX_AT_RISK_BITS {
+                    return Err(format!(
+                        "word {index}: {} direct bits exceed the exhaustive-analysis limit",
+                        state.identified.len()
+                    ));
+                }
+                let crafted = state.crafted_rounds;
+                if crafted > round {
+                    return Err(format!(
+                        "word {index}: {crafted} crafted patterns in {round} rounds"
+                    ));
+                }
+                let fresh = CoverageSeries::new(kind.name(), space);
+                let truth = |s: &CoverageSeries| (s.direct_truth_len, s.indirect_truth_len);
+                let (direct, max) = (&word.direct_coverage, &word.max_simultaneous);
+                let rounds = [direct.len(), word.missed_indirect.len(), max.len()];
+                if (rounds, &word.profiler, truth(word))
+                    != ([round; 3], &fresh.profiler, truth(&fresh))
+                {
+                    return Err(format!(
+                        "word {index}: a {} series of {rounds:?} rounds over {:?} truth bits \
+                         does not fit {kind} at round {round} over {:?}",
+                        word.profiler,
+                        truth(word),
+                        truth(&fresh)
+                    ));
+                }
+            }
+        }
+        for (run, checkpoint) in self.group.runs.iter_mut().zip(&record.campaigns) {
+            run.restore(checkpoint);
+        }
+        self.group.series = record.series;
+        Ok(())
+    }
 }
 
 /// The resumable coverage sweep: the checkpointable twin of
@@ -244,59 +329,33 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
 
     /// Advances every owned group to `round() + rounds` (clamped to the
     /// configured total), threading across groups.
-    ///
-    /// Groups already past the target — possible after resuming a torn
-    /// archive whose interrupted generation had overwritten some group
-    /// files — simply hold position until the rest catch up; each campaign
-    /// is deterministic, so the order of interleaving never matters.
     pub fn advance(&mut self, rounds: usize) {
-        let target = self
-            .round
-            .saturating_add(rounds)
-            .min(self.config.rounds)
-            .max(self.round);
-        if target == self.round {
+        let rounds = rounds.min(self.config.rounds.saturating_sub(self.round));
+        if rounds == 0 {
             return;
         }
         let threads = self.config.threads;
-        parallel_map_mut(&mut self.units, threads, |unit| {
-            unit.group.advance_to(target)
-        });
-        self.round = target;
+        parallel_map_mut(&mut self.units, threads, |unit| unit.group.advance(rounds));
+        self.round += rounds;
     }
 
-    /// Writes a checkpoint archive of the current state into `dir`
-    /// (created if needed): one `GROUP_<cell>_<code>.json` per owned code
-    /// group (each word's RNG position and profiler state, plus its series
-    /// scored so far), then the manifest. Every file goes through the durable
-    /// temp-file/fsync/rename sequence of [`write_json_atomically`], and the
-    /// manifest is written last — and only after its groups are on disk, not
-    /// merely renamed — so an archive with a readable manifest always has
-    /// every group present at the manifest's round *or later*, even across
-    /// power loss: a crash mid-archive can leave some
-    /// group files from the interrupted (newer) generation, and
-    /// [`resume`](Self::resume) accepts those, since each group file is
-    /// individually atomic and each group's campaign is independent.
+    /// Writes a checkpoint archive of the current state into `dir` (created
+    /// if needed) as one file, [`ARCHIVE_FILE`]: the manifest on line 1, then
+    /// each owned group's record (each word's RNG position and profiler
+    /// state, plus its series scored so far) in group-index order, streamed
+    /// one group at a time through the durable sequence of
+    /// [`write_json_atomically`]. One rename commits the checkpoint, so after
+    /// a crash `dir` holds the previous archive or the complete new one.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from writing the archive.
     pub fn write_archive(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        for unit in &self.units {
-            let group = GroupFile {
-                group_index: unit.group_index,
-                cell_index: unit.cell_index,
-                code_index: unit.code_index,
-                round: unit.group.runs.first().map_or(self.round, BatchRun::round),
-                campaigns: unit.group.runs.iter().map(BatchRun::checkpoint).collect(),
-                series: unit.group.series.clone(),
-            };
-            write_record(
-                &dir.join(group_file_name(unit.cell_index, unit.code_index)),
-                &group,
-            )?;
-        }
+        self.write_archive_with(&mut RealFs, dir)
+    }
+
+    fn write_archive_with<F: ArchiveFs>(&self, fs: &mut F, dir: &Path) -> io::Result<()> {
         let manifest = Manifest {
             round: self.round,
             shard: self.shard,
@@ -304,77 +363,56 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
             config: self.config.clone(),
             num_groups: self.units.len(),
         };
-        write_record(&dir.join(MANIFEST_FILE), &manifest)
+        write_durably_with(fs, &dir.join(ARCHIVE_FILE), |out| {
+            write_line(out, &manifest)?;
+            for unit in &self.units {
+                let group = GroupRecord {
+                    group_index: unit.group_index,
+                    cell_index: unit.cell_index,
+                    code_index: unit.code_index,
+                    round: self.round,
+                    campaigns: unit.group.runs.iter().map(BatchRun::checkpoint).collect(),
+                    series: unit.group.series.clone(),
+                };
+                write_line(out, &group)?;
+            }
+            Ok(())
+        })
     }
 
     /// Reconstructs a sweep at exactly the position of the archive in `dir`.
     /// Configuration, profiler lineup, and shard assignment all come from
     /// the manifest; `make_code` rebuilds the per-code-index codes (consult
-    /// [`read_manifest`] first for the archived `data_bits`).
-    ///
-    /// A group file frozen *ahead* of the manifest is accepted: it means a
-    /// newer archive generation was interrupted after overwriting that
-    /// group but before its manifest, and the group's own state is still a
-    /// valid atomic snapshot. [`advance`](Self::advance) lets the other
-    /// groups catch up. A group *behind* the manifest (or past the
-    /// configured rounds) is corruption and is rejected.
+    /// [`read_manifest`] first for the archived `data_bits`). Records are
+    /// read one line at a time, each into the engines its unit just built.
     ///
     /// # Errors
     ///
     /// Returns an error when the archive is missing, has a mismatched schema
-    /// version, or any group file is absent or corrupt.
+    /// version, holds other than one record per owned group in group order,
+    /// or a record is corrupt or frozen at a round other than the manifest's.
     pub fn resume<F: Fn(u64) -> C>(dir: &Path, make_code: F) -> io::Result<Self> {
-        let manifest = read_manifest(dir)?;
-        let mut sweep = Self::sharded(
-            &manifest.config,
-            &manifest.profilers,
-            manifest.shard,
-            make_code,
-        );
-        for unit in &mut sweep.units {
-            let path = dir.join(group_file_name(unit.cell_index, unit.code_index));
-            let group: GroupFile = read_record(&path)?;
-            let fail = |message: String| invalid(format!("{}: {message}", path.display()));
-            let round = group.round;
-            if round < manifest.round || round > manifest.config.rounds {
-                return Err(fail(format!(
-                    "group frozen at round {round}, manifest says {} of {}",
-                    manifest.round, manifest.config.rounds
-                )));
-            }
-            let profilers = sweep.profilers.len();
-            if (group.campaigns.len(), group.series.len()) != (profilers, profilers) {
-                return Err(fail(format!(
-                    "{} campaigns and {} series lists for {profilers} profilers",
-                    group.campaigns.len(),
-                    group.series.len(),
-                )));
-            }
-            // Reject corrupt per-word state here, where the batch geometry
-            // and each word's ground truth are known, so resumption never
-            // trips a downstream panic (`BatchRun::resume` asserts the word
-            // count; the predicting profiler kinds feed their restored sets
-            // into exhaustive error-space enumeration; pattern crafting
-            // indexes the dataword).
-            let batch = &unit.group.batch;
-            for ((checkpoint, series), &kind) in group
-                .campaigns
-                .iter()
-                .zip(&group.series)
-                .zip(&sweep.profilers)
-            {
-                validate_campaign_checkpoint(checkpoint, kind, round, batch)
-                    .and_then(|()| validate_series(series, kind, round, &unit.group.spaces))
-                    .map_err(fail)?;
-            }
-            unit.group.runs = group
-                .campaigns
-                .iter()
-                .map(|checkpoint| BatchRun::resume(batch, checkpoint))
-                .collect();
-            unit.group.series = group.series;
+        let (mut archive, manifest) = ArchiveReader::open(dir)?;
+        let (round, config, shard) = (manifest.round, &manifest.config, manifest.shard);
+        let mut sweep = Self::sharded(config, &manifest.profilers, shard, make_code);
+        let groups = sweep.units.len();
+        if round > config.rounds || manifest.num_groups != groups {
+            return Err(archive.error(format!(
+                "manifest of {} groups at round {round} of {}; shard {shard} owns {groups}",
+                manifest.num_groups, config.rounds
+            )));
         }
-        sweep.round = manifest.round;
+        for (read, unit) in sweep.units.iter_mut().enumerate() {
+            let Some(group) = archive.next()? else {
+                return Err(archive.error(format!("ends after {read} of {groups} group records")));
+            };
+            unit.restore(group, round, &sweep.profilers)
+                .map_err(|message| archive.error(message))?;
+        }
+        if archive.next::<Json>()?.is_some() {
+            return Err(archive.error(format!("holds more than {groups} group records")));
+        }
+        sweep.round = round;
         Ok(sweep)
     }
 
@@ -495,10 +533,6 @@ pub fn shard_file_name(shard: ShardSpec) -> String {
     format!("SHARD_{}_of_{}.json", shard.index, shard.count)
 }
 
-fn group_file_name(cell_index: usize, code_index: usize) -> String {
-    format!("GROUP_{cell_index}_{code_index}.json")
-}
-
 /// The per-code-index SEC Hamming factory for an untrusted configuration
 /// (read from an archive or submitted to the daemon), or why its
 /// `data_bits` yields no code. Validity does not depend on the seed (it only
@@ -533,18 +567,19 @@ pub struct Manifest {
     pub profilers: Vec<ProfilerKind>,
     /// The sweep configuration the archive was generated from.
     pub config: EvaluationConfig,
-    /// Number of code groups the worker owns (one group file each).
+    /// Number of code groups the worker owns (one group record each).
     pub num_groups: usize,
 }
 
-/// Reads and validates the manifest of a checkpoint archive.
+/// Reads and validates the manifest of a checkpoint archive: line 1 of its
+/// [`ARCHIVE_FILE`], without reading the group records after it.
 ///
 /// # Errors
 ///
-/// Returns an error when the manifest is missing, malformed, or of an
-/// unsupported schema version.
+/// Returns an error when the archive file is missing, or its manifest is
+/// missing, malformed, or of an unsupported schema version.
 pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
-    read_record(&dir.join(MANIFEST_FILE))
+    Ok(ArchiveReader::open(dir)?.1)
 }
 
 /// Folds the shard-output files of a distributed sweep back into the single
@@ -684,7 +719,7 @@ fn invalid<S: Into<String>>(message: S) -> io::Error {
 /// tests can assert the exact durability ordering without power-cutting the
 /// host.
 trait ArchiveFs {
-    fn write(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()>;
+    fn create(&mut self, path: &Path) -> io::Result<Box<dyn Write + '_>>;
     fn sync_file(&mut self, path: &Path) -> io::Result<()>;
     fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()>;
     fn sync_dir(&mut self, dir: &Path) -> io::Result<()>;
@@ -695,8 +730,8 @@ trait ArchiveFs {
 struct RealFs;
 
 impl ArchiveFs for RealFs {
-    fn write(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        std::fs::write(path, bytes)
+    fn create(&mut self, path: &Path) -> io::Result<Box<dyn Write + '_>> {
+        Ok(Box::new(io::BufWriter::new(std::fs::File::create(path)?)))
     }
 
     fn sync_file(&mut self, path: &Path) -> io::Result<()> {
@@ -715,7 +750,7 @@ impl ArchiveFs for RealFs {
 /// Writes `json` to `path` so that after a crash — including power loss —
 /// the path holds either the previous contents or the complete new ones:
 ///
-/// 1. write the bytes to `path.tmp`,
+/// 1. write the bytes to `path.tmp` (an archive streams its records there),
 /// 2. fsync the temp file (the rename must never be more durable than the
 ///    data it points at),
 /// 3. atomically rename it over `path`,
@@ -731,14 +766,22 @@ impl ArchiveFs for RealFs {
 ///
 /// Returns any I/O error from writing, syncing, or renaming.
 pub fn write_json_atomically(path: &Path, json: &Json) -> io::Result<()> {
-    write_durably_with(&mut RealFs, path, json)
+    write_durably_with(&mut RealFs, path, |out| {
+        out.write_all(json.render().as_bytes())
+    })
 }
 
-fn write_durably_with<F: ArchiveFs>(fs: &mut F, path: &Path, json: &Json) -> io::Result<()> {
+fn write_durably_with<F: ArchiveFs>(
+    fs: &mut F,
+    path: &Path,
+    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    fs.write(&tmp, json.render().as_bytes())?;
+    let mut out = fs.create(&tmp)?;
+    fill(&mut out).and_then(|()| out.flush())?;
+    drop(out);
     fs.sync_file(&tmp)?;
     fs.rename(&tmp, path)?;
     if let Some(parent) = path.parent() {
@@ -749,8 +792,8 @@ fn write_durably_with<F: ArchiveFs>(fs: &mut F, path: &Path, json: &Json) -> io:
     Ok(())
 }
 
-/// Reads and decodes one record file (an archive group or manifest, a shard
-/// output, a daemon job record). Decode failures name the file.
+/// Reads and decodes one single-record file (a shard output, a daemon job
+/// record). Decode failures name the file.
 ///
 /// # Errors
 ///
@@ -758,10 +801,59 @@ fn write_durably_with<F: ArchiveFs>(fs: &mut F, path: &Path, json: &Json) -> io:
 /// file and the path to the first bad value.
 pub fn read_record<T: JsonCodec>(path: &Path) -> io::Result<T> {
     let text = std::fs::read_to_string(path)?;
-    Json::parse(&text)
+    decode(&text).map_err(|e| invalid(format!("{}: {e}", path.display())))
+}
+
+fn decode<T: JsonCodec>(text: &str) -> Result<T, DecodeError> {
+    Json::parse(text)
         .map_err(DecodeError::from)
         .and_then(|json| T::from_json(&json))
-        .map_err(|e| invalid(format!("{}: {e}", path.display())))
+}
+
+/// An archive file read one record, that is one line, at a time. Errors
+/// name the file and the line.
+struct ArchiveReader {
+    path: PathBuf,
+    lines: io::Lines<io::BufReader<std::fs::File>>,
+    line: usize,
+}
+
+impl ArchiveReader {
+    /// Opens the archive file in `dir` and decodes its manifest, line 1.
+    fn open(dir: &Path) -> io::Result<(Self, Manifest)> {
+        let path = dir.join(ARCHIVE_FILE);
+        let file = std::fs::File::open(&path)
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+        let (lines, line) = (io::BufReader::new(file).lines(), 0);
+        let mut reader = Self { path, lines, line };
+        let manifest = reader
+            .next()?
+            .ok_or_else(|| reader.error("no manifest record"))?;
+        Ok((reader, manifest))
+    }
+
+    /// Decodes the next line's record, or returns `None` past the last line.
+    fn next<T: JsonCodec>(&mut self) -> io::Result<Option<T>> {
+        self.line += 1;
+        let text = self.lines.next().transpose().map_err(|e| self.error(e))?;
+        text.map(|text| decode(&text).map_err(|e| self.error(e)))
+            .transpose()
+    }
+
+    fn error(&self, message: impl std::fmt::Display) -> io::Error {
+        invalid(format!("{}:{}: {message}", self.path.display(), self.line))
+    }
+}
+
+/// Encodes a record as one newline-terminated archive line.
+fn write_line<T: JsonCodec>(out: &mut dyn Write, record: &T) -> io::Result<()> {
+    let mut line = encode(record)?.render();
+    line.push('\n');
+    out.write_all(line.as_bytes())
+}
+
+fn encode<T: JsonCodec>(record: &T) -> io::Result<Json> {
+    record.to_json().map_err(|e| invalid(e.to_string()))
 }
 
 /// Encodes a record and writes it through [`write_json_atomically`].
@@ -772,8 +864,7 @@ pub fn read_record<T: JsonCodec>(path: &Path) -> io::Result<T> {
 /// record holds a non-finite float (the writers run on worker paths that
 /// must not panic).
 pub fn write_record<T: JsonCodec>(path: &Path, record: &T) -> io::Result<()> {
-    let json = record.to_json().map_err(|e| invalid(e.to_string()))?;
-    write_json_atomically(path, &json)
+    write_json_atomically(path, &encode(record)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -781,10 +872,10 @@ pub fn write_record<T: JsonCodec>(path: &Path, record: &T) -> io::Result<()> {
 // wire formats (`tests/golden/` pins it byte for byte).
 // ---------------------------------------------------------------------------
 
-/// One `GROUP_<cell>_<code>.json` file: every profiler's campaign over one
-/// code group, frozen at `round`, with `series[profiler][word]` scored so
-/// far.
-struct GroupFile {
+/// One group record, an archive line after the manifest: every profiler's
+/// campaign over one code group, frozen at `round`, with
+/// `series[profiler][word]` scored so far.
+struct GroupRecord {
     group_index: usize,
     cell_index: usize,
     code_index: usize,
@@ -810,7 +901,7 @@ struct ShardGroup {
 json_record!(Manifest as "schema": CHECKPOINT_SCHEMA_VERSION {
     round, shard, profilers, config, num_groups
 });
-json_record!(GroupFile as "schema": GROUP_SCHEMA_VERSION {
+json_record!(GroupRecord as "schema": GROUP_SCHEMA_VERSION {
     group_index, cell_index, code_index, round, campaigns, series
 });
 json_record!(ShardOutput as "schema": CHECKPOINT_SCHEMA_VERSION {
@@ -919,104 +1010,6 @@ impl JsonCodec for ShardSpec {
     }
 }
 
-/// Rejects campaign checkpoints whose state cannot have come from a run over
-/// this batch: a profiler kind out of lineup order, wrong word count (a
-/// downstream `assert!`), a frozen round disagreeing with the group file's,
-/// bit positions outside the dataword (every profiler set holds dataword
-/// positions, and BEEP-style pattern crafting indexes the dataword with
-/// them), or identified sets too large for the exhaustive error-space
-/// enumeration the predicting profiler kinds perform on restore.
-fn validate_campaign_checkpoint<C: LinearBlockCode + Clone + Send + 'static>(
-    checkpoint: &CampaignCheckpoint,
-    kind: ProfilerKind,
-    round: usize,
-    batch: &CampaignBatch<C>,
-) -> Result<(), String> {
-    let (batch_len, data_len) = (batch.len(), batch.code().data_len());
-    if checkpoint.kind != kind {
-        return Err(format!(
-            "campaign order mismatch: found {}, manifest says {kind}",
-            checkpoint.kind
-        ));
-    }
-    if checkpoint.round != round {
-        return Err(format!(
-            "{} campaign frozen at round {}, group file says {round}",
-            checkpoint.kind, checkpoint.round
-        ));
-    }
-    if checkpoint.words.len() != batch_len {
-        return Err(format!(
-            "{} campaign holds {} words, batch has {batch_len}",
-            checkpoint.kind,
-            checkpoint.words.len()
-        ));
-    }
-    for (index, word) in checkpoint.words.iter().enumerate() {
-        let out_of_range = word
-            .profiler
-            .identified
-            .iter()
-            .chain(&word.profiler.observed_indirect)
-            .find(|&&bit| bit >= data_len);
-        if let Some(bit) = out_of_range {
-            return Err(format!(
-                "word {index}: profiler bit {bit} outside the {data_len}-bit dataword"
-            ));
-        }
-        let predicts = matches!(
-            checkpoint.kind,
-            ProfilerKind::HarpA | ProfilerKind::HarpABeep
-        );
-        if predicts && word.profiler.identified.len() > ErrorSpace::MAX_AT_RISK_BITS {
-            return Err(format!(
-                "word {index}: {} direct bits exceed the exhaustive-analysis limit",
-                word.profiler.identified.len()
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Rejects a profiler's stored series that its campaign over this group
-/// cannot have scored: one per word, each named after the profiler, holding
-/// `round` rounds, with the truth-set sizes of the word's recomputed ground
-/// truth.
-fn validate_series(
-    series: &[CoverageSeries],
-    kind: ProfilerKind,
-    round: usize,
-    spaces: &[ErrorSpace],
-) -> Result<(), String> {
-    if series.len() != spaces.len() {
-        return Err(format!(
-            "{kind}: {} series for {} words",
-            series.len(),
-            spaces.len()
-        ));
-    }
-    for (index, (word, space)) in series.iter().zip(spaces).enumerate() {
-        let fresh = CoverageSeries::new(kind.name(), space);
-        let truth = |s: &CoverageSeries| (s.direct_truth_len, s.indirect_truth_len);
-        let lengths = [
-            word.direct_coverage.len(),
-            word.missed_indirect.len(),
-            word.max_simultaneous.len(),
-        ];
-        if lengths != [round; 3] || word.profiler != fresh.profiler || truth(word) != truth(&fresh)
-        {
-            return Err(format!(
-                "word {index}: a {} series of {lengths:?} rounds over {:?} truth bits \
-                 does not fit {kind} at round {round} over {:?}",
-                word.profiler,
-                truth(word),
-                truth(&fresh)
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Encodes a completed [`CoverageSweep`]; the same as `sweep.to_json()`.
 ///
 /// # Errors
@@ -1032,7 +1025,7 @@ pub fn try_encode_sweep(sweep: &CoverageSweep) -> Result<Json, NonFiniteFloat> {
 mod tests {
     use super::*;
     use crate::experiments::sweep::run_coverage_sweep;
-    use harp_profiler::BatchWord;
+    use harp_profiler::{BatchWord, CampaignBatch};
 
     fn tiny_config() -> EvaluationConfig {
         EvaluationConfig {
@@ -1057,6 +1050,39 @@ mod tests {
             std::env::temp_dir().join(format!("harp_checkpoint_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The archive's lines: the manifest, then one per group.
+    fn archive_lines(dir: &Path) -> Vec<String> {
+        let text = std::fs::read_to_string(dir.join(ARCHIVE_FILE)).unwrap();
+        text.lines().map(str::to_owned).collect()
+    }
+
+    fn write_archive_lines(dir: &Path, lines: &[String]) {
+        let text: String = lines.iter().map(|line| format!("{line}\n")).collect();
+        std::fs::write(dir.join(ARCHIVE_FILE), text).unwrap();
+    }
+
+    fn resume_error(dir: &Path, config: &EvaluationConfig) -> String {
+        ResumableSweep::<HammingCode>::resume(dir, make_code(config))
+            .unwrap_err()
+            .to_string()
+    }
+
+    /// Rewrites the first group record of the `pristine` archive lines
+    /// through `corrupt` and returns the error resuming from them gives.
+    fn corrupt_first_group(
+        dir: &Path,
+        config: &EvaluationConfig,
+        pristine: &[String],
+        corrupt: &dyn Fn(&mut GroupRecord),
+    ) -> String {
+        let mut lines = pristine.to_vec();
+        let mut group: GroupRecord = decode(&lines[1]).unwrap();
+        corrupt(&mut group);
+        lines[1] = group.to_json().unwrap().render();
+        write_archive_lines(dir, &lines);
+        resume_error(dir, config)
     }
 
     #[test]
@@ -1103,6 +1129,14 @@ mod tests {
         let mut sweep = ResumableSweep::new(&config, &KINDS, make_code(&config));
         sweep.advance(7);
         sweep.write_archive(&dir).unwrap();
+        // Rewriting in place leaves the one file, and no temp file.
+        sweep.write_archive(&dir).unwrap();
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(files, [ARCHIVE_FILE]);
+        assert_eq!(archive_lines(&dir).len(), 1 + sweep.num_groups());
 
         let manifest = read_manifest(&dir).unwrap();
         assert_eq!(manifest.round, 7);
@@ -1116,45 +1150,88 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Regression: a crash *during* `write_archive` can leave group files
-    /// the interrupted generation already renamed into place alongside the
-    /// previous generation's manifest. Such a torn archive must resume (the
-    /// ahead groups hold position while the rest catch up) and finish
-    /// identically to the uninterrupted run — it must not be rejected as
-    /// corrupt, which would strand the campaign.
+    /// One rename commits a whole archive, so a group record frozen at
+    /// another round than its manifest's cannot come from a crash. Spliced
+    /// in from an older or a newer generation, it is rejected.
     #[test]
-    fn torn_archives_with_ahead_groups_resume_cleanly() {
+    fn records_from_another_generation_are_rejected() {
         let config = tiny_config();
-        let dir = temp_dir("torn");
-        let newer = temp_dir("torn_newer");
-        let reference = run_coverage_sweep(&config, &KINDS);
-
+        let (older, newer) = (temp_dir("gen_older"), temp_dir("gen_newer"));
         let mut sweep = ResumableSweep::new(&config, &KINDS, make_code(&config));
         sweep.advance(5);
-        sweep.write_archive(&dir).unwrap();
+        sweep.write_archive(&older).unwrap();
         sweep.advance(4);
         sweep.write_archive(&newer).unwrap();
 
-        // Simulate the interrupted generation: one group file from round 9
-        // lands in the round-5 archive, manifest still says 5.
-        let torn_group = group_file_name(0, 0);
-        std::fs::copy(newer.join(&torn_group), dir.join(&torn_group)).unwrap();
-
-        let mut resumed = ResumableSweep::resume(&dir, make_code(&config)).unwrap();
-        assert_eq!(resumed.round(), 5);
-        resumed.advance(config.rounds);
-        assert!(resumed.is_complete());
-        assert_eq!(resumed.into_sweep(), reference);
-
-        // A group *behind* the manifest is still corruption: write_archive
-        // never renames the manifest before its groups, so an older group
-        // under a newer manifest cannot come from a crash.
-        let stale_group = group_file_name(0, 1);
-        std::fs::copy(dir.join(&stale_group), newer.join(&stale_group)).unwrap();
-        let err = ResumableSweep::<HammingCode>::resume(&newer, make_code(&config)).unwrap_err();
-        assert!(err.to_string().contains("frozen at round"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
+        for (into, from) in [(&newer, &older), (&older, &newer)] {
+            let mut lines = archive_lines(into);
+            let pristine = lines.clone();
+            lines[2] = archive_lines(from)[2].clone();
+            write_archive_lines(into, &lines);
+            let err = resume_error(into, &config);
+            assert!(err.contains("frozen at round"), "{err}");
+            assert!(err.contains(":3: "), "names the line: {err}");
+            write_archive_lines(into, &pristine);
+        }
+        ResumableSweep::resume(&older, make_code(&config)).unwrap();
+        std::fs::remove_dir_all(&older).unwrap();
         std::fs::remove_dir_all(&newer).unwrap();
+    }
+
+    /// Every owned group has exactly one record, in group order: a missing
+    /// last record, an extra record and two swapped records are each a
+    /// typed error.
+    #[test]
+    fn archives_hold_exactly_one_record_per_group_in_order() {
+        let config = tiny_config();
+        let dir = temp_dir("record_count");
+        let mut sweep = ResumableSweep::new(&config, &KINDS, make_code(&config));
+        sweep.advance(3);
+        sweep.write_archive(&dir).unwrap();
+        let pristine = archive_lines(&dir);
+        assert_eq!(pristine.len(), 5);
+
+        let reject = |lines: Vec<String>, expected: &str| {
+            write_archive_lines(&dir, &lines);
+            let err = resume_error(&dir, &config);
+            assert!(err.contains(expected), "{err}");
+        };
+        reject(pristine[..4].to_vec(), "ends after 3 of 4 group records");
+        let mut extra = pristine.clone();
+        extra.push(pristine[4].clone());
+        reject(extra, "holds more than 4 group records");
+        let mut swapped = pristine.clone();
+        swapped.swap(1, 2);
+        reject(swapped, "(1, 0, 1) frozen at round 3 where (0, 0, 0)");
+        reject(pristine[..1].to_vec(), "ends after 0 of 4 group records");
+        reject(Vec::new(), "no manifest record");
+
+        // `read_manifest` reads line 1 and nothing past it.
+        let mut damaged = pristine.clone();
+        damaged[1] = "not json".to_owned();
+        write_archive_lines(&dir, &damaged);
+        assert_eq!(read_manifest(&dir).unwrap().round, 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A directory without the archive file — among them any archive
+    /// written in the older one-file-per-group layout — fails with an
+    /// error naming the missing file.
+    #[test]
+    fn resuming_without_an_archive_file_names_it() {
+        let config = tiny_config();
+        let dir = temp_dir("no_archive");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("MANIFEST.json"), "{}").unwrap();
+        let err = ResumableSweep::<HammingCode>::resume(&dir, make_code(&config)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        let missing = dir.join(ARCHIVE_FILE).display().to_string();
+        assert!(err.to_string().contains(&missing), "{err}");
+        assert!(read_manifest(&dir)
+            .unwrap_err()
+            .to_string()
+            .contains(&missing));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1230,48 +1307,57 @@ mod tests {
         let mut sweep = ResumableSweep::new(&config, &KINDS, make_code(&config));
         sweep.advance(3);
         sweep.write_archive(&dir).unwrap();
+        let pristine = archive_lines(&dir);
+        let reject = |line: usize, from: &str, to: &str, expected: &str| {
+            let mut lines = pristine.clone();
+            assert!(lines[line].starts_with(from), "{}", lines[line]);
+            lines[line] = lines[line].replacen(from, to, 1);
+            write_archive_lines(&dir, &lines);
+            let err = resume_error(&dir, &config);
+            assert!(err.contains(expected), "{err}");
+        };
 
         // Wrong schema version in the manifest.
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let text = std::fs::read_to_string(&manifest_path).unwrap();
-        std::fs::write(
-            &manifest_path,
-            text.replacen("\"schema\":1", "\"schema\":999", 1),
-        )
-        .unwrap();
-        let err = ResumableSweep::<HammingCode>::resume(&dir, make_code(&config)).unwrap_err();
-        assert!(err.to_string().contains("schema"), "{err}");
-        std::fs::write(&manifest_path, text).unwrap();
-
-        // A group file from before scored series replaced snapshot
+        reject(0, "{\"schema\":1", "{\"schema\":999", "schema");
+        // A group record from before scored series replaced snapshot
         // histories (schema 1) is refused with the typed schema error.
-        let group_path = dir.join(group_file_name(1, 0));
-        let text = std::fs::read_to_string(&group_path).unwrap();
-        assert!(text.starts_with("{\"schema\":2,"), "{text}");
-        std::fs::write(
-            &group_path,
-            text.replacen("\"schema\":2", "\"schema\":1", 1),
-        )
-        .unwrap();
-        let err = ResumableSweep::<HammingCode>::resume(&dir, make_code(&config)).unwrap_err();
-        assert!(
-            err.to_string().contains("schema: expected 2, found 1"),
-            "{err}"
+        reject(
+            3,
+            "{\"schema\":2",
+            "{\"schema\":1",
+            "schema: expected 2, found 1",
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// An [`ArchiveFs`] that records the operation sequence instead of
-    /// touching disk, so the durability ordering is asserted directly.
+    /// touching disk, so the durability ordering is asserted directly, and
+    /// keeps each chunk the writer streamed.
     #[derive(Default)]
     struct RecordingFs {
         ops: Vec<String>,
+        chunks: Chunks,
+    }
+
+    /// A sink that keeps the bytes of every `write` call apart.
+    #[derive(Default)]
+    struct Chunks(Vec<String>);
+
+    impl Write for Chunks {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(String::from_utf8(buf.to_vec()).unwrap());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
     }
 
     impl ArchiveFs for RecordingFs {
-        fn write(&mut self, path: &Path, _bytes: &[u8]) -> io::Result<()> {
+        fn create(&mut self, path: &Path) -> io::Result<Box<dyn Write + '_>> {
             self.ops.push(format!("write {}", path.display()));
-            Ok(())
+            Ok(Box::new(&mut self.chunks))
         }
 
         fn sync_file(&mut self, path: &Path) -> io::Result<()> {
@@ -1293,22 +1379,34 @@ mod tests {
 
     /// Regression: the writer used to skip both fsyncs, so after power loss
     /// a journalled rename could land while the renamed file's data blocks
-    /// did not — a durable manifest pointing at zero-length group files.
-    /// The durable sequence is exactly: write temp, sync temp *before* the
-    /// rename, rename, sync the parent directory after.
+    /// did not — a durable name pointing at a zero-length file. The durable
+    /// sequence is exactly: write temp, sync temp *before* the rename,
+    /// rename, sync the parent directory after — once per archive, however
+    /// many group records it streams, each record in a write of its own.
     #[test]
     fn durable_write_syncs_file_before_rename_and_directory_after() {
+        let config = tiny_config();
+        let mut sweep = ResumableSweep::new(&config, &KINDS, make_code(&config));
+        sweep.advance(2);
         let mut fs = RecordingFs::default();
-        write_durably_with(&mut fs, Path::new("/archive/MANIFEST.json"), &Json::Null).unwrap();
+        sweep
+            .write_archive_with(&mut fs, Path::new("/archive"))
+            .unwrap();
         assert_eq!(
             fs.ops,
             vec![
-                "write /archive/MANIFEST.json.tmp",
-                "sync_file /archive/MANIFEST.json.tmp",
-                "rename /archive/MANIFEST.json.tmp -> /archive/MANIFEST.json",
+                "write /archive/ARCHIVE.jsonl.tmp",
+                "sync_file /archive/ARCHIVE.jsonl.tmp",
+                "rename /archive/ARCHIVE.jsonl.tmp -> /archive/ARCHIVE.jsonl",
                 "sync_dir /archive",
             ]
         );
+        let records = &fs.chunks.0;
+        assert_eq!(records.len(), 1 + sweep.num_groups());
+        for record in records {
+            assert_eq!(record.find('\n'), Some(record.len() - 1), "{record}");
+        }
+        assert_eq!(decode::<Manifest>(&records[0]).unwrap().round, 2);
     }
 
     #[test]
@@ -1332,10 +1430,11 @@ mod tests {
     /// Regression: these corruptions used to panic past the decode layer —
     /// a word-count mismatch tripped `BatchRun::resume`'s assert, an
     /// oversized identified set tripped the exhaustive-enumeration assert
-    /// inside the predicting profilers' `restore`, and a BEEP bit past the
+    /// inside the predicting profilers' `restore`, a BEEP bit past the
     /// dataword (but inside the codeword, which is what resume used to
     /// bound by) passed resume and tripped `craft_beep_pattern` on the next
-    /// advance. All must surface as `Err` from `resume`.
+    /// advance, and a crafted-pattern counter at `usize::MAX` overflowed on
+    /// the next crafted round. All must surface as `Err` from `resume`.
     #[test]
     fn corrupt_group_state_is_an_error_not_a_panic() {
         let config = tiny_config();
@@ -1344,26 +1443,20 @@ mod tests {
         let mut sweep = ResumableSweep::new(&config, &kinds, make_code(&config));
         sweep.advance(2);
         sweep.write_archive(&dir).unwrap();
-        let group_path = dir.join(group_file_name(0, 0));
-        let pristine: GroupFile = read_record(&group_path).unwrap();
-        let mutate = |corrupt: &dyn Fn(&mut GroupFile)| {
-            let mut group = read_record(&group_path).unwrap();
-            corrupt(&mut group);
-            write_record(&group_path, &group).unwrap();
-            let err = ResumableSweep::<HammingCode>::resume(&dir, make_code(&config)).unwrap_err();
-            write_record(&group_path, &pristine).unwrap();
-            err
+        let pristine = archive_lines(&dir);
+        let mutate = |corrupt: &dyn Fn(&mut GroupRecord)| {
+            corrupt_first_group(&dir, &config, &pristine, corrupt)
         };
 
         // Drop one word from the first campaign.
         let err = mutate(&|group| {
             group.campaigns[0].words.pop();
         });
-        assert!(err.to_string().contains("words"), "{err}");
+        assert!(err.contains("words"), "{err}");
 
         // Overwrite one campaign's word-0 profiler identified set.
         let poison_identified = |campaign: usize, bits: Vec<usize>| {
-            move |group: &mut GroupFile| {
+            move |group: &mut GroupRecord| {
                 group.campaigns[campaign].words[0].profiler.identified =
                     bits.iter().copied().collect();
             }
@@ -1372,20 +1465,25 @@ mod tests {
         // Past the exhaustive-analysis limit for the predicting HARP-A
         // campaign: used to abort inside `restore`'s enumeration assert.
         let err = mutate(&poison_identified(0, (0..30).collect()));
-        assert!(err.to_string().contains("exhaustive-analysis"), "{err}");
+        assert!(err.contains("exhaustive-analysis"), "{err}");
 
         // A profiler bit outside the codeword.
         let err = mutate(&poison_identified(0, vec![9999]));
-        assert!(err.to_string().contains("outside"), "{err}");
+        assert!(err.contains("outside"), "{err}");
 
         // A BEEP bit inside the 71-bit codeword but past the 64-bit
         // dataword.
         assert_eq!(config.data_bits, 64);
         let err = mutate(&poison_identified(2, vec![66]));
-        assert!(
-            err.to_string().contains("outside the 64-bit dataword"),
-            "{err}"
-        );
+        assert!(err.contains("outside the 64-bit dataword"), "{err}");
+
+        // More crafted BEEP patterns than rounds run.
+        let err = mutate(&|group| {
+            for word in &mut group.campaigns[2].words {
+                word.profiler.crafted_rounds = usize::MAX;
+            }
+        });
+        assert!(err.contains("crafted patterns in 2 rounds"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1399,15 +1497,12 @@ mod tests {
         let mut sweep = ResumableSweep::new(&config, &KINDS, make_code(&config));
         sweep.advance(3);
         sweep.write_archive(&dir).unwrap();
-        let group_path = dir.join(group_file_name(0, 0));
-        let pristine: GroupFile = read_record(&group_path).unwrap();
+        let pristine = archive_lines(&dir);
+        let mutate = |corrupt: &dyn Fn(&mut GroupRecord)| {
+            corrupt_first_group(&dir, &config, &pristine, corrupt)
+        };
         let reject = |corrupt: fn(&mut CoverageSeries)| {
-            let mut group = read_record::<GroupFile>(&group_path).unwrap();
-            corrupt(&mut group.series[0][1]);
-            write_record(&group_path, &group).unwrap();
-            let err = ResumableSweep::<HammingCode>::resume(&dir, make_code(&config)).unwrap_err();
-            write_record(&group_path, &pristine).unwrap();
-            let err = err.to_string();
+            let err = mutate(&|group| corrupt(&mut group.series[0][1]));
             assert!(
                 err.contains("word 1: a ") && err.contains("does not fit"),
                 "{err}"
@@ -1417,11 +1512,10 @@ mod tests {
         reject(|series| series.max_simultaneous.clear());
         reject(|series| series.indirect_truth_len += 1);
         reject(|series| series.profiler = "Naive".to_owned());
-        let mut group = pristine;
-        group.series[1].pop();
-        write_record(&group_path, &group).unwrap();
-        let err = ResumableSweep::<HammingCode>::resume(&dir, make_code(&config)).unwrap_err();
-        assert!(err.to_string().contains("series for"), "{err}");
+        let err = mutate(&|group| {
+            group.series[1].pop();
+        });
+        assert!(err.contains("(round, words, series)"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1435,13 +1529,9 @@ mod tests {
         let mut sweep = ResumableSweep::new(&config, &KINDS, make_code(&config));
         sweep.advance(1);
         sweep.write_archive(&dir).unwrap();
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let text = std::fs::read_to_string(&manifest_path).unwrap();
-        std::fs::write(
-            &manifest_path,
-            text.replacen("\"data_bits\":64", "\"data_bits\":0", 1),
-        )
-        .unwrap();
+        let mut lines = archive_lines(&dir);
+        lines[0] = lines[0].replacen("\"data_bits\":64", "\"data_bits\":0", 1);
+        write_archive_lines(&dir, &lines);
         let err = read_manifest(&dir).unwrap_err();
         assert!(err.to_string().contains("data_bits"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();

@@ -105,7 +105,7 @@ pub fn run_with_rbers(config: &EvaluationConfig, rbers: &[f64]) -> Fig10Result {
             let per_group: Vec<Vec<Vec<CoverageSeries>>> =
                 parallel_map(&groups, config.threads, |group| {
                     let mut unit = GroupUnit::new(group, &PROFILERS, config.pattern);
-                    unit.advance_to(config.rounds);
+                    unit.advance(config.rounds);
                     unit.series
                 });
 

@@ -141,13 +141,12 @@ impl<C: LinearBlockCode + Clone + Send + 'static> GroupUnit<C> {
         }
     }
 
-    /// Advances every profiler's campaign to round `target`, one after
+    /// Advances every profiler's campaign by `rounds` rounds, one after
     /// another, scoring each word's round into its series as it is
-    /// produced. A campaign already at or past `target` holds position.
-    pub(crate) fn advance_to(&mut self, target: usize) {
+    /// produced.
+    pub(crate) fn advance(&mut self, rounds: usize) {
         for (run, series) in self.runs.iter_mut().zip(&mut self.series) {
-            let behind = target.saturating_sub(run.round());
-            run.advance(behind, |word, profiler| {
+            run.advance(rounds, |word, profiler| {
                 series[word].push_round(
                     &self.spaces[word],
                     profiler.identified(),
@@ -201,7 +200,7 @@ where
             );
             let per_group = parallel_map(&groups, config.threads, |group| {
                 let mut unit = GroupUnit::new(group, profilers, config.pattern);
-                unit.advance_to(config.rounds);
+                unit.advance(config.rounds);
                 unit.label(error_count, probability)
             });
             evaluations.extend(per_group.into_iter().flatten());

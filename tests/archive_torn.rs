@@ -5,16 +5,16 @@
 //! process hosting it can die mid-write: a torn rename, a half-synced page,
 //! a bit flip on a bad disk. The resume path therefore treats the archive
 //! as untrusted input. This suite property-tests that contract directly:
-//! take a pristine mid-sweep archive, damage one file at a
-//! property-chosen offset (truncate, byte flip, or deletion), and resume.
+//! take a pristine mid-sweep archive, damage its one file at a
+//! property-chosen offset or line (truncate, byte flip, file deletion, line
+//! deletion, or line duplication), and resume.
 //!
 //! Two outcomes are acceptable:
 //!
 //! * `Err` with a non-empty description (the damage was detected), or
 //! * `Ok` — in which case the resumed sweep must advance to completion and
 //!   assemble its result without panicking (e.g. a flipped byte inside a
-//!   JSON string that still parses; torn-archive semantics also explicitly
-//!   accept group files one generation *ahead* of the manifest).
+//!   JSON string that still parses).
 //!
 //! Any panic — the pre-fix failure mode for short word lists, corrupt RNG
 //! cursors, oversized identified sets, and zeroed configuration fields —
@@ -28,14 +28,14 @@ use proptest::prelude::*;
 
 use harp_ecc::HammingCode;
 use harp_profiler::ProfilerKind;
-use harp_sim::checkpoint::ResumableSweep;
+use harp_sim::checkpoint::{ResumableSweep, ARCHIVE_FILE};
 use harp_sim::EvaluationConfig;
 
 /// Small enough that each accepted-then-completed case costs milliseconds.
 fn tiny_config() -> EvaluationConfig {
     EvaluationConfig {
         data_bits: 16,
-        num_codes: 1,
+        num_codes: 2,
         words_per_code: 2,
         rounds: 6,
         error_counts: vec![2],
@@ -50,8 +50,8 @@ fn make_code(seed: u64) -> HammingCode {
 }
 
 /// Writes a pristine archive checkpointed mid-sweep (round 3 of 6) and
-/// returns its files, manifest last (write order).
-fn build_pristine(dir: &Path) -> Vec<PathBuf> {
+/// returns the path of its one file: the manifest and two group records.
+fn build_pristine(dir: &Path) -> PathBuf {
     let config = tiny_config();
     let kinds = vec![
         ProfilerKind::HarpA,
@@ -61,15 +61,10 @@ fn build_pristine(dir: &Path) -> Vec<PathBuf> {
     let mut sweep = ResumableSweep::new(&config, &kinds, make_code);
     sweep.advance(3);
     sweep.write_archive(dir).expect("pristine archive");
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
-        .expect("archive dir")
-        .map(|entry| entry.expect("entry").path())
-        .collect();
-    files.sort();
-    files
+    dir.join(ARCHIVE_FILE)
 }
 
-/// One way to damage one file.
+/// One way to damage the archive file.
 #[derive(Debug, Clone)]
 enum Tear {
     /// Cut the file off at a fraction of its length (0 ⇒ empty file).
@@ -78,6 +73,10 @@ enum Tear {
     Flip(f64, u8),
     /// Remove the file entirely.
     Delete,
+    /// Remove the line at a fraction of the line count.
+    DeleteLine(f64),
+    /// Repeat the line at a fraction of the line count.
+    DuplicateLine(f64),
 }
 
 fn apply_tear(path: &Path, tear: &Tear) {
@@ -99,17 +98,30 @@ fn apply_tear(path: &Path, tear: &Tear) {
         Tear::Delete => {
             std::fs::remove_file(path).expect("delete");
         }
+        Tear::DeleteLine(fraction) | Tear::DuplicateLine(fraction) => {
+            let text = std::fs::read_to_string(path).expect("readable archive file");
+            let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
+            let index = (((lines.len() - 1) as f64) * fraction) as usize;
+            if matches!(tear, Tear::DeleteLine(_)) {
+                lines.remove(index);
+            } else {
+                lines.insert(index, lines[index]);
+            }
+            std::fs::write(path, lines.concat()).expect("rewrite lines");
+        }
     }
 }
 
 fn tear_strategy() -> impl Strategy<Value = Tear> {
     // Offsets as permille of the file length (the vendored proptest has no
     // float range strategy).
-    (0u8..3, 0u32..1000, any::<u8>()).prop_map(|(kind, permille, mask)| {
+    (0u8..5, 0u32..1000, any::<u8>()).prop_map(|(kind, permille, mask)| {
         let at = f64::from(permille) / 1000.0;
         match kind {
             0 => Tear::Truncate(at),
             1 => Tear::Flip(at, mask),
+            2 => Tear::DeleteLine(at),
+            3 => Tear::DuplicateLine(at),
             _ => Tear::Delete,
         }
     })
@@ -126,18 +138,13 @@ fn case_dir() -> PathBuf {
 }
 
 proptest! {
-    /// Damage one archive file anywhere: resume detects it (`Err` with a
+    /// Damage the archive file anywhere: resume detects it (`Err` with a
     /// message) or absorbs it (`Ok` that runs to completion). Never a
     /// panic.
     #[test]
-    fn resume_from_a_torn_archive_never_panics(
-        file_selector in 0usize..64,
-        tear in tear_strategy(),
-    ) {
+    fn resume_from_a_torn_archive_never_panics(tear in tear_strategy()) {
         let dir = case_dir();
-        let files = build_pristine(&dir);
-        let target = &files[file_selector % files.len()];
-        apply_tear(target, &tear);
+        apply_tear(&build_pristine(&dir), &tear);
 
         match ResumableSweep::resume(&dir, make_code) {
             Err(err) => {

@@ -7,9 +7,10 @@
 //!
 //! * **Campaign layer** — for **every profiler kind** and **every code
 //!   family** (SEC Hamming, SEC-DED extended Hamming, DEC BCH), a sweep
-//!   frozen at a random round into its group files on disk (each word's RNG
-//!   position and profiler state, plus the coverage series scored so far),
-//!   thawed from them, and frozen and thawed once more, finishes
+//!   frozen at a random round into its archive's group records on disk
+//!   (each word's RNG position and profiler state, plus the coverage series
+//!   scored so far), thawed from them, and frozen and thawed once more,
+//!   finishes
 //!   byte-identical (serialized form included) to the uninterrupted run.
 //! * **Sweep layer** — a [`ResumableSweep`] driven through on-disk archives
 //!   (`write_archive` → `resume`, twice) reconstructs exactly the
@@ -98,7 +99,7 @@ proptest! {
     /// The headline differential property: for random word populations and
     /// two random interruption points (including round 0 and the final
     /// round as edge cases of the draw), every profiler kind finishes
-    /// byte-identically after resuming from group files, for all three code
+    /// byte-identically after resuming from group records, for all three code
     /// families.
     #[test]
     fn resume_equals_uninterrupted_for_all_kinds_and_codes(
