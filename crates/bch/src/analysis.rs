@@ -208,7 +208,6 @@ mod tests {
             assert_eq!(space.missed_post_correction(&empty), all);
         }
         assert!(space.missed_indirect(&all).is_empty());
-        assert!(!space.outcomes().is_empty());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! chip's parity cells survive it. The original BEER methodology does not
 //! need this assumption — it feeds the resulting ambiguity about charged
 //! parity-cell failures to a SAT solver — but the artefact it recovers is the
-//! same miscorrection profile. DESIGN.md §2 records the substitution.
+//! same miscorrection profile.
 
 use std::collections::BTreeMap;
 

@@ -31,7 +31,8 @@
 //! The original BEER work hands the consistency problem to the Z3 SAT
 //! solver. Here the same constraints are expressed as GF(2) linear equations
 //! over the unknown columns plus distinctness side conditions, solved exactly
-//! (see DESIGN.md §2 for the substitution argument).
+//! (ROADMAP.md's Architecture section, "Reconstruction constraint system",
+//! walks through the pipeline).
 //!
 //! # Example
 //!

@@ -1,6 +1,6 @@
 //! Fig. 6 bench: regenerates the direct-error coverage curves (HARP-U vs.
 //! Naive vs. BEEP) and times the coverage sweep. Includes the data-pattern
-//! ablation called out in DESIGN.md §5.
+//! ablation (`harp_sim::experiments::ablation`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use harp_bench::{bench_config, small_bench_config};

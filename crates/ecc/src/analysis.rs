@@ -7,18 +7,27 @@
 //!   at-risk bits) for SEC codes;
 //! * [`ErrorSpace`] enumerates, for a concrete code and a concrete set of
 //!   at-risk pre-correction bits, *every* achievable post-correction error —
-//!   the ground truth the paper computes with the Z3 SAT solver. Because the
-//!   constraints are linear over GF(2) and the at-risk sets are small, exact
-//!   enumeration plus Gaussian elimination computes identical results
-//!   (see DESIGN.md §2). Enumeration drives the code's own decoder on each
-//!   achievable raw error pattern, so it is exact for *any* implementation of
-//!   the trait — SEC Hamming, SEC-DED, and DEC BCH alike;
+//!   the ground truth the paper computes with the Z3 SAT solver. The
+//!   constraints are linear over GF(2) and the at-risk sets are small, so
+//!   exhaustive enumeration computes the same sets exactly. Each subset of
+//!   the at-risk bits is decoded by the code's own
+//!   [`decode_with_syndrome_into`](LinearBlockCode::decode_with_syndrome_into),
+//!   walking the subsets in Gray-code order so that one bit flip and one
+//!   syndrome XOR separate consecutive patterns. Only subsets holding a
+//!   parity position need the chargeability solve ([`charging_dataword`]);
+//!   every set of data bits can be charged under any [`FailureDependence`].
+//!   The space keeps each pattern's post-correction errors, and its direct
+//!   and indirect bits, as dataword bit masks, and [`ErrorSpace::score`]
+//!   scores a profiler's round against them. Because the decoder is the
+//!   code's own, the space is exact for *any* implementation of the trait —
+//!   SEC Hamming, SEC-DED, and DEC BCH alike;
 //! * [`classify_decode`] labels a decode with its ground truth (true
 //!   correction vs. miscorrection vs. silent corruption), which the decoder
 //!   itself cannot know;
 //! * [`predict_indirect_from_direct`] implements HARP-A's precomputation of
 //!   indirect-error at-risk bits from the direct-error at-risk bits found
-//!   during active profiling.
+//!   during active profiling, and [`IndirectPredictor`] computes the same
+//!   set incrementally, decoding only the patterns a new direct bit adds.
 
 use std::collections::BTreeSet;
 
@@ -28,6 +37,9 @@ use harp_gf2::{solve, BitVec, Gf2Matrix};
 
 use crate::block::LinearBlockCode;
 use crate::decoder::{DecodeOutcome, DecodeResult};
+
+/// Bits per word of a packed dataword mask.
+const MASK_BITS: usize = 64;
 
 /// Closed-form counts behind Table 2 of the paper: how a handful of bits at
 /// risk of pre-correction error explodes into exponentially many bits at risk
@@ -300,36 +312,74 @@ pub fn charging_dataword<C: LinearBlockCode + ?Sized>(
     }
 }
 
-/// The outcome of a single achievable pre-correction error pattern.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PatternOutcome {
-    /// The pre-correction error positions (codeword indices) that fail
-    /// together in this pattern.
-    pub raw_positions: Vec<usize>,
-    /// The post-correction error positions (dataword indices) the memory
-    /// controller observes when exactly this pattern occurs.
-    pub post_correction_errors: Vec<usize>,
-    /// The miscorrection positions introduced by the decoder, if any
-    /// (codeword indices; at most the code's correction capability).
-    pub miscorrections: Vec<usize>,
+/// Decodes raw error patterns (against the all-zero codeword) that differ
+/// from one another by single bit flips. The pattern and its packed
+/// syndrome are updated in place, and each decode writes into reused
+/// buffers.
+#[derive(Debug, Clone, Default)]
+struct PatternWalk {
+    error: BitVec,
+    syndrome: u64,
+    decoded: DecodeResult,
 }
 
-impl PatternOutcome {
-    /// The single miscorrection position, when exactly one was introduced
-    /// (always the case for SEC codes).
-    pub fn miscorrection(&self) -> Option<usize> {
-        match self.miscorrections.as_slice() {
-            [position] => Some(*position),
-            _ => None,
-        }
+impl PatternWalk {
+    /// Starts over from the all-zero pattern of `code`.
+    fn start<C: LinearBlockCode + ?Sized>(&mut self, code: &C) {
+        self.error.reset(code.codeword_len());
+        self.syndrome = 0;
     }
+
+    /// The packed syndrome of a single error at `position`.
+    fn column<C: LinearBlockCode + ?Sized>(code: &C, position: usize) -> u64 {
+        let single = BitVec::from_indices(code.codeword_len(), [position]);
+        code.syndrome_kernel().syndrome_word(&single)
+    }
+
+    fn flip(&mut self, position: usize, column: u64) {
+        self.error.flip(position);
+        self.syndrome ^= column;
+    }
+
+    /// Decodes the current pattern. Decoding is data-independent for a
+    /// linear code, so the decoded dataword *is* the pattern's
+    /// post-correction error mask.
+    fn decode<C: LinearBlockCode + ?Sized>(&mut self, code: &C) -> &DecodeResult {
+        code.decode_with_syndrome_into(&self.error, self.syndrome, &mut self.decoded);
+        &self.decoded
+    }
+}
+
+/// Ones in `mask` outside `known`, summed over the words of a dataword mask.
+fn count_outside(mask: &[u64], known: &[u64]) -> usize {
+    mask.iter()
+        .zip(known)
+        .map(|(&m, &k)| (m & !k).count_ones() as usize)
+        .sum()
+}
+
+/// One profiling round scored against a word's ground truth (see
+/// [`ErrorSpace::score`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RoundScore {
+    /// Identified bits at risk of direct error (Fig. 6's numerator).
+    pub direct_hits: usize,
+    /// Bits at risk of indirect error that are neither identified nor
+    /// predicted (Fig. 8).
+    pub missed_indirect: usize,
+    /// The most post-correction errors one achievable pattern can still
+    /// cause outside the identified and predicted bits (Fig. 9).
+    pub max_simultaneous: usize,
 }
 
 /// The exact post-correction error space of a set of at-risk pre-correction
 /// bits under a given code.
 ///
 /// This is the simulator's ground truth: profilers are scored by how much of
-/// [`ErrorSpace::post_correction_at_risk`] they cover.
+/// [`ErrorSpace::post_correction_at_risk`] they cover. Besides the sets, the
+/// space keeps dataword bit masks (`⌈k/64⌉` words each) of its direct and
+/// indirect bits and of every achievable pattern's post-correction errors,
+/// which [`ErrorSpace::score`] reads.
 ///
 /// # Example
 ///
@@ -349,7 +399,11 @@ pub struct ErrorSpace {
     direct_at_risk: BTreeSet<usize>,
     indirect_at_risk: BTreeSet<usize>,
     post_correction_at_risk: BTreeSet<usize>,
-    outcomes: Vec<PatternOutcome>,
+    direct_mask: BitVec,
+    indirect_mask: BitVec,
+    /// The post-correction error mask of every achievable pattern that
+    /// causes any, one after another.
+    pattern_errors: Vec<u64>,
 }
 
 impl ErrorSpace {
@@ -365,12 +419,20 @@ impl ErrorSpace {
     /// with the code's own decoder — decoding an error pattern against the
     /// all-zero codeword is exact for linear codes — so the enumeration is
     /// correct for any [`LinearBlockCode`], whatever its correction
-    /// capability.
+    /// capability. Subsets are visited in Gray-code order: each differs
+    /// from the last by one bit, so the pattern and its packed syndrome are
+    /// updated in place and decoded by
+    /// [`decode_with_syndrome_into`](LinearBlockCode::decode_with_syndrome_into)
+    /// into reused buffers. Only a subset holding a parity position can be
+    /// unchargeable, so only those run the GF(2) solve of
+    /// [`charging_dataword`]. The decoded dataword of each pattern is its
+    /// post-correction error mask; the space keeps the nonzero ones.
     ///
     /// # Panics
     ///
-    /// Panics if more than [`Self::MAX_AT_RISK_BITS`] positions are given or
-    /// if any position is out of range.
+    /// Panics if more than [`Self::MAX_AT_RISK_BITS`] positions are given,
+    /// if any position is out of range, or if the code's syndrome is wider
+    /// than 64 bits (as every burst read also requires).
     pub fn enumerate<C: LinearBlockCode + ?Sized>(
         code: &C,
         at_risk_positions: &[usize],
@@ -391,68 +453,60 @@ impl ErrorSpace {
             );
         }
         let positions: Vec<usize> = unique.iter().copied().collect();
-        let n = positions.len();
-        let k = code.data_len();
-
-        let mut outcomes = Vec::new();
-        let mut post_at_risk = BTreeSet::new();
-
-        for mask in 1u64..(1u64 << n) {
-            let subset: Vec<usize> = (0..n)
-                .filter(|&i| mask & (1 << i) != 0)
-                .map(|i| positions[i])
-                .collect();
-            if charging_dataword(code, &subset, dependence).is_none() {
-                continue;
-            }
-
-            // Decoding is data-independent for a linear code, so decode the
-            // error pattern against the all-zero codeword.
-            let error = BitVec::from_indices(code.codeword_len(), subset.iter().copied());
-            let result = code.decode_error_pattern(&error);
-            let flipped: BTreeSet<usize> = result
-                .outcome
-                .corrected_positions()
-                .iter()
-                .copied()
-                .collect();
-
-            let subset_set: BTreeSet<usize> = subset.iter().copied().collect();
-            let mut post = BTreeSet::new();
-            for p in 0..k {
-                if subset_set.contains(&p) != flipped.contains(&p) {
-                    post.insert(p);
+        let columns: Vec<u64> = positions
+            .iter()
+            .map(|&pos| PatternWalk::column(code, pos))
+            .collect();
+        let layout = code.layout();
+        // Bit i marks positions[i] as a parity position.
+        let parity = positions
+            .iter()
+            .enumerate()
+            .filter(|&(_, &pos)| !layout.is_data(pos))
+            .fold(0u64, |bits, (i, _)| bits | 1 << i);
+        let mut walk = PatternWalk::default();
+        walk.start(code);
+        let mut pattern_errors = Vec::new();
+        let mut post_mask = BitVec::zeros(code.data_len());
+        let mut subset_positions = Vec::new();
+        for step in 1u64..(1u64 << positions.len()) {
+            let flipped = step.trailing_zeros() as usize;
+            walk.flip(positions[flipped], columns[flipped]);
+            let subset = step ^ (step >> 1);
+            if subset & parity != 0 {
+                subset_positions.clear();
+                subset_positions.extend(
+                    (0..positions.len())
+                        .filter(|&i| subset >> i & 1 == 1)
+                        .map(|i| positions[i]),
+                );
+                if charging_dataword(code, &subset_positions, dependence).is_none() {
+                    continue;
                 }
             }
-            let miscorrections: Vec<usize> = flipped.difference(&subset_set).copied().collect();
-
-            post_at_risk.extend(post.iter().copied());
-            outcomes.push(PatternOutcome {
-                raw_positions: subset,
-                post_correction_errors: post.into_iter().collect(),
-                miscorrections,
-            });
+            let errors = &walk.decode(code).dataword;
+            if !errors.is_zero() {
+                post_mask |= errors;
+                pattern_errors.extend_from_slice(errors.as_words());
+            }
         }
 
-        let layout = code.layout();
-        let direct_at_risk: BTreeSet<usize> = unique
+        let direct_at_risk: BTreeSet<usize> = positions
             .iter()
             .copied()
-            .filter(|&p| layout.is_data(p))
-            .filter(|&p| is_chargeable(code, &[p], dependence))
+            .filter(|&pos| layout.is_data(pos))
             .collect();
-        let indirect_at_risk: BTreeSet<usize> = post_at_risk
-            .iter()
-            .copied()
-            .filter(|p| !direct_at_risk.contains(p))
-            .collect();
-
+        let direct_mask = BitVec::from_indices(code.data_len(), direct_at_risk.iter().copied());
+        let mut indirect_mask = direct_mask.not();
+        indirect_mask &= &post_mask;
         Self {
             at_risk_pre_correction: unique,
             direct_at_risk,
-            indirect_at_risk,
-            post_correction_at_risk: post_at_risk,
-            outcomes,
+            indirect_at_risk: indirect_mask.iter_ones().collect(),
+            post_correction_at_risk: post_mask.iter_ones().collect(),
+            direct_mask,
+            indirect_mask,
+            pattern_errors,
         }
     }
 
@@ -479,9 +533,55 @@ impl ErrorSpace {
         &self.post_correction_at_risk
     }
 
-    /// Every achievable pre-correction error pattern and its consequences.
-    pub fn outcomes(&self) -> &[PatternOutcome] {
-        &self.outcomes
+    /// Scores one profiling round: the bits a profiler has `identified` and
+    /// the bits it `predicted`, against this ground truth. One pass over
+    /// dataword masks gives all three numbers of [`RoundScore`]. Bits at or
+    /// past the dataword length are ignored, because no truth set holds
+    /// them.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use std::collections::BTreeSet;
+    /// use harp_ecc::{HammingCode, ErrorSpace, analysis::FailureDependence};
+    ///
+    /// let code = HammingCode::paper_example();
+    /// let space = ErrorSpace::enumerate(&code, &[0, 1], FailureDependence::TrueCell);
+    /// let identified: BTreeSet<usize> = [0, 1].into_iter().collect();
+    /// let score = space.score(&identified, &BTreeSet::new());
+    /// assert_eq!(score.direct_hits, 2);
+    /// assert_eq!(score.missed_indirect, space.indirect_at_risk().len());
+    /// ```
+    pub fn score(&self, identified: &BTreeSet<usize>, predicted: &BTreeSet<usize>) -> RoundScore {
+        let words = self.direct_mask.as_words().len();
+        // Datawords of up to 256 bits score without allocating.
+        let mut inline = [0u64; 4];
+        let mut spilled = Vec::new();
+        let known: &mut [u64] = if words <= inline.len() {
+            &mut inline[..words]
+        } else {
+            spilled.resize(words, 0);
+            &mut spilled
+        };
+        let mark = |known: &mut [u64], bits: &BTreeSet<usize>| {
+            for &bit in bits.range(..self.direct_mask.len()) {
+                known[bit / MASK_BITS] |= 1 << (bit % MASK_BITS);
+            }
+        };
+        mark(known, identified);
+        let direct_hits =
+            self.direct_at_risk.len() - count_outside(self.direct_mask.as_words(), known);
+        mark(known, predicted);
+        RoundScore {
+            direct_hits,
+            missed_indirect: count_outside(self.indirect_mask.as_words(), known),
+            max_simultaneous: self
+                .pattern_errors
+                .chunks_exact(words.max(1))
+                .map(|errors| count_outside(errors, known))
+                .max()
+                .unwrap_or(0),
+        }
     }
 
     /// Dataword positions at risk of post-correction error that are *not* in
@@ -502,18 +602,10 @@ impl ErrorSpace {
     /// occur *simultaneously* in positions outside `repaired` — i.e. the
     /// correction capability a secondary ECC needs in order to safely perform
     /// reactive profiling after the profile `repaired` has been repaired
-    /// (Fig. 9 of the paper).
+    /// (Fig. 9 of the paper). This is [`ErrorSpace::score`]'s
+    /// `max_simultaneous` for the repaired bits.
     pub fn max_simultaneous_errors_outside(&self, repaired: &BTreeSet<usize>) -> usize {
-        self.outcomes
-            .iter()
-            .map(|o| {
-                o.post_correction_errors
-                    .iter()
-                    .filter(|p| !repaired.contains(p))
-                    .count()
-            })
-            .max()
-            .unwrap_or(0)
+        self.score(repaired, &BTreeSet::new()).max_simultaneous
     }
 
     /// Fraction of all at-risk post-correction bits contained in `covered`.
@@ -572,6 +664,96 @@ pub fn predict_indirect_from_direct<C: LinearBlockCode + ?Sized>(
         .copied()
         .filter(|p| !unique.contains(p))
         .collect()
+}
+
+/// HARP-A's precomputation made incremental: the set
+/// [`predict_indirect_from_direct`] returns for the direct bits added so
+/// far, updated one bit at a time.
+///
+/// Adding a direct bit `b` to a set `D` adds exactly the patterns `S ∪ {b}`
+/// for `S ⊆ D`, so [`IndirectPredictor::add_direct`] decodes only those
+/// (in Gray-code order, one bit flip and one syndrome XOR apart) and drops
+/// `b` from the predictions. Every set of data bits can be charged, so no
+/// [`FailureDependence`] is needed. The predictor holds no code; each call
+/// takes the one its bits belong to.
+///
+/// # Example
+///
+/// ```
+/// use harp_ecc::{HammingCode, analysis::{predict_indirect_from_direct, FailureDependence, IndirectPredictor}};
+///
+/// let code = HammingCode::random(64, 5)?;
+/// let mut predictor = IndirectPredictor::default();
+/// for bit in [40, 3, 17] {
+///     predictor.add_direct(&code, bit);
+/// }
+/// let batch = predict_indirect_from_direct(&code, &[3, 17, 40], FailureDependence::TrueCell);
+/// assert_eq!(predictor.predicted(), &batch);
+/// # Ok::<(), harp_ecc::CodeError>(())
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct IndirectPredictor {
+    direct: Vec<usize>,
+    columns: Vec<u64>,
+    predicted: BTreeSet<usize>,
+    walk: PatternWalk,
+}
+
+impl IndirectPredictor {
+    /// Adds one direct-error dataword position and predicts the indirect
+    /// errors its combinations with the earlier ones can provoke. Returns
+    /// `false`, changing nothing, for a parity position (HARP-A cannot see
+    /// those, as [`predict_indirect_from_direct`] ignores them) or a
+    /// position already added.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this would hold more than [`ErrorSpace::MAX_AT_RISK_BITS`]
+    /// direct bits, as [`predict_indirect_from_direct`] does, or if the
+    /// code's syndrome is wider than 64 bits.
+    pub fn add_direct<C: LinearBlockCode + ?Sized>(&mut self, code: &C, position: usize) -> bool {
+        if !code.layout().is_data(position) || self.direct.contains(&position) {
+            return false;
+        }
+        assert!(
+            self.direct.len() < ErrorSpace::MAX_AT_RISK_BITS,
+            "at most {} at-risk bits supported, got {}",
+            ErrorSpace::MAX_AT_RISK_BITS,
+            self.direct.len() + 1
+        );
+        let column = PatternWalk::column(code, position);
+        self.walk.start(code);
+        self.walk.flip(position, column);
+        self.predicted.remove(&position);
+        let earlier = self.direct.len();
+        self.direct.push(position);
+        self.columns.push(column);
+        for step in 0u64..(1u64 << earlier) {
+            if step > 0 {
+                let flipped = step.trailing_zeros() as usize;
+                self.walk.flip(self.direct[flipped], self.columns[flipped]);
+            }
+            for &bit in self.walk.decode(code).outcome.corrected_positions() {
+                if bit < code.data_len() && !self.direct.contains(&bit) {
+                    self.predicted.insert(bit);
+                }
+            }
+        }
+        true
+    }
+
+    /// The dataword positions predicted to be at risk of indirect error,
+    /// never including a direct bit.
+    pub fn predicted(&self) -> &BTreeSet<usize> {
+        &self.predicted
+    }
+
+    /// Forgets every direct bit and prediction.
+    pub fn reset(&mut self) {
+        self.direct.clear();
+        self.columns.clear();
+        self.predicted.clear();
+    }
 }
 
 #[cfg(test)]
@@ -767,9 +949,7 @@ mod tests {
         assert!(space.post_correction_at_risk().is_empty());
         assert_eq!(space.direct_at_risk().len(), 1);
         assert!(space.indirect_at_risk().is_empty());
-        assert_eq!(space.outcomes().len(), 1);
-        assert!(space.outcomes()[0].post_correction_errors.is_empty());
-        assert_eq!(space.outcomes()[0].miscorrection(), None);
+        assert_eq!(space.max_simultaneous_errors_outside(&BTreeSet::new()), 0);
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //!   error space of a set of at-risk pre-correction bits, including the
 //!   data-dependence ("chargeability") constraints the paper resolves with a
 //!   SAT solver. Here the same sets are computed exactly with GF(2) linear
-//!   algebra (see DESIGN.md §2 for the substitution argument);
+//!   algebra and exhaustive enumeration (the module doc gives the
+//!   argument);
 //! * [`secondary`] — the secondary ECC inside the memory controller used by
 //!   HARP's reactive profiling phase.
 //!

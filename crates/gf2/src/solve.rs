@@ -6,7 +6,7 @@
 //! pre-correction at-risk bits can produce. Because on-die ECC is a linear
 //! block code and the "charged" constraints are affine equations over GF(2),
 //! both tasks reduce to linear algebra. This module provides the exact solver
-//! that replaces Z3 in this reproduction (see DESIGN.md §2).
+//! that replaces Z3 in this reproduction.
 
 use serde::{Deserialize, Serialize};
 

@@ -353,6 +353,52 @@ mod tests {
         }
     }
 
+    /// `restore` in place over a HARP-A or HARP-A+BEEP run that has already
+    /// gone further keeps no stale prediction state: the identified and
+    /// predicted sets, and every later round, equal those of a fresh run
+    /// restored to the same checkpoint.
+    #[test]
+    fn restoring_over_a_run_that_went_further_matches_a_fresh_restore() {
+        let code = HammingCode::random(64, 21).unwrap();
+        let batch = CampaignBatch::new(
+            code,
+            [[3, 17, 29, 40, 58], [1, 8, 33, 47, 63], [5, 12, 26, 51, 66]]
+                .iter()
+                .enumerate()
+                .map(|(i, at_risk)| {
+                    BatchWord::new(
+                        FaultModel::uniform(at_risk, 0.3),
+                        DataPattern::Random,
+                        31 + i as u64,
+                    )
+                })
+                .collect(),
+        );
+        for kind in [ProfilerKind::HarpA, ProfilerKind::HarpABeep] {
+            let mut early = BatchRun::new(&batch, kind);
+            early.advance(2, |_, _| {});
+            let frozen = early.checkpoint();
+            let mut used = BatchRun::new(&batch, kind);
+            used.advance(24, |_, _| {});
+            let went_further = used
+                .profilers
+                .iter()
+                .zip(&early.profilers)
+                .any(|(later, earlier)| later.predicted() != earlier.predicted());
+            assert!(went_further, "{kind}: the longer run must predict more");
+            used.restore(&frozen);
+            let mut fresh = BatchRun::resume(&batch, &frozen);
+            for (restored, resumed) in used.profilers.iter().zip(&fresh.profilers) {
+                assert_eq!(restored.identified(), resumed.identified(), "{kind}");
+                assert_eq!(restored.predicted(), resumed.predicted(), "{kind}");
+            }
+            let (mut after_restore, mut after_resume) = (Vec::new(), Vec::new());
+            advance_recording(&mut used, 16, &mut after_restore);
+            advance_recording(&mut fresh, 16, &mut after_resume);
+            assert_eq!(after_restore, after_resume, "{kind}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "cannot resume")]
     fn word_count_mismatch_is_rejected() {

@@ -12,7 +12,6 @@
 //!   profile (Fig. 9) — what reactive profiling / the secondary ECC must
 //!   still handle.
 
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
@@ -20,34 +19,6 @@ use serde::{Deserialize, Serialize};
 use harp_ecc::ErrorSpace;
 
 use crate::campaign::CampaignResult;
-
-/// Fraction of the ground-truth direct-error at-risk bits contained in
-/// `identified`. Returns 1.0 when there are no direct at-risk bits.
-///
-/// # Example
-///
-/// ```
-/// use std::collections::BTreeSet;
-/// use harp_profiler::coverage::direct_coverage;
-///
-/// let truth: BTreeSet<usize> = [1, 2, 3, 4].into_iter().collect();
-/// let found: BTreeSet<usize> = [2, 4, 9].into_iter().collect();
-/// assert_eq!(direct_coverage(&found, &truth), 0.5);
-/// ```
-pub fn direct_coverage(identified: &BTreeSet<usize>, direct_truth: &BTreeSet<usize>) -> f64 {
-    if direct_truth.is_empty() {
-        return 1.0;
-    }
-    let hit = identified.intersection(direct_truth).count();
-    hit as f64 / direct_truth.len() as f64
-}
-
-/// Number of ground-truth indirect-error at-risk bits *not* contained in
-/// `known` (identified or predicted) — the bits reactive profiling still has
-/// to identify.
-pub fn missed_indirect(known: &BTreeSet<usize>, indirect_truth: &BTreeSet<usize>) -> usize {
-    indirect_truth.difference(known).count()
-}
 
 /// Per-round coverage metrics for one (word, profiler) pair.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -90,31 +61,27 @@ impl CoverageSeries {
     /// Scores the next round: what the profiler had `identified` and
     /// `predicted` after it, against the word's ground truth `space` (the
     /// one the series was created with). This is the one scoring step;
-    /// every sweep calls it as each round is produced.
+    /// every sweep calls it as each round is produced, and it reads all
+    /// three numbers from one [`ErrorSpace::score`] pass over dataword
+    /// masks.
     pub fn push_round(
         &mut self,
         space: &ErrorSpace,
         identified: &BTreeSet<usize>,
         predicted: &BTreeSet<usize>,
     ) {
-        let direct_truth = space.direct_at_risk();
-        if self.bootstrap_round.is_none() && identified.intersection(direct_truth).next().is_some()
-        {
+        let score = space.score(identified, predicted);
+        if self.bootstrap_round.is_none() && score.direct_hits > 0 {
             self.bootstrap_round = Some(self.rounds());
         }
-        // Only the HARP-A kinds predict; for the others the known set is
-        // the identified set, and copying it every round would be waste.
-        let known = if predicted.is_empty() {
-            Cow::Borrowed(identified)
+        let direct_truth = space.direct_at_risk().len();
+        self.direct_coverage.push(if direct_truth == 0 {
+            1.0
         } else {
-            Cow::Owned(identified.union(predicted).copied().collect())
-        };
-        self.direct_coverage
-            .push(direct_coverage(identified, direct_truth));
-        self.missed_indirect
-            .push(missed_indirect(&known, space.indirect_at_risk()));
-        self.max_simultaneous
-            .push(space.max_simultaneous_errors_outside(&known));
+            score.direct_hits as f64 / direct_truth as f64
+        });
+        self.missed_indirect.push(score.missed_indirect);
+        self.max_simultaneous.push(score.max_simultaneous);
     }
 
     /// Scores a whole campaign result against the ground-truth error space:
@@ -199,21 +166,84 @@ mod tests {
         CoverageSeries::from_campaign(&result, &space)
     }
 
+    /// `push_round` on dataword masks equals the set formulas it replaced,
+    /// kept here as its oracle, for random identified and predicted sets
+    /// that include bits at and past the dataword length.
     #[test]
-    fn direct_coverage_edge_cases() {
-        let empty = BTreeSet::new();
-        let truth: BTreeSet<usize> = [1, 2].into_iter().collect();
-        assert_eq!(direct_coverage(&empty, &empty), 1.0);
-        assert_eq!(direct_coverage(&empty, &truth), 0.0);
-        assert_eq!(direct_coverage(&truth, &truth), 1.0);
-    }
+    fn push_round_matches_the_set_formulas() {
+        use harp_ecc::analysis::FailureDependence;
+        use harp_ecc::{ExtendedHammingCode, LinearBlockCode};
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
 
-    #[test]
-    fn missed_indirect_counts_difference() {
-        let known: BTreeSet<usize> = [1, 5].into_iter().collect();
-        let truth: BTreeSet<usize> = [1, 2, 3].into_iter().collect();
-        assert_eq!(missed_indirect(&known, &truth), 2);
-        assert_eq!(missed_indirect(&truth, &truth), 0);
+        fn oracle(
+            series: &mut CoverageSeries,
+            space: &ErrorSpace,
+            identified: &BTreeSet<usize>,
+            predicted: &BTreeSet<usize>,
+        ) {
+            let direct_truth = space.direct_at_risk();
+            if series.bootstrap_round.is_none()
+                && identified.intersection(direct_truth).next().is_some()
+            {
+                series.bootstrap_round = Some(series.rounds());
+            }
+            let known: BTreeSet<usize> = identified.union(predicted).copied().collect();
+            series.direct_coverage.push(if direct_truth.is_empty() {
+                1.0
+            } else {
+                identified.intersection(direct_truth).count() as f64 / direct_truth.len() as f64
+            });
+            series
+                .missed_indirect
+                .push(space.indirect_at_risk().difference(&known).count());
+            series
+                .max_simultaneous
+                .push(space.max_simultaneous_errors_outside(&known));
+        }
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5C0E);
+        for case in 0..64u64 {
+            let codes: [Box<dyn LinearBlockCode>; 2] = [
+                Box::new(HammingCode::random(64, case).unwrap()),
+                Box::new(ExtendedHammingCode::random(60, case).unwrap()),
+            ];
+            for code in codes {
+                let n = code.codeword_len();
+                let at_risk: Vec<usize> = (0..rng.gen_range(0..7))
+                    .map(|_| rng.gen_range(0..n))
+                    .collect();
+                let space =
+                    ErrorSpace::enumerate(code.as_ref(), &at_risk, FailureDependence::TrueCell);
+                let (mut fast, mut slow) = (
+                    CoverageSeries::new("P", &space),
+                    CoverageSeries::new("P", &space),
+                );
+                // Draw from the truth sets and from the whole codeword, so
+                // hits, misses and out-of-range bits all occur.
+                let pool: Vec<usize> = space
+                    .post_correction_at_risk()
+                    .iter()
+                    .chain(space.direct_at_risk())
+                    .copied()
+                    .chain(0..n + 8)
+                    .collect();
+                let (mut identified, mut predicted) = (BTreeSet::new(), BTreeSet::new());
+                for _ in 0..8 {
+                    for set in [&mut identified, &mut predicted] {
+                        if rng.gen_bool(0.3) {
+                            set.clear();
+                        }
+                        for _ in 0..rng.gen_range(0..4) {
+                            set.insert(pool[rng.gen_range(0..pool.len())]);
+                        }
+                    }
+                    fast.push_round(&space, &identified, &predicted);
+                    oracle(&mut slow, &space, &identified, &predicted);
+                }
+                assert_eq!(fast, slow, "{} at risk {at_risk:?}", code.description());
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeSet;
 
-use harp_ecc::analysis::{predict_indirect_from_direct, FailureDependence};
+use harp_ecc::analysis::IndirectPredictor;
 use harp_ecc::LinearBlockCode;
 use harp_gf2::BitVec;
 use harp_memsim::pattern::{DataPattern, PatternSchedule};
@@ -92,12 +92,14 @@ impl Profiler for HarpUProfiler {
 
 /// HARP-Aware: HARP-U plus knowledge of the parity-check matrix, used to
 /// precompute bits at risk of indirect error from the direct-error bits
-/// identified so far (§6.3.1).
+/// identified so far (§6.3.1). Predictions grow incrementally: each newly
+/// identified bit decodes only the patterns it adds
+/// ([`IndirectPredictor`]).
 #[derive(Debug, Clone)]
 pub struct HarpAProfiler<C: LinearBlockCode = harp_ecc::HammingCode> {
     code: C,
     inner: HarpUProfiler,
-    predicted: BTreeSet<usize>,
+    predictor: IndirectPredictor,
 }
 
 impl<C: LinearBlockCode> HarpAProfiler<C> {
@@ -107,23 +109,32 @@ impl<C: LinearBlockCode> HarpAProfiler<C> {
         Self {
             code,
             inner,
-            predicted: BTreeSet::new(),
+            predictor: IndirectPredictor::default(),
         }
     }
 
     /// The dataword positions predicted (not yet observed) to be at risk of
     /// indirect error.
     pub fn predicted_indirect(&self) -> &BTreeSet<usize> {
-        &self.predicted
+        self.predictor.predicted()
     }
 
-    fn refresh_predictions(&mut self) {
-        let direct: Vec<usize> = self.inner.identified.iter().copied().collect();
-        self.predicted =
-            predict_indirect_from_direct(&self.code, &direct, FailureDependence::TrueCell);
-        // Do not predict bits we have already identified as direct.
-        for bit in &self.inner.identified {
-            self.predicted.remove(bit);
+    /// Records one direct-error bit; returns whether it was new.
+    fn identify(&mut self, bit: usize) -> bool {
+        let new = self.inner.identified.insert(bit);
+        if new {
+            self.predictor.add_direct(&self.code, bit);
+        }
+        new
+    }
+
+    /// Replaces the identified set and rebuilds the predictions from it,
+    /// one bit at a time.
+    fn restore_identified(&mut self, identified: &BTreeSet<usize>) {
+        self.inner.identified = identified.clone();
+        self.predictor.reset();
+        for &bit in identified {
+            self.predictor.add_direct(&self.code, bit);
         }
     }
 }
@@ -137,11 +148,9 @@ impl<C: LinearBlockCode + Send> Profiler for HarpAProfiler<C> {
         self.inner.dataword_for_round(round)
     }
 
-    fn observe_round(&mut self, round: usize, observation: &ReadObservation) {
-        let before = self.inner.identified.len();
-        self.inner.observe_round(round, observation);
-        if self.inner.identified.len() != before {
-            self.refresh_predictions();
+    fn observe_round(&mut self, _round: usize, observation: &ReadObservation) {
+        for bit in observation.direct_errors() {
+            self.identify(bit);
         }
     }
 
@@ -150,7 +159,7 @@ impl<C: LinearBlockCode + Send> Profiler for HarpAProfiler<C> {
     }
 
     fn predicted(&self) -> BTreeSet<usize> {
-        self.predicted.clone()
+        self.predictor.predicted().clone()
     }
 
     fn uses_bypass_read(&self) -> bool {
@@ -164,8 +173,7 @@ impl<C: LinearBlockCode + Send> Profiler for HarpAProfiler<C> {
     fn restore(&mut self, state: &ProfilerState) {
         // Predictions are derived from the direct set; recompute rather than
         // store them so the checkpoint stays minimal and cannot go stale.
-        self.inner.identified = state.identified.clone();
-        self.refresh_predictions();
+        self.restore_identified(&state.identified);
     }
 }
 
@@ -173,7 +181,8 @@ impl<C: LinearBlockCode + Send> Profiler for HarpAProfiler<C> {
 /// at-risk bits, BEEP-style data patterns are crafted to provoke the
 /// remaining indirect errors (including those caused by at-risk parity bits,
 /// which HARP-A cannot predict). Observed post-correction errors are added to
-/// the identified set alongside the bypass observations.
+/// the identified set alongside the bypass observations. Both sets only
+/// grow, so the published union grows with them, bit by bit.
 #[derive(Debug, Clone)]
 pub struct HarpABeepProfiler<C: LinearBlockCode = harp_ecc::HammingCode> {
     harp_a: HarpAProfiler<C>,
@@ -192,16 +201,6 @@ impl<C: LinearBlockCode> HarpABeepProfiler<C> {
             crafted_rounds: 0,
         }
     }
-
-    fn rebuild_union(&mut self) {
-        self.union = self
-            .harp_a
-            .inner
-            .identified
-            .union(&self.observed_indirect)
-            .copied()
-            .collect();
-    }
 }
 
 impl<C: LinearBlockCode + Send> Profiler for HarpABeepProfiler<C> {
@@ -210,31 +209,33 @@ impl<C: LinearBlockCode + Send> Profiler for HarpABeepProfiler<C> {
     }
 
     fn dataword_for_round(&mut self, round: usize) -> BitVec {
-        let known: Vec<usize> = self.harp_a.identified().iter().copied().collect();
-        if known.len() >= 2 {
-            // Alternate between BEEP-crafted patterns (to provoke indirect
-            // errors from known direct bits) and standard patterns (to keep
-            // finding direct bits that have not failed yet).
-            if round.is_multiple_of(2) {
-                self.crafted_rounds += 1;
-                let data_bits = self.harp_a.code.data_len();
-                return craft_beep_pattern(data_bits, &known, self.crafted_rounds);
-            }
+        // Alternate between BEEP-crafted patterns (to provoke indirect
+        // errors from known direct bits) and standard patterns (to keep
+        // finding direct bits that have not failed yet).
+        let direct = self.harp_a.identified();
+        if direct.len() >= 2 && round.is_multiple_of(2) {
+            let known: Vec<usize> = direct.iter().copied().collect();
+            self.crafted_rounds += 1;
+            let data_bits = self.harp_a.code.data_len();
+            return craft_beep_pattern(data_bits, &known, self.crafted_rounds);
         }
         self.harp_a.dataword_for_round(round)
     }
 
-    fn observe_round(&mut self, round: usize, observation: &ReadObservation) {
-        self.harp_a.observe_round(round, observation);
-        // Unlike plain HARP, also watch the post-correction data so that
-        // miscorrections provoked by the crafted patterns are recorded.
-        let direct: BTreeSet<usize> = observation.direct_errors().into_iter().collect();
-        for bit in observation.post_correction_errors() {
-            if !direct.contains(&bit) {
-                self.observed_indirect.insert(bit);
+    fn observe_round(&mut self, _round: usize, observation: &ReadObservation) {
+        let direct = observation.direct_errors();
+        for &bit in &direct {
+            if self.harp_a.identify(bit) {
+                self.union.insert(bit);
             }
         }
-        self.rebuild_union();
+        // Unlike plain HARP, also watch the post-correction data so that
+        // miscorrections provoked by the crafted patterns are recorded.
+        for bit in observation.post_correction_errors() {
+            if !direct.contains(&bit) && self.observed_indirect.insert(bit) {
+                self.union.insert(bit);
+            }
+        }
     }
 
     fn identified(&self) -> &BTreeSet<usize> {
@@ -260,17 +261,21 @@ impl<C: LinearBlockCode + Send> Profiler for HarpABeepProfiler<C> {
     }
 
     fn restore(&mut self, state: &ProfilerState) {
-        self.harp_a.inner.identified = state.identified.clone();
-        self.harp_a.refresh_predictions();
+        self.harp_a.restore_identified(&state.identified);
         self.observed_indirect = state.observed_indirect.clone();
         self.crafted_rounds = state.crafted_rounds;
-        self.rebuild_union();
+        self.union = state
+            .identified
+            .union(&state.observed_indirect)
+            .copied()
+            .collect();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harp_ecc::analysis::FailureDependence;
     use harp_ecc::{ErrorSpace, HammingCode};
     use harp_memsim::{FaultModel, MemoryChip};
     use rand::SeedableRng;

@@ -65,7 +65,7 @@ pub use batch::{BatchWord, CampaignBatch};
 pub use beep::BeepProfiler;
 pub use campaign::{CampaignResult, ProfilingCampaign, RoundSnapshot};
 pub use checkpoint::{BatchRun, CampaignCheckpoint, ProfilerState, WordCheckpoint};
-pub use coverage::{direct_coverage, missed_indirect, CoverageSeries};
+pub use coverage::CoverageSeries;
 pub use harp::{HarpABeepProfiler, HarpAProfiler, HarpUProfiler};
 pub use naive::NaiveProfiler;
 pub use reactive::ReactiveProfiler;

@@ -102,7 +102,9 @@ impl EvaluationConfig {
     ///
     /// Returns a message when the configuration is unusable (zero samples,
     /// probabilities outside `[0, 1]`, or error counts that exceed the
-    /// exhaustive-analysis limit).
+    /// exhaustive-analysis limit or the dataword length). No code family
+    /// has fewer cells than data bits, so an error count up to `data_bits`
+    /// always fits the word.
     pub fn check(&self) -> Result<(), String> {
         if self.data_bits == 0 {
             return Err("data_bits must be nonzero".to_owned());
@@ -128,6 +130,12 @@ impl EvaluationConfig {
             }
         }
         for &n in &self.error_counts {
+            if n > self.data_bits {
+                return Err(format!(
+                    "error count {n} exceeds data_bits {}",
+                    self.data_bits
+                ));
+            }
             if n > harp_ecc::ErrorSpace::MAX_AT_RISK_BITS {
                 return Err(format!(
                     "error count {n} exceeds the exhaustive-analysis limit"
@@ -235,6 +243,31 @@ mod tests {
         let mut config = EvaluationConfig::quick();
         config.probabilities = vec![-0.5];
         assert!(config.check().unwrap_err().contains("outside [0, 1]"));
+    }
+
+    /// An error count must fit the word: sampling 8 at-risk cells in a
+    /// (7, 4) codeword used to panic the sweep (and `harpd`'s handler).
+    /// Archive manifests and wire payloads decode through the same check.
+    #[test]
+    fn check_rejects_error_counts_above_data_bits() {
+        use crate::minijson::JsonCodec;
+
+        let tiny = EvaluationConfig {
+            data_bits: 4,
+            error_counts: vec![8],
+            ..EvaluationConfig::smoke()
+        };
+        assert_eq!(
+            tiny.check(),
+            Err("error count 8 exceeds data_bits 4".to_owned())
+        );
+        let decoded = EvaluationConfig::from_json(&tiny.to_json().expect("finite"));
+        assert!(decoded.is_err_and(|e| e.to_string().contains("exceeds data_bits")));
+        let fits = EvaluationConfig {
+            error_counts: vec![4],
+            ..tiny
+        };
+        assert_eq!(fits.check(), Ok(()));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md §5 calls out:
+//! Ablation studies for four design choices of the reproduction:
 //!
 //! 1. **Data pattern** — random vs. charged vs. checkered patterns during
 //!    active profiling (§7.1.2 notes random performs on par or better);

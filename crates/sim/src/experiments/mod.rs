@@ -3,7 +3,7 @@
 //!
 //! Every experiment exposes a `run(...) -> …Result` entry point and a
 //! `render()` method on its result that returns the plain-text table the CLI
-//! and benches print. See DESIGN.md §4 for the experiment ↔ module index.
+//! and benches print.
 
 pub mod ablation;
 pub mod ext_bch;

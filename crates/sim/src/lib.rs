@@ -23,7 +23,7 @@
 //! The default [`config::EvaluationConfig::quick`] configuration runs in
 //! seconds on a laptop; [`config::EvaluationConfig::paper_scale`] approaches
 //! the paper's sample counts (the paper burned ~14 CPU-years on its full
-//! sweep; see DESIGN.md §2 for the scaling argument).
+//! sweep).
 
 pub mod checkpoint;
 pub mod config;

@@ -1,9 +1,9 @@
 //! Integration test: the reproduced experiments exhibit the qualitative
 //! shapes reported in the paper, at a reduced Monte-Carlo scale.
 //!
-//! These are the "who wins, and roughly how" checks from DESIGN.md §4; the
-//! absolute numbers differ from the paper (different sample sizes, different
-//! random codes), but the orderings and end states must match.
+//! These are the "who wins, and roughly how" checks; the absolute numbers
+//! differ from the paper (different sample sizes, different random codes),
+//! but the orderings and end states must match.
 
 use harp_profiler::ProfilerKind;
 use harp_sim::experiments::{fig10, fig2, fig4, fig6, fig7, fig9, headline, sweep, table2};

@@ -14,7 +14,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use harp_bch::BchCode;
-use harp_ecc::analysis::{classify_decode, FailureDependence, GroundTruth};
+use harp_ecc::analysis::{
+    charging_dataword, classify_decode, predict_indirect_from_direct, FailureDependence,
+    GroundTruth, IndirectPredictor,
+};
 use harp_ecc::{DecodeOutcome, ErrorSpace, ExtendedHammingCode, HammingCode, LinearBlockCode};
 use harp_gf2::BitVec;
 use harp_memsim::pattern::DataPattern;
@@ -209,6 +212,177 @@ proptest! {
             );
         }
     }
+}
+
+/// The three data dependences a cell can have.
+const DEPENDENCES: [FailureDependence; 3] = [
+    FailureDependence::TrueCell,
+    FailureDependence::AntiCell,
+    FailureDependence::DataIndependent,
+];
+
+/// The error space the packed enumeration replaced, kept as its oracle:
+/// every subset of the at-risk bits that `charging_dataword` can charge,
+/// decoded with `decode`, its post-correction errors worked out with set
+/// arithmetic.
+struct NaiveSpace {
+    at_risk: BTreeSet<usize>,
+    direct: BTreeSet<usize>,
+    indirect: BTreeSet<usize>,
+    post: BTreeSet<usize>,
+    patterns: Vec<BTreeSet<usize>>,
+}
+
+impl NaiveSpace {
+    fn enumerate(
+        code: &dyn LinearBlockCode,
+        at_risk: &[usize],
+        dependence: FailureDependence,
+    ) -> Self {
+        let at_risk: BTreeSet<usize> = at_risk.iter().copied().collect();
+        let positions: Vec<usize> = at_risk.iter().copied().collect();
+        let k = code.data_len();
+        let mut patterns = Vec::new();
+        for mask in 1u64..(1 << positions.len()) {
+            let subset: Vec<usize> = (0..positions.len())
+                .filter(|&i| mask >> i & 1 == 1)
+                .map(|i| positions[i])
+                .collect();
+            if charging_dataword(code, &subset, dependence).is_none() {
+                continue;
+            }
+            let error = BitVec::from_indices(code.codeword_len(), subset.iter().copied());
+            let flipped: BTreeSet<usize> = code
+                .decode(&error)
+                .outcome
+                .corrected_positions()
+                .iter()
+                .copied()
+                .collect();
+            let raw: BTreeSet<usize> = subset.into_iter().collect();
+            patterns.push(
+                (0..k)
+                    .filter(|p| raw.contains(p) != flipped.contains(p))
+                    .collect(),
+            );
+        }
+        let post: BTreeSet<usize> = patterns.iter().flatten().copied().collect();
+        let direct: BTreeSet<usize> = positions
+            .iter()
+            .copied()
+            .filter(|&p| code.layout().is_data(p))
+            .filter(|&p| charging_dataword(code, &[p], dependence).is_some())
+            .collect();
+        Self {
+            indirect: post.difference(&direct).copied().collect(),
+            at_risk,
+            direct,
+            post,
+            patterns,
+        }
+    }
+
+    fn max_simultaneous_errors_outside(&self, repaired: &BTreeSet<usize>) -> usize {
+        self.patterns
+            .iter()
+            .map(|errors| errors.difference(repaired).count())
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The packed enumeration (Gray-code walk, syndrome decode, parity-only
+    /// chargeability solve, dataword masks) equals the naive one for every
+    /// family and dependence, with at-risk sets that mix data and parity
+    /// positions; so does the worst simultaneous-error count outside random
+    /// repaired sets, which may hold bits at or past the dataword length.
+    /// The 8-bit datawords make unchargeable subsets common.
+    #[test]
+    fn packed_error_space_matches_the_naive_enumeration(
+        seed in 0u64..200,
+        picks in proptest::collection::vec(0usize..10_000, 1..7),
+        repairs in proptest::collection::vec(
+            proptest::collection::vec(0usize..10_000, 0..10),
+            4,
+        ),
+    ) {
+        for code in all_codes(8, seed).into_iter().chain(all_codes(32, seed)) {
+            let n = code.codeword_len();
+            let at_risk: Vec<usize> = picks.iter().map(|pick| pick % n).collect();
+            for dependence in DEPENDENCES {
+                let space = ErrorSpace::enumerate(code.as_ref(), &at_risk, dependence);
+                let naive = NaiveSpace::enumerate(code.as_ref(), &at_risk, dependence);
+                let what = format!("{} {dependence:?} {at_risk:?}", code.description());
+                prop_assert_eq!(space.at_risk_pre_correction(), &naive.at_risk, "{}", what);
+                prop_assert_eq!(space.direct_at_risk(), &naive.direct, "{}", what);
+                prop_assert_eq!(space.indirect_at_risk(), &naive.indirect, "{}", what);
+                prop_assert_eq!(space.post_correction_at_risk(), &naive.post, "{}", what);
+                for repair in &repairs {
+                    let repaired: BTreeSet<usize> =
+                        repair.iter().map(|bit| bit % (n + 8)).collect();
+                    prop_assert_eq!(
+                        space.max_simultaneous_errors_outside(&repaired),
+                        naive.max_simultaneous_errors_outside(&repaired),
+                        "{} repaired {:?}", what, repaired
+                    );
+                }
+            }
+        }
+    }
+
+    /// The incremental predictor, fed direct bits in random order (with
+    /// parity positions and repeats, which it ignores), equals
+    /// `predict_indirect_from_direct` over the bits added so far after every
+    /// addition, for every family.
+    #[test]
+    fn incremental_prediction_matches_the_batch_prediction(
+        seed in 0u64..200,
+        picks in proptest::collection::vec(0usize..10_000, 1..9),
+    ) {
+        for code in all_codes(32, seed) {
+            let n = code.codeword_len();
+            let mut predictor = IndirectPredictor::default();
+            let mut added = Vec::new();
+            for pick in &picks {
+                let bit = pick % n;
+                let new = code.layout().is_data(bit) && !added.contains(&bit);
+                prop_assert_eq!(predictor.add_direct(code.as_ref(), bit), new);
+                added.push(bit);
+                let batch =
+                    predict_indirect_from_direct(code.as_ref(), &added, FailureDependence::TrueCell);
+                prop_assert_eq!(
+                    predictor.predicted(),
+                    &batch,
+                    "{} after {:?}", code.description(), added
+                );
+            }
+        }
+    }
+}
+
+/// An unchargeable pattern must stay out of the packed space. Random at-risk
+/// sets rarely show it (an unchargeable subset's errors are almost always
+/// caused by a chargeable one too), so this pins one case: in the (13, 5)
+/// DEC BCH code, true cells at 2, 3 and 7 cannot all be charged, and that
+/// three-bit pattern is the only one the decoder leaves uncorrected.
+#[test]
+fn unchargeable_patterns_stay_out_of_the_packed_space() {
+    let code = BchCode::dec(5).expect("valid BCH code");
+    let at_risk = [2, 3, 7];
+    let space = ErrorSpace::enumerate(&code, &at_risk, FailureDependence::TrueCell);
+    let naive = NaiveSpace::enumerate(&code, &at_risk, FailureDependence::TrueCell);
+    assert_eq!(space.post_correction_at_risk(), &naive.post);
+    assert!(space.post_correction_at_risk().is_empty());
+    assert_eq!(space.max_simultaneous_errors_outside(&BTreeSet::new()), 0);
+    // Without the charge constraint the same bits do leak.
+    let unconstrained = ErrorSpace::enumerate(&code, &at_risk, FailureDependence::DataIndependent);
+    assert_eq!(
+        unconstrained.post_correction_at_risk(),
+        &BTreeSet::from([2, 3])
+    );
 }
 
 /// A code that implements only the required `LinearBlockCode` methods, so

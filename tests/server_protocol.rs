@@ -328,6 +328,67 @@ fn protocol_misuse_answers_with_errors_on_a_live_connection() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// A submit whose error count exceeds the word used to panic the
+/// connection handler while sampling faults ("cannot place 8 at-risk bits
+/// in 7 cells"): the client saw a closed connection, and an empty `JOB_0`
+/// directory used up its id. It must get a typed error frame on a
+/// connection that stays usable, and leave no job directory behind.
+#[test]
+fn an_error_count_larger_than_the_word_is_rejected_not_a_panic() {
+    let dir = temp_dir("oversized_error_count");
+    let daemon = Daemon::start(DaemonConfig::new(&dir)).expect("daemon");
+    let (mut raw, server_end) = duplex();
+    let handler = daemon.clone();
+    std::thread::spawn(move || handler.handle(server_end));
+
+    let config = EvaluationConfig {
+        data_bits: 4,
+        num_codes: 1,
+        words_per_code: 1,
+        rounds: 4,
+        error_counts: vec![8],
+        probabilities: vec![0.5],
+        ..quick_scale(0)
+    };
+    let submit = Request::Submit {
+        config,
+        profilers: vec![ProfilerKind::HarpU],
+    };
+    raw.send(&submit.to_json().expect("finite config"))
+        .expect("send");
+    let answer = raw.recv().expect("recv").expect("an answer, not a hang-up");
+    assert_eq!(answer.get("type").and_then(Json::as_str), Some("error"));
+    let message = answer
+        .get("message")
+        .and_then(Json::as_str)
+        .expect("error message");
+    assert!(
+        message.contains("error count 8 exceeds data_bits 4"),
+        "{message}"
+    );
+
+    // The same connection still answers.
+    raw.send(&Request::List.to_json().expect("frame"))
+        .expect("send");
+    let answer = raw.recv().expect("recv").expect("frame");
+    assert_eq!(
+        Response::from_json(&answer).expect("a jobs frame"),
+        Response::Jobs { jobs: Vec::new() }
+    );
+    drop(raw);
+    let job_dirs: Vec<_> = std::fs::read_dir(&dir)
+        .expect("state dir")
+        .filter_map(|entry| entry.ok())
+        .filter(|entry| entry.file_name().to_string_lossy().starts_with("JOB_"))
+        .map(|entry| entry.file_name())
+        .collect();
+    assert!(job_dirs.is_empty(), "{job_dirs:?}");
+
+    connect(&daemon).shutdown().expect("shutdown");
+    daemon.join();
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 /// Valid frames of every request type and of the response types that carry
 /// nested records, rendered: the seeds the mangling property starts from.
 fn seed_frames() -> Vec<String> {
