@@ -247,6 +247,73 @@ mod tests {
     }
 
     #[test]
+    fn direct_coverage_edge_cases() {
+        use harp_ecc::analysis::FailureDependence;
+
+        let code = HammingCode::paper_example();
+        let empty = BTreeSet::new();
+
+        // No direct at-risk bits: coverage is 1.0 whatever was identified.
+        let none = ErrorSpace::enumerate(&code, &[], FailureDependence::TrueCell);
+        let mut series = CoverageSeries::new("P", &none);
+        series.push_round(&none, &empty, &empty);
+        series.push_round(&none, &[0, 2].into_iter().collect(), &empty);
+        assert_eq!(series.direct_coverage, [1.0, 1.0]);
+        // With nothing to find, the profiler is bootstrapped from the start.
+        assert_eq!(series.bootstrap_round, Some(0));
+
+        let space = ErrorSpace::enumerate(&code, &[0, 1], FailureDependence::TrueCell);
+        let truth = space.direct_at_risk().clone();
+        assert_eq!(truth, [0, 1].into_iter().collect());
+        let half: BTreeSet<usize> = [1, 3].into_iter().collect();
+        let mut series = CoverageSeries::new("P", &space);
+        series.push_round(&space, &empty, &empty);
+        // Predicted bits never count as direct coverage.
+        series.push_round(&space, &empty, &truth);
+        series.push_round(&space, &half, &empty);
+        series.push_round(&space, &truth, &empty);
+        assert_eq!(series.direct_coverage, [0.0, 0.0, 0.5, 1.0]);
+        assert_eq!(series.bootstrap_round, Some(2));
+    }
+
+    #[test]
+    fn missed_indirect_counts_difference() {
+        // The first code whose word has at least two indirect bits.
+        let space = (0..64)
+            .map(|seed| {
+                let code = HammingCode::random(64, seed).unwrap();
+                ErrorSpace::enumerate(
+                    &code,
+                    &[2, 11, 37, 58, 63],
+                    harp_ecc::analysis::FailureDependence::TrueCell,
+                )
+            })
+            .find(|space| space.indirect_at_risk().len() >= 2)
+            .expect("some word has indirect bits");
+        let truth = space.indirect_at_risk().clone();
+        let empty = BTreeSet::new();
+        let first: BTreeSet<usize> = truth.iter().take(1).copied().collect();
+        // A bit outside the indirect truth (and one past the dataword)
+        // removes nothing from the count.
+        let outside = (0..)
+            .find(|bit| !truth.contains(bit))
+            .expect("some bit is not indirect");
+        let with_outside: BTreeSet<usize> =
+            first.iter().copied().chain([outside, 1 << 20]).collect();
+
+        let mut series = CoverageSeries::new("P", &space);
+        series.push_round(&space, &empty, &empty);
+        series.push_round(&space, &first, &empty);
+        series.push_round(&space, &empty, &with_outside);
+        series.push_round(&space, &first, &truth);
+        series.push_round(&space, &truth, &empty);
+        assert_eq!(
+            series.missed_indirect,
+            [truth.len(), truth.len() - 1, truth.len() - 1, 0, 0]
+        );
+    }
+
+    #[test]
     fn harp_series_reaches_full_coverage_and_bounds_simultaneous_errors() {
         let series = series_for(ProfilerKind::HarpU, &[3, 19, 42, 61], 0.5, 32, 7);
         assert_eq!(series.direct_truth_len, 4);
