@@ -21,6 +21,11 @@
 //!   one job (submit, watch, status, list, cancel, an unknown job,
 //!   shutdown), then the job's `JOB.json` and `RESULT.json`.
 //!
+//! One file is not checked here: `summary_full.txt` is the stdout of `harp
+//! summary --full` at [`EvaluationConfig::paper_scale`], too slow for this
+//! suite. The nightly `paper-scale-summary` CI job checks it byte for byte
+//! and records the run's wall time and peak RSS in its log.
+//!
 //! The differential suites compare two code paths with each other. The
 //! one-shot and resumable sweeps share their batching, scoring and
 //! labelling code, and a codec round trip reads back whatever key order or
