@@ -196,18 +196,18 @@ mod tests {
     }
 
     #[test]
-    fn coverage_and_missed_bookkeeping() {
+    fn score_bookkeeping() {
         let code = BchCode::dec(16).unwrap();
         let space = ErrorSpace::enumerate(&code, &[0, 1, 2, 3], FailureDependence::TrueCell);
-        let all: BTreeSet<usize> = space.post_correction_at_risk().clone();
-        assert_eq!(space.coverage_of(&all), 1.0);
-        assert!(space.missed_post_correction(&all).is_empty());
         let empty = BTreeSet::new();
-        if !all.is_empty() {
-            assert!(space.coverage_of(&empty) < 1.0);
-            assert_eq!(space.missed_post_correction(&empty), all);
-        }
-        assert!(space.missed_indirect(&all).is_empty());
+        let all = space.score(space.post_correction_at_risk(), &empty);
+        assert_eq!(all.direct_hits, space.direct_at_risk().len());
+        assert_eq!((all.missed_indirect, all.max_simultaneous), (0, 0));
+        let none = space.score(&empty, &empty);
+        assert_eq!(none.direct_hits, 0);
+        assert_eq!(none.missed_indirect, space.indirect_at_risk().len());
+        let at_risk = !space.post_correction_at_risk().is_empty();
+        assert_eq!(none.max_simultaneous > 0, at_risk);
     }
 
     #[test]

@@ -584,20 +584,6 @@ impl ErrorSpace {
         }
     }
 
-    /// Dataword positions at risk of post-correction error that are *not* in
-    /// `covered` (e.g. not yet identified by a profiler / not yet repaired).
-    pub fn missed_post_correction(&self, covered: &BTreeSet<usize>) -> BTreeSet<usize> {
-        self.post_correction_at_risk
-            .difference(covered)
-            .copied()
-            .collect()
-    }
-
-    /// Dataword positions at risk of indirect error not in `covered`.
-    pub fn missed_indirect(&self, covered: &BTreeSet<usize>) -> BTreeSet<usize> {
-        self.indirect_at_risk.difference(covered).copied().collect()
-    }
-
     /// The worst-case (maximum) number of post-correction errors that can
     /// occur *simultaneously* in positions outside `repaired` — i.e. the
     /// correction capability a secondary ECC needs in order to safely perform
@@ -606,20 +592,6 @@ impl ErrorSpace {
     /// `max_simultaneous` for the repaired bits.
     pub fn max_simultaneous_errors_outside(&self, repaired: &BTreeSet<usize>) -> usize {
         self.score(repaired, &BTreeSet::new()).max_simultaneous
-    }
-
-    /// Fraction of all at-risk post-correction bits contained in `covered`.
-    /// Returns 1.0 when there are no at-risk bits.
-    pub fn coverage_of(&self, covered: &BTreeSet<usize>) -> f64 {
-        if self.post_correction_at_risk.is_empty() {
-            return 1.0;
-        }
-        let hit = self
-            .post_correction_at_risk
-            .iter()
-            .filter(|p| covered.contains(p))
-            .count();
-        hit as f64 / self.post_correction_at_risk.len() as f64
     }
 }
 
@@ -1030,15 +1002,20 @@ mod tests {
     }
 
     #[test]
-    fn coverage_of_reports_fraction() {
+    fn score_counts_hits_and_misses() {
         let code = HammingCode::random(64, 41).unwrap();
         let space = ErrorSpace::enumerate(&code, &[5, 6, 7], FailureDependence::TrueCell);
         let empty = BTreeSet::new();
-        assert_eq!(space.coverage_of(&empty), 0.0);
-        assert_eq!(space.coverage_of(space.post_correction_at_risk()), 1.0);
-        let missed = space.missed_post_correction(&empty);
-        assert_eq!(&missed, space.post_correction_at_risk());
-        assert_eq!(space.missed_indirect(space.indirect_at_risk()).len(), 0);
+        let none = space.score(&empty, &empty);
+        assert_eq!(none.direct_hits, 0);
+        assert_eq!(none.missed_indirect, space.indirect_at_risk().len());
+        let all = space.score(space.post_correction_at_risk(), &empty);
+        assert_eq!(all.direct_hits, space.direct_at_risk().len());
+        assert_eq!((all.missed_indirect, all.max_simultaneous), (0, 0));
+        // Predicted bits are known, so they are not missed, but they are
+        // never direct hits.
+        let predicted = space.score(&empty, space.indirect_at_risk());
+        assert_eq!((predicted.direct_hits, predicted.missed_indirect), (0, 0));
     }
 
     #[test]
@@ -1046,8 +1023,14 @@ mod tests {
         let code = HammingCode::paper_example();
         let space = ErrorSpace::enumerate(&code, &[], FailureDependence::TrueCell);
         assert!(space.post_correction_at_risk().is_empty());
-        assert_eq!(space.coverage_of(&BTreeSet::new()), 1.0);
-        assert_eq!(space.max_simultaneous_errors_outside(&BTreeSet::new()), 0);
+        let empty = BTreeSet::new();
+        let nothing = RoundScore {
+            direct_hits: 0,
+            missed_indirect: 0,
+            max_simultaneous: 0,
+        };
+        assert_eq!(space.score(&empty, &empty), nothing);
+        assert_eq!(space.max_simultaneous_errors_outside(&empty), 0);
     }
 
     #[test]

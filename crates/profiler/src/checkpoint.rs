@@ -5,9 +5,9 @@
 //! jobs (§A.7); long sweeps therefore need to survive interruption. A
 //! campaign's mutable state is small and fully enumerable:
 //!
-//! * the per-word fault-injection RNG position ([`ChaCha8RngState`] — the
-//!   keystream block is a pure function of key and counter, so only the
-//!   counter and cursor are stored);
+//! * the per-word fault-injection RNG position ([`RngPosition`] — the key
+//!   is a pure function of the word's seed, and the keystream block of key
+//!   and counter, so only the counter and cursor are stored);
 //! * the profiler's accumulators ([`ProfilerState`] — identified bits plus,
 //!   for the BEEP-flavoured kinds, observed indirect bits and the crafted
 //!   pattern counter; HARP-A's predictions are recomputed on restore).
@@ -69,12 +69,24 @@ impl ProfilerState {
     }
 }
 
+/// A word's position in its fault-injection RNG stream. The stream's key
+/// comes from the word's seed, which [`BatchRun::new`] seeds every stream
+/// from, so a checkpoint stores only the position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RngPosition {
+    /// Block counter after the current keystream block was generated
+    /// ([`ChaCha8RngState::counter`]).
+    pub counter: u64,
+    /// Next unread word within the current block (16 = exhausted).
+    pub cursor: usize,
+}
+
 /// Everything needed to resume one word of a campaign: RNG position and
 /// profiler accumulators.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WordCheckpoint {
     /// The word's fault-injection RNG position.
-    pub rng: ChaCha8RngState,
+    pub rng: RngPosition,
     /// The word's profiler accumulators.
     pub profiler: ProfilerState,
 }
@@ -173,7 +185,9 @@ impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
     }
 
     /// Moves this run, in place, to exactly the checkpointed position (the
-    /// chip needs none: every round rewrites each slot).
+    /// chip needs none: every round rewrites each slot). Each word's stream
+    /// keeps the key [`BatchRun::new`] seeded it with and moves to the
+    /// stored position.
     ///
     /// # Panics
     ///
@@ -183,7 +197,13 @@ impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
         assert!(fits, "a checkpoint of another shape cannot resume this run");
         self.round = checkpoint.round;
         for (slot, word) in checkpoint.words.iter().enumerate() {
-            self.rngs[slot] = ChaCha8Rng::from_state(word.rng);
+            let RngPosition { counter, cursor } = word.rng;
+            let state = ChaCha8RngState {
+                counter,
+                cursor,
+                ..self.rngs[slot].state()
+            };
+            self.rngs[slot] = ChaCha8Rng::from_state(state);
             self.profilers[slot].restore(&word.profiler);
         }
     }
@@ -237,9 +257,14 @@ impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
                 .rngs
                 .iter()
                 .zip(&self.profilers)
-                .map(|(rng, profiler)| WordCheckpoint {
-                    rng: rng.state(),
-                    profiler: profiler.state(),
+                .map(|(rng, profiler)| {
+                    let ChaCha8RngState {
+                        counter, cursor, ..
+                    } = rng.state();
+                    WordCheckpoint {
+                        rng: RngPosition { counter, cursor },
+                        profiler: profiler.state(),
+                    }
                 })
                 .collect(),
         }

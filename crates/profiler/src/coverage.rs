@@ -11,51 +11,104 @@
 //!   simultaneous post-correction errors** still possible given the current
 //!   profile (Fig. 9) — what reactive profiling / the secondary ECC must
 //!   still handle.
+//!
+//! A word's scores change in only a few of its rounds, so a
+//! [`CoverageSeries`] holds its round count and the **change points**: the
+//! rounds whose [`RoundScore`] differs from the round before, each with that
+//! score. Every per-round value is read back from them, direct coverage as
+//! `hits / truth` at read time, so a series costs a few points whatever its
+//! length.
 
 use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
+use harp_ecc::analysis::RoundScore;
 use harp_ecc::ErrorSpace;
 
 use crate::campaign::CampaignResult;
 
-/// Per-round coverage metrics for one (word, profiler) pair.
+/// Per-round coverage metrics for one (word, profiler) pair, held as the
+/// rounds where they change.
+///
+/// The points always have the shape [`CoverageSeries::push_round`] gives
+/// them: the first at round 0 (none only while no round has run), strictly
+/// increasing rounds below [`CoverageSeries::rounds`], each score different
+/// from the one before, direct hits within the direct truth and missed bits
+/// within the indirect truth. So two series are equal exactly when their
+/// per-round values are.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoverageSeries {
     /// The profiler's display name.
     pub profiler: String,
-    /// Direct-error coverage after each round (Fig. 6).
-    pub direct_coverage: Vec<f64>,
-    /// Missed indirect-error bits after each round (Fig. 8).
-    pub missed_indirect: Vec<usize>,
-    /// Maximum number of simultaneous post-correction errors still possible
-    /// after each round, given that every *known* bit is repaired (Fig. 9).
-    pub max_simultaneous: Vec<usize>,
-    /// Round in which the first direct-error bit was identified (Fig. 7).
-    pub bootstrap_round: Option<usize>,
     /// Number of ground-truth direct at-risk bits for this word.
     pub direct_truth_len: usize,
     /// Number of ground-truth indirect at-risk bits for this word.
     pub indirect_truth_len: usize,
+    rounds: usize,
+    points: Vec<(usize, RoundScore)>,
 }
 
 impl CoverageSeries {
     /// An empty series for one word's `profiler`, before any round, scored
     /// against the word's ground truth `space`.
     pub fn new(profiler: &str, space: &ErrorSpace) -> Self {
-        let direct_truth_len = space.direct_at_risk().len();
         Self {
             profiler: profiler.to_owned(),
-            direct_coverage: Vec::new(),
-            missed_indirect: Vec::new(),
-            max_simultaneous: Vec::new(),
-            // With no direct-error bits to find, the profiler is
-            // bootstrapped from the start.
-            bootstrap_round: (direct_truth_len == 0).then_some(0),
-            direct_truth_len,
+            direct_truth_len: space.direct_at_risk().len(),
             indirect_truth_len: space.indirect_at_risk().len(),
+            rounds: 0,
+            points: Vec::new(),
         }
+    }
+
+    /// Rebuilds a series from its stored parts: `rounds` rounds whose scores
+    /// change at `points`, each a `(round, score)` pair.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first point that
+    /// [`CoverageSeries::push_round`] could not have produced (see the type's
+    /// documentation for their shape).
+    pub fn from_points(
+        profiler: String,
+        direct_truth_len: usize,
+        indirect_truth_len: usize,
+        rounds: usize,
+        points: Vec<(usize, RoundScore)>,
+    ) -> Result<Self, String> {
+        if points.is_empty() && rounds > 0 {
+            return Err(format!("no change point in {rounds} rounds"));
+        }
+        let mut before: Option<(usize, RoundScore)> = None;
+        for (index, &(round, score)) in points.iter().enumerate() {
+            let problem = match before {
+                None if round != 0 => Some("is not at round 0".to_owned()),
+                Some((last, _)) if round <= last => Some(format!("does not follow round {last}")),
+                Some((_, last)) if score == last => Some("repeats the scores before it".to_owned()),
+                _ if round >= rounds => Some(format!("is past the last of {rounds} rounds")),
+                _ if score.direct_hits > direct_truth_len => Some(format!(
+                    "has {} direct hits of {direct_truth_len} direct truth bits",
+                    score.direct_hits
+                )),
+                _ if score.missed_indirect > indirect_truth_len => Some(format!(
+                    "misses {} of {indirect_truth_len} indirect truth bits",
+                    score.missed_indirect
+                )),
+                _ => None,
+            };
+            if let Some(problem) = problem {
+                return Err(format!("change point {index} at round {round} {problem}"));
+            }
+            before = Some((round, score));
+        }
+        Ok(Self {
+            profiler,
+            direct_truth_len,
+            indirect_truth_len,
+            rounds,
+            points,
+        })
     }
 
     /// Scores the next round: what the profiler had `identified` and
@@ -70,18 +123,16 @@ impl CoverageSeries {
         identified: &BTreeSet<usize>,
         predicted: &BTreeSet<usize>,
     ) {
-        let score = space.score(identified, predicted);
-        if self.bootstrap_round.is_none() && score.direct_hits > 0 {
-            self.bootstrap_round = Some(self.rounds());
+        self.push_score(space.score(identified, predicted));
+    }
+
+    /// Appends the next round's score, adding a change point only when it
+    /// differs from the last one.
+    pub fn push_score(&mut self, score: RoundScore) {
+        if self.points.last().map(|&(_, last)| last) != Some(score) {
+            self.points.push((self.rounds, score));
         }
-        let direct_truth = space.direct_at_risk().len();
-        self.direct_coverage.push(if direct_truth == 0 {
-            1.0
-        } else {
-            score.direct_hits as f64 / direct_truth as f64
-        });
-        self.missed_indirect.push(score.missed_indirect);
-        self.max_simultaneous.push(score.max_simultaneous);
+        self.rounds += 1;
     }
 
     /// Scores a whole campaign result against the ground-truth error space:
@@ -96,28 +147,91 @@ impl CoverageSeries {
 
     /// Number of rounds in the series.
     pub fn rounds(&self) -> usize {
-        self.direct_coverage.len()
-    }
-
-    /// The first round (0-based) after which direct coverage reached 1.0, or
-    /// `None` if it never did.
-    pub fn rounds_to_full_direct_coverage(&self) -> Option<usize> {
-        self.direct_coverage
-            .iter()
-            .position(|&c| (c - 1.0).abs() < f64::EPSILON)
-    }
-
-    /// The first round (0-based) after which no more than `limit`
-    /// simultaneous post-correction errors remain possible, or `None`.
-    pub fn rounds_until_max_simultaneous_at_most(&self, limit: usize) -> Option<usize> {
-        self.max_simultaneous.iter().position(|&m| m <= limit)
+        self.rounds
     }
 
     /// Whether the series holds no rounds at all. An empty series carries no
     /// coverage information — distinguish it from a genuine zero-coverage
     /// run with [`CoverageSeries::checked_final_direct_coverage`].
     pub fn is_empty(&self) -> bool {
-        self.direct_coverage.is_empty()
+        self.rounds == 0
+    }
+
+    /// The change points: each round whose score differs from the round
+    /// before (round 0 always does), with that score.
+    pub fn points(&self) -> &[(usize, RoundScore)] {
+        &self.points
+    }
+
+    /// The scores after round `round` (0-based).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `round` is not below [`CoverageSeries::rounds`].
+    pub fn score_at(&self, round: usize) -> RoundScore {
+        assert!(
+            round < self.rounds,
+            "round {round} of a {}-round series",
+            self.rounds
+        );
+        let index = self.points.partition_point(|&(start, _)| start <= round);
+        self.points[index - 1].1
+    }
+
+    /// The scores after the final round, or `None` if no rounds ran.
+    pub fn final_score(&self) -> Option<RoundScore> {
+        self.points.last().map(|&(_, score)| score)
+    }
+
+    /// Direct coverage (Fig. 6) of `direct_hits` identified direct bits: the
+    /// fraction of the word's direct truth, or 1.0 when it has none.
+    fn direct_coverage(&self, direct_hits: usize) -> f64 {
+        if self.direct_truth_len == 0 {
+            1.0
+        } else {
+            direct_hits as f64 / self.direct_truth_len as f64
+        }
+    }
+
+    /// Direct coverage after round `round` (0-based).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `round` is not below [`CoverageSeries::rounds`].
+    pub fn direct_coverage_at(&self, round: usize) -> f64 {
+        self.direct_coverage(self.score_at(round).direct_hits)
+    }
+
+    /// The first round (0-based) whose scores meet `bound`, or `None` if no
+    /// round does.
+    fn first_round_where(&self, bound: impl Fn(&RoundScore) -> bool) -> Option<usize> {
+        self.points
+            .iter()
+            .find(|(_, score)| bound(score))
+            .map(|&(round, _)| round)
+    }
+
+    /// Round in which the first direct-error bit was identified (Fig. 7).
+    /// With no direct-error bits to find, the profiler is bootstrapped from
+    /// the start: `Some(0)`.
+    pub fn bootstrap_round(&self) -> Option<usize> {
+        if self.direct_truth_len == 0 {
+            Some(0)
+        } else {
+            self.first_round_where(|score| score.direct_hits > 0)
+        }
+    }
+
+    /// The first round (0-based) after which direct coverage reached 1.0, or
+    /// `None` if it never did.
+    pub fn rounds_to_full_direct_coverage(&self) -> Option<usize> {
+        self.first_round_where(|score| score.direct_hits == self.direct_truth_len)
+    }
+
+    /// The first round (0-based) after which no more than `limit`
+    /// simultaneous post-correction errors remain possible, or `None`.
+    pub fn rounds_until_max_simultaneous_at_most(&self, limit: usize) -> Option<usize> {
+        self.first_round_where(|score| score.max_simultaneous <= limit)
     }
 
     /// Direct coverage after the final round.
@@ -134,7 +248,8 @@ impl CoverageSeries {
     /// the unambiguous accessor behind
     /// [`CoverageSeries::final_direct_coverage`].
     pub fn checked_final_direct_coverage(&self) -> Option<f64> {
-        self.direct_coverage.last().copied()
+        self.final_score()
+            .map(|score| self.direct_coverage(score.direct_hits))
     }
 }
 
@@ -166,6 +281,13 @@ mod tests {
         CoverageSeries::from_campaign(&result, &space)
     }
 
+    /// Direct coverage after every round, as the dense vector it replaced.
+    fn dense_coverage(series: &CoverageSeries) -> Vec<f64> {
+        (0..series.rounds())
+            .map(|round| series.direct_coverage_at(round))
+            .collect()
+    }
+
     /// `push_round` on dataword masks equals the set formulas it replaced,
     /// kept here as its oracle, for random identified and predicted sets
     /// that include bits at and past the dataword length.
@@ -182,24 +304,12 @@ mod tests {
             identified: &BTreeSet<usize>,
             predicted: &BTreeSet<usize>,
         ) {
-            let direct_truth = space.direct_at_risk();
-            if series.bootstrap_round.is_none()
-                && identified.intersection(direct_truth).next().is_some()
-            {
-                series.bootstrap_round = Some(series.rounds());
-            }
             let known: BTreeSet<usize> = identified.union(predicted).copied().collect();
-            series.direct_coverage.push(if direct_truth.is_empty() {
-                1.0
-            } else {
-                identified.intersection(direct_truth).count() as f64 / direct_truth.len() as f64
+            series.push_score(RoundScore {
+                direct_hits: identified.intersection(space.direct_at_risk()).count(),
+                missed_indirect: space.indirect_at_risk().difference(&known).count(),
+                max_simultaneous: space.max_simultaneous_errors_outside(&known),
             });
-            series
-                .missed_indirect
-                .push(space.indirect_at_risk().difference(&known).count());
-            series
-                .max_simultaneous
-                .push(space.max_simultaneous_errors_outside(&known));
         }
 
         let mut rng = ChaCha8Rng::seed_from_u64(0x5C0E);
@@ -246,6 +356,106 @@ mod tests {
         }
     }
 
+    /// Random per-round score sequences pushed into a series — long runs,
+    /// repeats of earlier scores, empty direct truths and zero rounds among
+    /// them — read back exactly as the dense per-round vectors the series
+    /// replaced, kept here as the oracle.
+    #[test]
+    fn change_points_read_back_as_the_dense_vectors() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0x00C4_A96E);
+        for case in 0..512 {
+            let direct_truth_len = if case % 4 == 0 {
+                0
+            } else {
+                rng.gen_range(1..9)
+            };
+            let indirect_truth_len = rng.gen_range(0..5);
+            let rounds = if case % 16 == 1 {
+                0
+            } else {
+                rng.gen_range(1..160)
+            };
+            let mut series = CoverageSeries::from_points(
+                "P".into(),
+                direct_truth_len,
+                indirect_truth_len,
+                0,
+                vec![],
+            )
+            .unwrap();
+            let mut dense: Vec<RoundScore> = Vec::with_capacity(rounds);
+            let mut score = RoundScore {
+                direct_hits: 0,
+                missed_indirect: indirect_truth_len,
+                max_simultaneous: 2,
+            };
+            for _ in 0..rounds {
+                // Mostly hold the scores, so runs are long; a change may
+                // draw the value it replaces, or one held earlier.
+                if rng.gen_bool(0.1) {
+                    match rng.gen_range(0..3) {
+                        0 => score.direct_hits = rng.gen_range(0..=direct_truth_len),
+                        1 => score.missed_indirect = rng.gen_range(0..=indirect_truth_len),
+                        _ => score.max_simultaneous = rng.gen_range(0..4),
+                    }
+                }
+                series.push_score(score);
+                dense.push(score);
+            }
+            let coverage: Vec<f64> = dense
+                .iter()
+                .map(|score| match direct_truth_len {
+                    0 => 1.0,
+                    truth => score.direct_hits as f64 / truth as f64,
+                })
+                .collect();
+
+            assert_eq!((series.rounds(), series.is_empty()), (rounds, rounds == 0));
+            for (round, (score, &direct)) in dense.iter().zip(&coverage).enumerate() {
+                assert_eq!(series.score_at(round), *score, "case {case} round {round}");
+                assert_eq!(series.direct_coverage_at(round).to_bits(), direct.to_bits());
+            }
+            assert_eq!(series.final_score(), dense.last().copied());
+            assert_eq!(
+                series.checked_final_direct_coverage().map(f64::to_bits),
+                coverage.last().map(|c| c.to_bits())
+            );
+            assert_eq!(
+                series.rounds_to_full_direct_coverage(),
+                coverage
+                    .iter()
+                    .position(|&c| (c - 1.0).abs() < f64::EPSILON)
+            );
+            for limit in 0..5 {
+                assert_eq!(
+                    series.rounds_until_max_simultaneous_at_most(limit),
+                    dense.iter().position(|s| s.max_simultaneous <= limit)
+                );
+            }
+            let bootstrap = match direct_truth_len {
+                0 => Some(0),
+                _ => dense.iter().position(|s| s.direct_hits > 0),
+            };
+            assert_eq!(series.bootstrap_round(), bootstrap);
+
+            // One point per round whose scores differ from the round before,
+            // and the points are in the shape `from_points` accepts.
+            let changes = dense.windows(2).filter(|pair| pair[0] != pair[1]).count();
+            assert_eq!(series.points().len(), changes + usize::from(rounds > 0));
+            let rebuilt = CoverageSeries::from_points(
+                series.profiler.clone(),
+                direct_truth_len,
+                indirect_truth_len,
+                rounds,
+                series.points().to_vec(),
+            );
+            assert_eq!(rebuilt, Ok(series));
+        }
+    }
+
     #[test]
     fn direct_coverage_edge_cases() {
         use harp_ecc::analysis::FailureDependence;
@@ -256,11 +466,12 @@ mod tests {
         // No direct at-risk bits: coverage is 1.0 whatever was identified.
         let none = ErrorSpace::enumerate(&code, &[], FailureDependence::TrueCell);
         let mut series = CoverageSeries::new("P", &none);
+        // With nothing to find, the profiler is bootstrapped from the start.
+        assert_eq!(series.bootstrap_round(), Some(0));
         series.push_round(&none, &empty, &empty);
         series.push_round(&none, &[0, 2].into_iter().collect(), &empty);
-        assert_eq!(series.direct_coverage, [1.0, 1.0]);
-        // With nothing to find, the profiler is bootstrapped from the start.
-        assert_eq!(series.bootstrap_round, Some(0));
+        assert_eq!(dense_coverage(&series), [1.0, 1.0]);
+        assert_eq!(series.bootstrap_round(), Some(0));
 
         let space = ErrorSpace::enumerate(&code, &[0, 1], FailureDependence::TrueCell);
         let truth = space.direct_at_risk().clone();
@@ -272,8 +483,8 @@ mod tests {
         series.push_round(&space, &empty, &truth);
         series.push_round(&space, &half, &empty);
         series.push_round(&space, &truth, &empty);
-        assert_eq!(series.direct_coverage, [0.0, 0.0, 0.5, 1.0]);
-        assert_eq!(series.bootstrap_round, Some(2));
+        assert_eq!(dense_coverage(&series), [0.0, 0.0, 0.5, 1.0]);
+        assert_eq!(series.bootstrap_round(), Some(2));
     }
 
     #[test]
@@ -307,8 +518,11 @@ mod tests {
         series.push_round(&space, &empty, &with_outside);
         series.push_round(&space, &first, &truth);
         series.push_round(&space, &truth, &empty);
+        let missed: Vec<usize> = (0..series.rounds())
+            .map(|round| series.score_at(round).missed_indirect)
+            .collect();
         assert_eq!(
-            series.missed_indirect,
+            missed,
             [truth.len(), truth.len() - 1, truth.len() - 1, 0, 0]
         );
     }
@@ -321,9 +535,9 @@ mod tests {
         let full_round = series.rounds_to_full_direct_coverage().unwrap();
         // Once every direct bit is known, at most one simultaneous error
         // (an indirect one) remains possible.
-        assert!(series.max_simultaneous[full_round] <= 1);
+        assert!(series.score_at(full_round).max_simultaneous <= 1);
         assert!(series.rounds_until_max_simultaneous_at_most(1).unwrap() <= full_round);
-        assert!(series.bootstrap_round.is_some());
+        assert!(series.bootstrap_round().is_some());
         assert_eq!(series.rounds(), 32);
     }
 
@@ -335,9 +549,9 @@ mod tests {
         // must wait for a *combination*.
         let harp = series_for(ProfilerKind::HarpU, &[3, 19, 42], 0.5, 64, 21);
         let naive = series_for(ProfilerKind::Naive, &[3, 19, 42], 0.5, 64, 21);
-        let harp_boot = harp.bootstrap_round.expect("HARP must bootstrap");
+        let harp_boot = harp.bootstrap_round().expect("HARP must bootstrap");
         // When Naive never saw a direct error, HARP is trivially faster.
-        if let Some(naive_boot) = naive.bootstrap_round {
+        if let Some(naive_boot) = naive.bootstrap_round() {
             assert!(harp_boot <= naive_boot);
         }
     }
@@ -345,14 +559,15 @@ mod tests {
     #[test]
     fn naive_direct_coverage_is_monotonic_and_bounded() {
         let series = series_for(ProfilerKind::Naive, &[5, 23, 48, 60, 63], 0.5, 96, 9);
-        for window in series.direct_coverage.windows(2) {
+        let coverage = dense_coverage(&series);
+        for window in coverage.windows(2) {
             assert!(window[1] >= window[0]);
         }
-        for &c in &series.direct_coverage {
+        for &c in &coverage {
             assert!((0.0..=1.0).contains(&c));
         }
-        for window in series.missed_indirect.windows(2) {
-            assert!(window[1] <= window[0]);
+        for window in series.points().windows(2) {
+            assert!(window[1].1.missed_indirect <= window[0].1.missed_indirect);
         }
     }
 
@@ -360,12 +575,12 @@ mod tests {
     fn harp_a_leaves_fewer_missed_indirect_bits_than_harp_u() {
         let harp_u = series_for(ProfilerKind::HarpU, &[2, 11, 37, 58], 1.0, 16, 15);
         let harp_a = series_for(ProfilerKind::HarpA, &[2, 11, 37, 58], 1.0, 16, 15);
-        let last = harp_u.rounds() - 1;
+        let missed = |series: &CoverageSeries| series.final_score().unwrap().missed_indirect;
         assert!(
-            harp_a.missed_indirect[last] <= harp_u.missed_indirect[last],
+            missed(&harp_a) <= missed(&harp_u),
             "HARP-A ({}) should miss no more indirect bits than HARP-U ({})",
-            harp_a.missed_indirect[last],
-            harp_u.missed_indirect[last]
+            missed(&harp_a),
+            missed(&harp_u)
         );
     }
 
@@ -383,7 +598,7 @@ mod tests {
         let space = campaign.error_space();
         let result = campaign.run(ProfilerKind::Naive, 16);
         let series = CoverageSeries::from_campaign(&result, &space);
-        assert_eq!(series.bootstrap_round, None);
+        assert_eq!(series.bootstrap_round(), None);
         assert_eq!(series.final_direct_coverage(), 0.0);
     }
 

@@ -64,7 +64,7 @@ pub mod traits;
 pub use batch::{BatchWord, CampaignBatch};
 pub use beep::BeepProfiler;
 pub use campaign::{CampaignResult, ProfilingCampaign, RoundSnapshot};
-pub use checkpoint::{BatchRun, CampaignCheckpoint, ProfilerState, WordCheckpoint};
+pub use checkpoint::{BatchRun, CampaignCheckpoint, ProfilerState, RngPosition, WordCheckpoint};
 pub use coverage::CoverageSeries;
 pub use harp::{HarpABeepProfiler, HarpAProfiler, HarpUProfiler};
 pub use naive::NaiveProfiler;

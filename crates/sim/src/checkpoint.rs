@@ -31,18 +31,22 @@
 //! below, and single-record files go through [`read_record`] and
 //! [`write_record`]. `u64` seeds and RNG block counters are stored as raw
 //! literals (never through `f64`), so a resumed RNG stream is positioned
-//! bit-exactly.
+//! bit-exactly. A group record stores each coverage series as its change
+//! points; shard outputs and sweep results store it dense, one value per
+//! round, and decoding either form rejects what
+//! [`CoverageSeries::push_round`] cannot produce.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
 
+use harp_ecc::analysis::RoundScore;
 use harp_ecc::{ErrorSpace, HammingCode, LinearBlockCode};
 use harp_memsim::pattern::DataPattern;
 use harp_profiler::{
-    BatchRun, CampaignCheckpoint, CoverageSeries, ProfilerKind, ProfilerState, WordCheckpoint,
+    BatchRun, CampaignCheckpoint, CoverageSeries, ProfilerKind, ProfilerState, RngPosition,
+    WordCheckpoint,
 };
-use rand_chacha::ChaCha8RngState;
 
 use crate::config::EvaluationConfig;
 use crate::experiments::sweep::{CoverageSweep, GroupUnit, WordEvaluation};
@@ -58,10 +62,12 @@ use crate::stats::mean;
 /// instead of misinterpreting them.
 pub const CHECKPOINT_SCHEMA_VERSION: u64 = 1;
 
-/// Version of the group-record schema. Version 2 stores each word's scored
-/// coverage series instead of its per-round snapshot history; a version-1
-/// group record fails to decode with a `schema` error.
-pub const GROUP_SCHEMA_VERSION: u64 = 2;
+/// Version of the group-record schema. Version 3 stores each word's scored
+/// coverage series as its change points (version 2 stored three dense
+/// per-round arrays) and each RNG stream as its position alone, without the
+/// key the word's seed gives; a record of an older version fails to decode
+/// with a `schema` error.
+pub const GROUP_SCHEMA_VERSION: u64 = 3;
 
 /// Name of the archive file: the manifest, then one line per group record.
 pub const ARCHIVE_FILE: &str = "ARCHIVE.jsonl";
@@ -169,10 +175,10 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
             return Err(format!("campaigns or series out of lineup {profilers:?}"));
         }
         let (words, data_len) = (self.group.batch.len(), self.group.batch.code().data_len());
-        for ((campaign, series), &kind) in
-            record.campaigns.iter().zip(&record.series).zip(profilers)
+        let mut restored = Vec::with_capacity(profilers.len());
+        for ((campaign, stored), &kind) in record.campaigns.iter().zip(record.series).zip(profilers)
         {
-            let shape = (campaign.round, campaign.words.len(), series.len());
+            let shape = (campaign.round, campaign.words.len(), stored.len());
             if shape != (round, words, words) {
                 return Err(format!(
                     "{kind} (round, words, series) {shape:?} where {:?} belongs",
@@ -180,8 +186,9 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
                 ));
             }
             let states = campaign.words.iter().map(|word| &word.profiler);
+            let mut series = Vec::with_capacity(words);
             for (index, ((state, word), space)) in
-                states.zip(series).zip(&self.group.spaces).enumerate()
+                states.zip(stored).zip(&self.group.spaces).enumerate()
             {
                 let mut bits = state.identified.iter().chain(&state.observed_indirect);
                 if let Some(bit) = bits.find(|&&bit| bit >= data_len) {
@@ -203,26 +210,26 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
                     ));
                 }
                 let fresh = CoverageSeries::new(kind.name(), space);
-                let truth = |s: &CoverageSeries| (s.direct_truth_len, s.indirect_truth_len);
-                let (direct, max) = (&word.direct_coverage, &word.max_simultaneous);
-                let rounds = [direct.len(), word.missed_indirect.len(), max.len()];
-                if (rounds, &word.profiler, truth(word))
-                    != ([round; 3], &fresh.profiler, truth(&fresh))
-                {
+                let truth = (fresh.direct_truth_len, fresh.indirect_truth_len);
+                let found = (word.direct_truth_len, word.indirect_truth_len);
+                if (word.rounds, &word.profiler, found) != (round, &fresh.profiler, truth) {
                     return Err(format!(
-                        "word {index}: a {} series of {rounds:?} rounds over {:?} truth bits \
-                         does not fit {kind} at round {round} over {:?}",
-                        word.profiler,
-                        truth(word),
-                        truth(&fresh)
+                        "word {index}: a {} series of {} rounds over {found:?} truth bits \
+                         does not fit {kind} at round {round} over {truth:?}",
+                        word.profiler, word.rounds
                     ));
                 }
+                series.push(
+                    word.into_series()
+                        .map_err(|problem| format!("word {index}: {problem}"))?,
+                );
             }
+            restored.push(series);
         }
         for (run, checkpoint) in self.group.runs.iter_mut().zip(&record.campaigns) {
             run.restore(checkpoint);
         }
-        self.group.series = record.series;
+        self.group.series = restored;
         Ok(())
     }
 }
@@ -372,7 +379,12 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
                     code_index: unit.code_index,
                     round: self.round,
                     campaigns: unit.group.runs.iter().map(BatchRun::checkpoint).collect(),
-                    series: unit.group.series.clone(),
+                    series: unit
+                        .group
+                        .series
+                        .iter()
+                        .map(|words| words.iter().map(ChangePoints::of).collect())
+                        .collect(),
                 };
                 write_line(out, &group)?;
             }
@@ -691,7 +703,7 @@ pub fn render_sweep_summary(sweep: &CoverageSweep) -> String {
                     .collect();
                 let missed: Vec<f64> = cell
                     .iter()
-                    .map(|e| *e.series.missed_indirect.last().unwrap_or(&0) as f64)
+                    .map(|e| e.series.final_score().map_or(0, |s| s.missed_indirect) as f64)
                     .collect();
                 table.push_row([
                     error_count.to_string(),
@@ -881,7 +893,157 @@ struct GroupRecord {
     code_index: usize,
     round: usize,
     campaigns: Vec<CampaignCheckpoint>,
-    series: Vec<Vec<CoverageSeries>>,
+    series: Vec<Vec<ChangePoints>>,
+}
+
+/// A coverage series as a group record stores it: its change points, each
+/// one `[round, direct_hits, missed_indirect, max_simultaneous]` array.
+struct ChangePoints {
+    profiler: String,
+    direct_truth_len: usize,
+    indirect_truth_len: usize,
+    rounds: usize,
+    points: Vec<[usize; 4]>,
+}
+
+impl ChangePoints {
+    fn of(series: &CoverageSeries) -> Self {
+        Self {
+            profiler: series.profiler.clone(),
+            direct_truth_len: series.direct_truth_len,
+            indirect_truth_len: series.indirect_truth_len,
+            rounds: series.rounds(),
+            points: series
+                .points()
+                .iter()
+                .map(|&(round, score)| {
+                    [
+                        round,
+                        score.direct_hits,
+                        score.missed_indirect,
+                        score.max_simultaneous,
+                    ]
+                })
+                .collect(),
+        }
+    }
+
+    /// The series, or why `push_round` cannot have produced these points.
+    fn into_series(self) -> Result<CoverageSeries, String> {
+        let points = self
+            .points
+            .into_iter()
+            .map(|[round, direct_hits, missed_indirect, max_simultaneous]| {
+                let score = RoundScore {
+                    direct_hits,
+                    missed_indirect,
+                    max_simultaneous,
+                };
+                (round, score)
+            })
+            .collect();
+        CoverageSeries::from_points(
+            self.profiler,
+            self.direct_truth_len,
+            self.indirect_truth_len,
+            self.rounds,
+            points,
+        )
+    }
+}
+
+/// A coverage series as shard outputs and sweep results store it (schema
+/// 1): dense, one value per round in each of three arrays.
+struct DenseSeries {
+    profiler: String,
+    direct_coverage: Vec<f64>,
+    missed_indirect: Vec<usize>,
+    max_simultaneous: Vec<usize>,
+    bootstrap_round: Option<usize>,
+    direct_truth_len: usize,
+    indirect_truth_len: usize,
+}
+
+impl DenseSeries {
+    fn of(series: &CoverageSeries) -> Self {
+        let scores: Vec<RoundScore> = (0..series.rounds())
+            .map(|round| series.score_at(round))
+            .collect();
+        let column = |value: fn(&RoundScore) -> usize| scores.iter().map(value).collect();
+        Self {
+            profiler: series.profiler.clone(),
+            direct_coverage: (0..series.rounds())
+                .map(|round| series.direct_coverage_at(round))
+                .collect(),
+            missed_indirect: column(|score| score.missed_indirect),
+            max_simultaneous: column(|score| score.max_simultaneous),
+            bootstrap_round: series.bootstrap_round(),
+            direct_truth_len: series.direct_truth_len,
+            indirect_truth_len: series.indirect_truth_len,
+        }
+    }
+
+    /// The series, if the arrays are what one holds: one length, every
+    /// coverage exactly `hits / truth` for a whole `hits <= truth`, change
+    /// points of the shape `push_round` gives, and the bootstrap round the
+    /// scores give.
+    fn into_series(self) -> Result<CoverageSeries, DecodeError> {
+        let rounds = self.direct_coverage.len();
+        for (key, len) in [
+            ("missed_indirect", self.missed_indirect.len()),
+            ("max_simultaneous", self.max_simultaneous.len()),
+        ] {
+            if len != rounds {
+                let message = format!("{len} rounds where direct_coverage holds {rounds}");
+                return Err(DecodeError::new(message).at_key(key));
+            }
+        }
+        // The whole number of hits nearest each coverage; that it gives
+        // exactly this coverage is checked on the decoded series.
+        let truth = self.direct_truth_len as f64;
+        let scores = self.direct_coverage.iter().zip(&self.missed_indirect);
+        let mut points: Vec<_> = scores
+            .zip(&self.max_simultaneous)
+            .map(
+                |((&coverage, &missed_indirect), &max_simultaneous)| RoundScore {
+                    direct_hits: (coverage * truth).round().clamp(0.0, truth) as usize,
+                    missed_indirect,
+                    max_simultaneous,
+                },
+            )
+            .enumerate()
+            .collect();
+        points.dedup_by_key(|&mut (_, score)| score);
+        let series = CoverageSeries::from_points(
+            self.profiler,
+            self.direct_truth_len,
+            self.indirect_truth_len,
+            rounds,
+            points,
+        )
+        .map_err(DecodeError::new)?;
+        let coverage = &self.direct_coverage;
+        if let Some(round) =
+            (0..rounds).find(|&r| series.direct_coverage_at(r).to_bits() != coverage[r].to_bits())
+        {
+            let message = format!(
+                "{} is not a whole number of {} direct truth bits",
+                coverage[round], series.direct_truth_len
+            );
+            return Err(DecodeError::new(message)
+                .at_index(round)
+                .at_key("direct_coverage"));
+        }
+        if series.bootstrap_round() != self.bootstrap_round {
+            let message = format!(
+                "{:?} where the scores give {:?}",
+                self.bootstrap_round,
+                series.bootstrap_round()
+            );
+            return Err(DecodeError::new(message).at_key("bootstrap_round"));
+        }
+        Ok(series)
+    }
 }
 
 /// A `SHARD_i_of_N.json` file: the finished evaluations of one worker's
@@ -923,7 +1085,7 @@ json_record!(WordEvaluation {
     profiler,
     series
 });
-json_record!(CoverageSeries {
+json_record!(DenseSeries {
     profiler,
     direct_coverage,
     missed_indirect,
@@ -932,6 +1094,13 @@ json_record!(CoverageSeries {
     direct_truth_len,
     indirect_truth_len,
 });
+json_record!(ChangePoints {
+    profiler,
+    direct_truth_len,
+    indirect_truth_len,
+    rounds,
+    points
+});
 json_record!(CampaignCheckpoint { kind, round, words });
 json_record!(WordCheckpoint { rng, profiler });
 json_record!(ProfilerState {
@@ -939,7 +1108,7 @@ json_record!(ProfilerState {
     observed_indirect,
     crafted_rounds
 });
-json_record!(ChaCha8RngState { key, counter, cursor } where check_rng_cursor);
+json_record!(RngPosition { counter, cursor } where check_rng_cursor);
 // All fields, so an archive is self-describing and resume needs no flags.
 // A decoded configuration is untrusted input, and every consumer
 // downstream (word sampling, code generation, the sharded group partition)
@@ -960,14 +1129,26 @@ json_record!(EvaluationConfig {
 /// 16 (exhausted). `ChaCha8Rng::from_state` would silently treat anything
 /// above 16 as exhausted, mispositioning the stream instead of surfacing
 /// the corruption.
-fn check_rng_cursor(state: &ChaCha8RngState) -> Result<(), String> {
-    if state.cursor > 16 || !state.cursor.is_multiple_of(2) {
+fn check_rng_cursor(position: &RngPosition) -> Result<(), String> {
+    if position.cursor > 16 || !position.cursor.is_multiple_of(2) {
         return Err(format!(
             "RNG cursor {} is not a valid block position",
-            state.cursor
+            position.cursor
         ));
     }
     Ok(())
+}
+
+/// Schema 1 (shard outputs, `RESULT.json` and `result` frames) keeps a
+/// series dense: see [`DenseSeries`].
+impl JsonCodec for CoverageSeries {
+    fn to_json(&self) -> Result<Json, NonFiniteFloat> {
+        DenseSeries::of(self).to_json()
+    }
+
+    fn from_json(json: &Json) -> Result<Self, DecodeError> {
+        DenseSeries::from_json(json)?.into_series()
+    }
 }
 
 impl JsonCodec for ProfilerKind {
@@ -1319,13 +1500,13 @@ mod tests {
 
         // Wrong schema version in the manifest.
         reject(0, "{\"schema\":1", "{\"schema\":999", "schema");
-        // A group record from before scored series replaced snapshot
-        // histories (schema 1) is refused with the typed schema error.
+        // A group record from before change points replaced dense series
+        // (schema 2) is refused with the typed schema error.
         reject(
             3,
+            "{\"schema\":3",
             "{\"schema\":2",
-            "{\"schema\":1",
-            "schema: expected 2, found 1",
+            "schema: expected 3, found 2",
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1411,18 +1592,18 @@ mod tests {
 
     #[test]
     fn corrupt_rng_cursors_are_rejected() {
-        let state = ChaCha8RngState {
-            key: [7; 8],
+        let position = RngPosition {
             counter: 3,
             cursor: 6,
         };
-        let encoded = state.to_json().unwrap();
-        assert_eq!(ChaCha8RngState::from_json(&encoded).unwrap(), state);
+        let encoded = position.to_json().unwrap();
+        assert_eq!(encoded.render(), r#"{"counter":3,"cursor":6}"#);
+        assert_eq!(RngPosition::from_json(&encoded).unwrap(), position);
         for bad_cursor in [17usize, 5, 100] {
             let text = encoded
                 .render()
                 .replace("\"cursor\":6", &format!("\"cursor\":{bad_cursor}"));
-            let err = ChaCha8RngState::from_json(&Json::parse(&text).unwrap()).unwrap_err();
+            let err = RngPosition::from_json(&Json::parse(&text).unwrap()).unwrap_err();
             assert!(err.message.contains("cursor"), "{bad_cursor}: {err}");
         }
     }
@@ -1489,7 +1670,9 @@ mod tests {
 
     /// A stored series is checked against the ground truth recomputed from
     /// the configuration: its length, its truth-set sizes and its profiler
-    /// name must all fit the group, or resume fails with a description.
+    /// name must all fit the group, and its change points must be a list
+    /// `push_round` can produce, or resume fails with a description naming
+    /// the word.
     #[test]
     fn corrupt_group_series_are_rejected() {
         let config = tiny_config();
@@ -1501,21 +1684,206 @@ mod tests {
         let mutate = |corrupt: &dyn Fn(&mut GroupRecord)| {
             corrupt_first_group(&dir, &config, &pristine, corrupt)
         };
-        let reject = |corrupt: fn(&mut CoverageSeries)| {
+        let reject = |corrupt: fn(&mut ChangePoints)| {
             let err = mutate(&|group| corrupt(&mut group.series[0][1]));
             assert!(
                 err.contains("word 1: a ") && err.contains("does not fit"),
                 "{err}"
             );
         };
-        reject(|series| series.direct_coverage.push(1.0));
-        reject(|series| series.max_simultaneous.clear());
+        reject(|series| series.rounds += 1);
+        reject(|series| series.rounds -= 1);
         reject(|series| series.indirect_truth_len += 1);
         reject(|series| series.profiler = "Naive".to_owned());
         let err = mutate(&|group| {
             group.series[1].pop();
         });
         assert!(err.contains("(round, words, series)"), "{err}");
+
+        // Point lists no run of three rounds can produce.
+        let stored: GroupRecord = decode(&pristine[1]).unwrap();
+        let (direct, indirect) = (
+            stored.series[0][1].direct_truth_len,
+            stored.series[0][1].indirect_truth_len,
+        );
+        let reject_points = |points: Vec<[usize; 4]>, expected: &str| {
+            let err = mutate(&|group| group.series[0][1].points = points.clone());
+            assert!(err.contains("word 1: ") && err.contains(expected), "{err}");
+        };
+        reject_points(vec![], "no change point in 3 rounds");
+        reject_points(
+            vec![[1, 0, 0, 1]],
+            "change point 0 at round 1 is not at round 0",
+        );
+        reject_points(
+            vec![[0, 0, 0, 1], [2, 0, 0, 2], [2, 0, 0, 3]],
+            "change point 2 at round 2 does not follow round 2",
+        );
+        reject_points(
+            vec![[0, 0, 0, 1], [2, 0, 0, 2], [1, 0, 0, 3]],
+            "change point 2 at round 1 does not follow round 2",
+        );
+        reject_points(
+            vec![[0, 0, 0, 1], [3, 0, 0, 2]],
+            "change point 1 at round 3 is past the last of 3 rounds",
+        );
+        reject_points(
+            vec![[0, 0, 0, 1], [1, 0, 0, 1]],
+            "change point 1 at round 1 repeats the scores before it",
+        );
+        reject_points(
+            vec![[0, direct + 1, 0, 1]],
+            &format!(
+                "has {} direct hits of {direct} direct truth bits",
+                direct + 1
+            ),
+        );
+        reject_points(
+            vec![[0, 0, indirect + 1, 1]],
+            &format!("misses {} of {indirect} indirect truth bits", indirect + 1),
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Random per-round score sequences pushed into series — long runs,
+    /// repeats, empty direct truths and zero rounds among them. The dense
+    /// form of shard outputs and results holds every round's values and
+    /// re-renders byte for byte after a decode; a group record's change
+    /// points round-trip.
+    #[test]
+    fn series_codecs_round_trip_random_score_sequences() {
+        use crate::minijson::field;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xDE45E);
+        for case in 0..256 {
+            let direct = if case % 4 == 0 {
+                0
+            } else {
+                rng.gen_range(1..9)
+            };
+            let indirect = rng.gen_range(0..5);
+            let rounds = if case % 16 == 1 {
+                0
+            } else {
+                rng.gen_range(1..160)
+            };
+            let mut series =
+                CoverageSeries::from_points("HARP-U".into(), direct, indirect, 0, vec![]).unwrap();
+            let mut dense = Vec::with_capacity(rounds);
+            let mut score = RoundScore {
+                direct_hits: 0,
+                missed_indirect: indirect,
+                max_simultaneous: 2,
+            };
+            for _ in 0..rounds {
+                if rng.gen_bool(0.1) {
+                    match rng.gen_range(0..3) {
+                        0 => score.direct_hits = rng.gen_range(0..=direct),
+                        1 => score.missed_indirect = rng.gen_range(0..=indirect),
+                        _ => score.max_simultaneous = rng.gen_range(0..4),
+                    }
+                }
+                series.push_score(score);
+                dense.push(score);
+            }
+
+            let rendered = series.to_json().unwrap().render();
+            let json = Json::parse(&rendered).unwrap();
+            let coverage: Vec<f64> = field(&json, "direct_coverage").unwrap();
+            let expected: Vec<f64> = dense
+                .iter()
+                .map(|s| match direct {
+                    0 => 1.0,
+                    truth => s.direct_hits as f64 / truth as f64,
+                })
+                .collect();
+            assert_eq!(coverage, expected, "case {case}");
+            let missed: Vec<usize> = field(&json, "missed_indirect").unwrap();
+            assert!(missed.iter().eq(dense.iter().map(|s| &s.missed_indirect)));
+            let max: Vec<usize> = field(&json, "max_simultaneous").unwrap();
+            assert!(max.iter().eq(dense.iter().map(|s| &s.max_simultaneous)));
+            let bootstrap: Option<usize> = field(&json, "bootstrap_round").unwrap();
+            assert_eq!(bootstrap, series.bootstrap_round());
+            let decoded = CoverageSeries::from_json(&json).unwrap();
+            assert_eq!(decoded, series, "case {case}");
+            assert_eq!(decoded.to_json().unwrap().render(), rendered);
+
+            let stored = ChangePoints::of(&series).to_json().unwrap().render();
+            let reparsed = ChangePoints::from_json(&Json::parse(&stored).unwrap()).unwrap();
+            assert_eq!(reparsed.into_series(), Ok(series), "case {case}");
+        }
+    }
+
+    fn entry<'a>(json: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Object(entries) = json else {
+            panic!("not an object")
+        };
+        &mut entries.iter_mut().find(|(name, _)| name == key).unwrap().1
+    }
+
+    fn item(json: &mut Json, index: usize) -> &mut Json {
+        let Json::Array(items) = json else {
+            panic!("not an array")
+        };
+        &mut items[index]
+    }
+
+    /// A shard output whose dense series no sweep can produce fails `merge`
+    /// with a decode error naming the file and the path to the value: a
+    /// coverage that is not `hits / truth`, arrays of different lengths,
+    /// and a bootstrap round the scores disagree with.
+    #[test]
+    fn merge_rejects_dense_series_no_sweep_produces() {
+        let config = tiny_config();
+        let dir = temp_dir("merge_dense");
+        let path = dir.join(shard_file_name(ShardSpec::full()));
+        let mut worker = ResumableSweep::new(&config, &KINDS, make_code(&config));
+        worker.advance(config.rounds);
+        worker.write_shard_output(&path).unwrap();
+        let mut pristine = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        merge_shards(std::slice::from_ref(&path)).unwrap();
+
+        // The first series over two direct truth bits.
+        let evaluations = entry(item(entry(&mut pristine, "groups"), 0), "evaluations");
+        let index = (0..)
+            .find(|&e| {
+                let series = entry(item(evaluations, e), "series");
+                *entry(series, "direct_truth_len") == Json::from_u64(2)
+            })
+            .unwrap();
+        let reject = |corrupt: &dyn Fn(&mut Json), at: &str, expected: &str| {
+            let mut shard = pristine.clone();
+            let evaluations = entry(item(entry(&mut shard, "groups"), 0), "evaluations");
+            corrupt(entry(item(evaluations, index), "series"));
+            std::fs::write(&path, shard.render()).unwrap();
+            let err = merge_shards(std::slice::from_ref(&path))
+                .unwrap_err()
+                .to_string();
+            let at = format!("groups[0].evaluations[{index}].series.{at}: ");
+            assert!(err.contains(&path.display().to_string()), "{err}");
+            assert!(err.contains(&(at + expected)), "{err}");
+        };
+        reject(
+            &|series| *item(entry(series, "direct_coverage"), 0) = Json::Number("0.3".into()),
+            "direct_coverage[0]",
+            "0.3 is not a whole number of 2 direct truth bits",
+        );
+        reject(
+            &|series| {
+                let Json::Array(missed) = entry(series, "missed_indirect") else {
+                    panic!("not an array")
+                };
+                missed.pop();
+            },
+            "missed_indirect",
+            "15 rounds where direct_coverage holds 16",
+        );
+        reject(
+            &|series| *entry(series, "bootstrap_round") = Json::from_u64(16),
+            "bootstrap_round",
+            "Some(16) where the scores give",
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1550,13 +1918,14 @@ mod tests {
 
     /// Regression: a NaN coverage mean used to panic the encoder (and with
     /// it the daemon worker rendering `RESULT.json`). The fallible encoder
-    /// must surface it as a typed error instead.
+    /// must surface a NaN — here a word's probability, as coverage is now
+    /// computed from whole hits — as a typed error instead.
     #[test]
     fn try_encode_sweep_reports_non_finite_floats_instead_of_panicking() {
         let config = tiny_config();
         let mut sweep = run_coverage_sweep(&config, &KINDS);
         assert!(try_encode_sweep(&sweep).is_ok());
-        sweep.evaluations[0].series.direct_coverage[0] = f64::NAN;
+        sweep.evaluations[0].probability = f64::NAN;
         let err = try_encode_sweep(&sweep).unwrap_err();
         assert!(err.value.is_nan());
         assert!(err.to_string().contains("cannot represent"));

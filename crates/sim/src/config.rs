@@ -69,8 +69,9 @@ impl EvaluationConfig {
     }
 
     /// A configuration approaching the paper's sample counts (the CLI's
-    /// `--full`). `harp fig6 --full` took 54–67 s wall on a 2-core host,
-    /// with a peak RSS of about 1.3 GB.
+    /// `--full`). The nightly `paper-scale-summary` CI job runs `harp
+    /// summary --full` at this scale and records its wall time and peak RSS
+    /// in its log.
     pub fn paper_scale() -> Self {
         Self {
             num_codes: 64,

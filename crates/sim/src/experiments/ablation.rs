@@ -70,7 +70,7 @@ fn arm_from_sweep(
                         .map(|r| (r + 1) as f64)
                         .unwrap_or((sweep.rounds + 1) as f64),
                 );
-                if *e.series.max_simultaneous.last().unwrap_or(&0) > unsafe_limit {
+                if e.series.final_score().map_or(0, |s| s.max_simultaneous) > unsafe_limit {
                     unsafe_words += 1;
                 }
             }

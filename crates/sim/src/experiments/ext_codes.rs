@@ -101,7 +101,7 @@ fn summarize<C: LinearBlockCode + ?Sized>(
         .collect();
     let missed: Vec<f64> = harpa
         .iter()
-        .map(|e| *e.series.missed_indirect.last().unwrap_or(&0) as f64)
+        .map(|e| e.series.final_score().map_or(0, |s| s.missed_indirect) as f64)
         .collect();
     let indirect_truth: Vec<f64> = harpa
         .iter()
@@ -109,7 +109,7 @@ fn summarize<C: LinearBlockCode + ?Sized>(
         .collect();
     let max_simultaneous = harpa
         .iter()
-        .filter_map(|e| e.series.max_simultaneous.last().copied())
+        .filter_map(|e| e.series.final_score().map(|s| s.max_simultaneous))
         .max()
         .unwrap_or(0);
     CodeFamilyResult {

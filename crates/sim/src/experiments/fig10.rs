@@ -116,17 +116,15 @@ pub fn run_with_rbers(config: &EvaluationConfig, rbers: &[f64]) -> Fig10Result {
                     let mut missed_before = 0usize;
                     let mut missed_after = 0usize;
                     for s in per_group.iter().flat_map(|group| &group[profiler_index]) {
+                        let score = s.score_at(round - 1);
                         // Bits still unknown to the profiler at this round.
-                        let direct_missing = ((1.0 - s.direct_coverage[round - 1])
-                            * s.direct_truth_len as f64)
-                            .round() as usize;
-                        let indirect_missing = s.missed_indirect[round - 1];
-                        let missing = direct_missing + indirect_missing;
+                        let missing =
+                            s.direct_truth_len - score.direct_hits + score.missed_indirect;
                         missed_before += missing;
                         // The secondary ECC handles words where at most one
                         // simultaneous error remains possible; otherwise the
                         // remaining at-risk bits stay at risk.
-                        if s.max_simultaneous[round - 1] > 1 {
+                        if score.max_simultaneous > 1 {
                             missed_after += missing;
                         }
                     }

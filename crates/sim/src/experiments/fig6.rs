@@ -62,7 +62,7 @@ pub fn from_sweep(sweep: &CoverageSweep) -> Fig6Result {
                         let mut total = 0.0;
                         for e in &evaluations {
                             let truth = e.series.direct_truth_len as f64;
-                            identified += e.series.direct_coverage[round - 1] * truth;
+                            identified += e.series.direct_coverage_at(round - 1) * truth;
                             total += truth;
                         }
                         let coverage = if total == 0.0 {

@@ -61,7 +61,7 @@ pub fn from_sweep(sweep: &CoverageSweep) -> Fig7Result {
                 let mut total = 0usize;
                 for e in sweep.cell(profiler, error_count, probability) {
                     total += 1;
-                    match e.series.bootstrap_round {
+                    match e.series.bootstrap_round() {
                         Some(r) => rounds.push((r + 1) as f64),
                         None => {
                             never += 1;

@@ -65,7 +65,7 @@ pub fn from_sweep(sweep: &CoverageSweep) -> Fig8Result {
                     .map(|&round| {
                         let missed: Vec<f64> = evaluations
                             .iter()
-                            .map(|e| e.series.missed_indirect[round - 1] as f64)
+                            .map(|e| e.series.score_at(round - 1).missed_indirect as f64)
                             .collect();
                         (round, mean(&missed))
                     })

@@ -79,7 +79,7 @@ pub fn from_sweep(sweep: &CoverageSweep) -> Fig9Result {
                 let evaluations: Vec<_> = sweep.cell(profiler, error_count, probability).collect();
                 let finals: Vec<usize> = evaluations
                     .iter()
-                    .map(|e| *e.series.max_simultaneous.last().unwrap_or(&0))
+                    .map(|e| e.series.final_score().map_or(0, |s| s.max_simultaneous))
                     .collect();
                 let final_histogram = Histogram::of(&finals, MAX_SIMULTANEOUS_TRACKED);
 

@@ -1,47 +1,65 @@
-//! Steady-state allocation guard for the burst read path.
+//! Steady-state allocation guards for the burst read path and the scoring
+//! step.
 //!
 //! `BurstScratch` grows geometrically and `clear()` keeps capacity, so a
 //! campaign that alternates burst sizes (module line reads vs. controller
 //! scrub ranges) must stop allocating once its scratch has seen each size
 //! once. This test pins that down with a counting global allocator: after a
 //! warm-up pass over both burst sizes, whole alternating read bursts run
-//! with **zero** heap allocations for every code family.
+//! with **zero** heap allocations for every code family. A coverage series
+//! adds a change point only when a round's scores change, so scoring a
+//! round that changed nothing allocates nothing either.
 //!
-//! The test lives in its own integration-test binary because the counting
-//! allocator is process-global: sharing a binary with concurrently running
-//! tests would make the counter racy.
+//! The tests live in their own integration-test binary because the counting
+//! allocator is process-global; it counts per thread, so tests running
+//! side by side do not see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::collections::BTreeSet;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use harp_bch::BchCode;
-use harp_ecc::{ExtendedHammingCode, HammingCode, LinearBlockCode};
+use harp_ecc::analysis::FailureDependence;
+use harp_ecc::{ErrorSpace, ExtendedHammingCode, HammingCode, LinearBlockCode};
 use harp_gf2::BitVec;
 use harp_memsim::{BurstScratch, FaultModel, MemoryChip};
+use harp_profiler::CoverageSeries;
 
-/// Counts every allocation and reallocation made through the global
-/// allocator (deallocations are not counted: freeing is fine, *acquiring*
-/// in the steady state is the regression this test guards against).
+/// Counts every allocation and reallocation the current thread makes
+/// through the global allocator (deallocations are not counted: freeing is
+/// fine, *acquiring* in the steady state is the regression this test guards
+/// against).
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -106,9 +124,9 @@ fn assert_steady_state<C: LinearBlockCode>(
     // their steady-state capacity for both burst shapes.
     alternating_bursts(chip, rng, scratch, 2);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let corrected = alternating_bursts(chip, rng, scratch, 8);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert!(corrected > 0, "{label}: decode branches not exercised");
     assert_eq!(
         after - before,
@@ -119,9 +137,9 @@ fn assert_steady_state<C: LinearBlockCode>(
     // `clear()` drops contents but keeps capacity, so the next burst after
     // a clear is still allocation-free.
     scratch.clear();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     alternating_bursts(chip, rng, scratch, 1);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -139,4 +157,25 @@ fn steady_state_bursts_do_not_allocate() {
     assert_steady_state("secded", &secded, &mut rng, &mut scratch);
     let bch = seeded_chip(BchCode::dec(64).expect("valid code"));
     assert_steady_state("bch", &bch, &mut rng, &mut scratch);
+}
+
+/// After warm-up, scoring a round whose three scores equal the last
+/// round's adds no change point, so `push_round` allocates nothing.
+#[test]
+fn unchanged_rounds_score_without_allocating() {
+    let code = HammingCode::random(64, 5).expect("valid code");
+    let space = ErrorSpace::enumerate(&code, &[3, 19, 42, 61], FailureDependence::TrueCell);
+    let mut series = CoverageSeries::new("HARP-U", &space);
+    let empty = BTreeSet::new();
+    let found: BTreeSet<usize> = space.direct_at_risk().iter().take(1).copied().collect();
+    series.push_round(&space, &empty, &empty);
+    series.push_round(&space, &found, &empty);
+
+    let before = allocations();
+    for _ in 0..64 {
+        series.push_round(&space, &found, &empty);
+    }
+    let after = allocations();
+    assert_eq!(after - before, 0, "unchanged rounds allocated");
+    assert_eq!((series.rounds(), series.points().len()), (66, 2));
 }

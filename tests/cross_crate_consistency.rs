@@ -62,7 +62,7 @@ fn harp_u_campaign_converges_exactly_to_the_direct_at_risk_set() {
         // simultaneous error.
         let series = CoverageSeries::from_campaign(&result, &space);
         assert_eq!(series.final_direct_coverage(), 1.0);
-        assert!(*series.max_simultaneous.last().unwrap() <= 1);
+        assert!(series.final_score().unwrap().max_simultaneous <= 1);
     }
 }
 
