@@ -209,10 +209,9 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
                         "word {index}: {crafted} crafted patterns in {round} rounds"
                     ));
                 }
-                let fresh = CoverageSeries::new(kind.name(), space);
-                let truth = (fresh.direct_truth_len, fresh.indirect_truth_len);
+                let truth = (space.direct_at_risk().len(), space.indirect_at_risk().len());
                 let found = (word.direct_truth_len, word.indirect_truth_len);
-                if (word.rounds, &word.profiler, found) != (round, &fresh.profiler, truth) {
+                if (word.rounds, word.profiler.as_str(), found) != (round, kind.name(), truth) {
                     return Err(format!(
                         "word {index}: a {} series of {} rounds over {found:?} truth bits \
                          does not fit {kind} at round {round} over {truth:?}",
