@@ -632,7 +632,7 @@ mod tests {
             let error = BitVec::from_indices(code.codeword_len(), positions.iter().copied());
             let result = code.encode_corrupt_decode(&data, &error);
             let post: std::collections::BTreeSet<usize> =
-                result.post_correction_errors(&data).into_iter().collect();
+                result.post_correction_errors(&data).collect();
             let direct: std::collections::BTreeSet<usize> = positions
                 .iter()
                 .copied()
@@ -744,7 +744,7 @@ mod tests {
                 let error = BitVec::from_indices(78, positions.iter().copied());
                 let result = code.encode_corrupt_decode(&data, &error);
                 let post: std::collections::BTreeSet<usize> =
-                    result.post_correction_errors(&data).into_iter().collect();
+                    result.post_correction_errors(&data).collect();
                 let direct: std::collections::BTreeSet<usize> =
                     positions.iter().copied().filter(|&p| p < 64).collect();
                 let indirect = post.difference(&direct).count();

@@ -118,10 +118,10 @@ impl BeerCampaign {
         let mut pairs = BTreeMap::new();
         self.run_pattern_campaign(code, &patterns, 0xBEE2, |charged, observation| {
             let (i, j) = (charged[0], charged[1]);
-            let post = observation.post_correction_errors();
             // A data-visible miscorrection shows up as a third
             // post-correction error position beyond the pair itself.
-            if let Some(&extra) = post.iter().find(|&&p| p != i && p != j) {
+            let mut post = observation.post_correction_errors();
+            if let Some(extra) = post.find(|&p| p != i && p != j) {
                 pairs.insert((i, j), Some(extra));
             } else {
                 pairs.entry((i, j)).or_insert(None);
@@ -222,7 +222,7 @@ impl BeerCampaign {
         let mut triples = BTreeMap::new();
         self.run_pattern_campaign(code, &patterns, 0xBEE3, |charged, observation| {
             let response = PatternResponse {
-                post_errors: observation.post_correction_errors(),
+                post_errors: observation.post_correction_errors().collect(),
                 flag: DecodeFlag::from_outcome(&observation.decode_result().outcome),
             };
             // Mirror `extract_profile`'s cautious-experimenter semantics
@@ -322,10 +322,10 @@ impl BeerCampaign {
                 let mut target = None;
                 for _ in 0..self.trials_per_pattern {
                     let observation = chip.read(0, &mut rng);
-                    let post = observation.post_correction_errors();
                     // A data-visible miscorrection shows up as a third
                     // post-correction error position beyond the pair itself.
-                    if let Some(&extra) = post.iter().find(|&&p| p != i && p != j) {
+                    let mut post = observation.post_correction_errors();
+                    if let Some(extra) = post.find(|&p| p != i && p != j) {
                         target = Some(extra);
                     }
                 }

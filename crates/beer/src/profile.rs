@@ -215,7 +215,7 @@ impl PatternResponse {
     fn from_decode(result: &DecodeResult, data_bits: usize) -> Self {
         let written = BitVec::zeros(data_bits);
         PatternResponse {
-            post_errors: result.post_correction_errors(&written),
+            post_errors: result.post_correction_errors(&written).collect(),
             flag: DecodeFlag::from_outcome(&result.outcome),
         }
     }
@@ -437,7 +437,7 @@ mod tests {
         let profile = MiscorrectionProfile::from_code(&code);
         for i in 0..16 {
             for j in (i + 1)..16 {
-                let syndrome = code.column(i) ^ code.column(j);
+                let syndrome = &code.column(i) ^ &code.column(j);
                 let expected = code.position_for_syndrome(&syndrome).filter(|&m| m < 16);
                 assert_eq!(profile.miscorrection_target(i, j), expected);
                 // Order agnostic lookup.

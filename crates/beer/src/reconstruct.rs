@@ -512,6 +512,7 @@ where
         let error = BitVec::from_indices(code.codeword_len(), positions.iter().copied());
         code.encode_corrupt_decode(&data, &error)
             .post_correction_errors(&data)
+            .collect()
     }
     let mut stack: Vec<Vec<usize>> = (0..k).map(|i| vec![i]).collect();
     while let Some(positions) = stack.pop() {

@@ -60,7 +60,7 @@ fn bench_checkpoint_path<C: LinearBlockCode + Clone + Send + 'static>(
     // JSON round trip.
     let reference = batch.run(ProfilerKind::HarpU, ROUNDS);
     let mut first = BatchRun::new(&batch, ProfilerKind::HarpU);
-    first.advance(FREEZE_AT, |_, _| {});
+    first.advance(FREEZE_AT, |_, _, _| {});
     let frozen = first.checkpoint();
     let rendered = frozen.to_json().expect("no floats").render();
     let json = Json::parse(&rendered).expect("valid JSON");
@@ -71,7 +71,7 @@ fn bench_checkpoint_path<C: LinearBlockCode + Clone + Send + 'static>(
         .iter()
         .map(|result| result.snapshots[FREEZE_AT..].iter())
         .collect();
-    resumed.advance(ROUNDS - FREEZE_AT, |word, profiler| {
+    resumed.advance(ROUNDS - FREEZE_AT, |word, profiler, _| {
         let snapshot = expected[word].next().expect("one snapshot per round");
         assert_eq!(profiler.identified(), &snapshot.identified);
     });
@@ -80,7 +80,7 @@ fn bench_checkpoint_path<C: LinearBlockCode + Clone + Send + 'static>(
     group.bench_function(format!("uninterrupted_{CELL_WORDS}x{ROUNDS}"), |b| {
         b.iter(|| {
             let mut run = BatchRun::new(&batch, ProfilerKind::HarpU);
-            run.advance(ROUNDS, |_, _| {});
+            run.advance(ROUNDS, |_, _, _| {});
             black_box(run.round())
         })
     });

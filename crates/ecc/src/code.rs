@@ -16,6 +16,7 @@
 //! codes for a given dataword length (e.g. `(71, 64)` and `(136, 128)`).
 
 use std::fmt;
+use std::sync::Arc;
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -179,6 +180,13 @@ impl fmt::Display for CodeShape {
 /// verbatim in codeword positions `0..k`. Encoding and decoding are provided
 /// through [`LinearBlockCode`].
 ///
+/// The code's tables never change after construction, so they live behind
+/// one shared [`Arc`]: `H`, `A`, the syndrome kernel and the decode lookup.
+/// Cloning a code, as every word sample and every `H`-aware profiler does,
+/// only increments a reference count. The lookup lists every position with
+/// its packed column, sorted by column, so a nonzero syndrome is resolved
+/// by a binary search in O(log n) for any `p`.
+///
 /// # Example
 ///
 /// ```
@@ -195,13 +203,20 @@ impl fmt::Display for CodeShape {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HammingCode {
+    tables: Arc<HammingTables>,
+}
+
+/// The immutable tables of a [`HammingCode`], shared by all its clones.
+#[derive(Debug, PartialEq, Eq)]
+struct HammingTables {
     layout: WordLayout,
     /// Full parity-check matrix `H = [A | I_p]`, `p × (k + p)`.
     h: Gf2Matrix,
     /// The `A` block of `H` (`p × k`): parity equations over the data bits.
     a: Gf2Matrix,
-    /// Column `i` of `H`, cached for syndrome matching.
-    columns: Vec<BitVec>,
+    /// `(packed column, position)` for every codeword position, sorted by
+    /// column: the syndrome decoder's lookup.
+    lookup: Vec<(u64, usize)>,
     /// Word-packed copy of `H` driving the hot syndrome path.
     kernel: SyndromeKernel,
 }
@@ -258,14 +273,22 @@ impl HammingCode {
         let layout = WordLayout::new(k, p);
         let a = Gf2Matrix::from_cols(&data_columns);
         let h = a.hstack(&Gf2Matrix::identity(p));
-        let columns = (0..layout.codeword_len()).map(|i| h.col(i)).collect();
+        // A column is a p-bit syndrome, which the kernel packs into one
+        // word (`SyndromeKernel::syndrome_word`), so it keys the lookup as
+        // one.
+        let mut lookup: Vec<(u64, usize)> = (0..layout.codeword_len())
+            .map(|i| (h.col(i).to_u64(), i))
+            .collect();
+        lookup.sort_unstable();
         let kernel = SyndromeKernel::new(&h);
         Ok(Self {
-            layout,
-            h,
-            a,
-            columns,
-            kernel,
+            tables: Arc::new(HammingTables {
+                layout,
+                h,
+                a,
+                lookup,
+                kernel,
+            }),
         })
     }
 
@@ -326,19 +349,19 @@ impl HammingCode {
     /// The code's `(n, k)` shape.
     pub fn shape(&self) -> CodeShape {
         CodeShape {
-            codeword_bits: self.layout.codeword_len(),
-            data_bits: self.layout.data_len(),
+            codeword_bits: self.tables.layout.codeword_len(),
+            data_bits: self.tables.layout.data_len(),
         }
     }
 
     /// The `A` block of the parity-check matrix (`p × k`).
     pub fn data_block(&self) -> &Gf2Matrix {
-        &self.a
+        &self.tables.a
     }
 
     /// The generator matrix `G = [I_k | A^T]` (`k × (k + p)`).
     pub fn generator_matrix(&self) -> Gf2Matrix {
-        Gf2Matrix::identity(self.layout.data_len()).hstack(&self.a.transpose())
+        Gf2Matrix::identity(self.tables.layout.data_len()).hstack(&self.tables.a.transpose())
     }
 
     /// Column `pos` of the parity-check matrix (the syndrome a single-bit
@@ -347,38 +370,39 @@ impl HammingCode {
     /// # Panics
     ///
     /// Panics if `pos >= codeword_len()`.
-    pub fn column(&self, pos: usize) -> &BitVec {
-        &self.columns[pos]
+    pub fn column(&self, pos: usize) -> BitVec {
+        self.tables.h.col(pos)
     }
 
     /// Finds the codeword position whose parity-check column equals
     /// `syndrome`, if any.
     pub fn position_for_syndrome(&self, syndrome: &BitVec) -> Option<usize> {
-        if syndrome.is_zero() {
+        if syndrome.len() != self.tables.layout.parity_len() {
             return None;
         }
-        self.columns.iter().position(|c| c == syndrome)
+        self.position_for_syndrome_word(syndrome.to_u64())
     }
 
     /// Finds the codeword position whose parity-check column equals the
     /// packed `p`-bit syndrome `syndrome_word` (bit `r` = syndrome row `r`),
-    /// if any. The packed twin of [`HammingCode::position_for_syndrome`],
-    /// used by the allocation-free burst decode path.
+    /// if any, by binary search of the sorted lookup. The packed twin of
+    /// [`HammingCode::position_for_syndrome`], used by the allocation-free
+    /// burst decode path.
     pub fn position_for_syndrome_word(&self, syndrome_word: u64) -> Option<usize> {
         if syndrome_word == 0 {
             return None;
         }
-        // Every column is a p-bit vector with p <= 64, so it packs into the
-        // first word of its BitVec.
-        self.columns
-            .iter()
-            .position(|c| c.to_u64() == syndrome_word)
+        let lookup = &self.tables.lookup;
+        lookup
+            .binary_search_by_key(&syndrome_word, |&(column, _)| column)
+            .ok()
+            .map(|index| lookup[index].1)
     }
 }
 
 impl LinearBlockCode for HammingCode {
     fn layout(&self) -> WordLayout {
-        self.layout
+        self.tables.layout
     }
 
     fn correction_capability(&self) -> usize {
@@ -386,15 +410,15 @@ impl LinearBlockCode for HammingCode {
     }
 
     fn parity_check_matrix(&self) -> &Gf2Matrix {
-        &self.h
+        &self.tables.h
     }
 
     fn parity_block(&self) -> &Gf2Matrix {
-        &self.a
+        &self.tables.a
     }
 
     fn syndrome_kernel(&self) -> &SyndromeKernel {
-        &self.kernel
+        &self.tables.kernel
     }
 
     /// Syndrome-decodes a stored codeword, returning the post-correction
@@ -408,7 +432,7 @@ impl LinearBlockCode for HammingCode {
         let syndrome = self.syndrome(stored);
         if syndrome.is_zero() {
             return DecodeResult {
-                dataword: stored.slice(0, self.layout.data_len()),
+                dataword: stored.slice(0, self.tables.layout.data_len()),
                 outcome: DecodeOutcome::NoErrorDetected,
                 syndrome,
             };
@@ -418,7 +442,7 @@ impl LinearBlockCode for HammingCode {
                 let mut corrected = stored.clone();
                 corrected.flip(position);
                 DecodeResult {
-                    dataword: corrected.slice(0, self.layout.data_len()),
+                    dataword: corrected.slice(0, self.tables.layout.data_len()),
                     outcome: DecodeOutcome::corrected(position),
                     syndrome,
                 }
@@ -426,7 +450,7 @@ impl LinearBlockCode for HammingCode {
             None => DecodeResult {
                 // No matching column: the decoder detects but cannot locate
                 // the error, and passes the stored data bits through.
-                dataword: stored.slice(0, self.layout.data_len()),
+                dataword: stored.slice(0, self.tables.layout.data_len()),
                 outcome: DecodeOutcome::DetectedUncorrectable,
                 syndrome,
             },
@@ -445,12 +469,12 @@ impl LinearBlockCode for HammingCode {
     ) {
         assert_eq!(
             stored.len(),
-            self.layout.codeword_len(),
+            self.tables.layout.codeword_len(),
             "stored codeword length mismatch"
         );
-        let k = self.layout.data_len();
+        let k = self.tables.layout.data_len();
         out.syndrome
-            .assign_u64(self.layout.parity_len(), syndrome_word);
+            .assign_u64(self.tables.layout.parity_len(), syndrome_word);
         out.dataword.copy_prefix_from(stored, k);
         if syndrome_word == 0 {
             out.outcome = DecodeOutcome::NoErrorDetected;
@@ -661,7 +685,7 @@ mod tests {
         let code = HammingCode::random(8, 21).unwrap();
         for pos in 0..code.codeword_len() {
             assert_eq!(
-                code.position_for_syndrome(code.column(pos)),
+                code.position_for_syndrome(&code.column(pos)),
                 Some(pos),
                 "column {pos}"
             );
@@ -736,7 +760,7 @@ mod tests {
                 let stored = &code.encode(&data) ^ &error;
                 let mut expected = BitVec::zeros(code.parity_len());
                 for &p in &positions {
-                    expected ^= code.column(p);
+                    expected ^= &code.column(p);
                 }
                 prop_assert_eq!(code.syndrome(&stored), expected);
             }

@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use harp_gf2::BitVec;
+use harp_gf2::{BitVec, DiffOnes};
 
 use crate::positions::CorrectedPositions;
 
@@ -117,9 +117,10 @@ impl Default for DecodeResult {
 }
 
 impl DecodeResult {
-    /// Positions (dataword bit indices) where the post-correction dataword
-    /// differs from `written` — i.e. the post-correction errors observed by
-    /// the memory controller for this read.
+    /// Positions (dataword bit indices, ascending) where the post-correction
+    /// dataword differs from `written` — i.e. the post-correction errors
+    /// observed by the memory controller for this read. The iterator walks
+    /// the set bits of the packed XOR of the two words, allocating nothing.
     ///
     /// # Panics
     ///
@@ -136,15 +137,15 @@ impl DecodeResult {
     /// // Two raw errors overwhelm a SEC code.
     /// let error = BitVec::from_indices(7, [0, 1]);
     /// let result = code.encode_corrupt_decode(&data, &error);
-    /// assert!(!result.post_correction_errors(&data).is_empty());
+    /// assert!(result.post_correction_errors(&data).next().is_some());
     /// ```
-    pub fn post_correction_errors(&self, written: &BitVec) -> Vec<usize> {
+    pub fn post_correction_errors<'a>(&'a self, written: &'a BitVec) -> DiffOnes<'a> {
         assert_eq!(
             written.len(),
             self.dataword.len(),
             "dataword length mismatch"
         );
-        (&self.dataword ^ written).iter_ones().collect()
+        self.dataword.iter_diff_ones(written, written.len())
     }
 }
 
@@ -189,7 +190,7 @@ mod tests {
         let code = HammingCode::paper_example();
         let data = BitVec::from_u64(4, 0b0110);
         let result = code.decode(&code.encode(&data));
-        assert!(result.post_correction_errors(&data).is_empty());
+        assert_eq!(result.post_correction_errors(&data).next(), None);
     }
 
     #[test]
@@ -199,7 +200,7 @@ mod tests {
         // Three raw errors in data positions: at least some survive decoding.
         let error = BitVec::from_indices(7, [0, 1, 2]);
         let result = code.encode_corrupt_decode(&data, &error);
-        let errors = result.post_correction_errors(&data);
+        let errors: Vec<usize> = result.post_correction_errors(&data).collect();
         assert!(!errors.is_empty());
         for pos in errors {
             assert!(pos < 4);
@@ -212,6 +213,6 @@ mod tests {
         let code = HammingCode::paper_example();
         let data = BitVec::ones(4);
         let result = code.decode(&code.encode(&data));
-        result.post_correction_errors(&BitVec::ones(5));
+        let _ = result.post_correction_errors(&BitVec::ones(5));
     }
 }

@@ -33,6 +33,7 @@
 //! ```
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -48,8 +49,19 @@ use crate::word::WordLayout;
 /// Codeword layout: `k` data bits, the inner code's `p` Hamming parity bits,
 /// then one overall parity bit — so the code stays systematic and the whole
 /// direct/indirect error analysis applies unchanged.
+///
+/// As for [`HammingCode`], the immutable tables sit behind one shared
+/// [`Arc`], so a clone is a reference-count increment, and single errors
+/// are located through the inner code's sorted syndrome lookup.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExtendedHammingCode {
+    tables: Arc<ExtendedTables>,
+}
+
+/// The immutable tables of an [`ExtendedHammingCode`], shared by all its
+/// clones.
+#[derive(Debug, PartialEq, Eq)]
+struct ExtendedTables {
     inner: HammingCode,
     layout: WordLayout,
     /// Extended parity-check matrix `(p + 1) × (n + 1)`:
@@ -86,11 +98,13 @@ impl ExtendedHammingCode {
 
         let kernel = SyndromeKernel::new(&h);
         Self {
-            inner,
-            layout,
-            h,
-            a,
-            kernel,
+            tables: Arc::new(ExtendedTables {
+                inner,
+                layout,
+                h,
+                a,
+                kernel,
+            }),
         }
     }
 
@@ -138,18 +152,18 @@ impl ExtendedHammingCode {
 
     /// The inner SEC Hamming code (without the overall parity bit).
     pub fn inner(&self) -> &HammingCode {
-        &self.inner
+        &self.tables.inner
     }
 
     /// The codeword position of the overall parity bit (`n`, the last one).
     pub fn overall_parity_position(&self) -> usize {
-        self.layout.codeword_len() - 1
+        self.tables.layout.codeword_len() - 1
     }
 }
 
 impl LinearBlockCode for ExtendedHammingCode {
     fn layout(&self) -> WordLayout {
-        self.layout
+        self.tables.layout
     }
 
     fn correction_capability(&self) -> usize {
@@ -157,20 +171,20 @@ impl LinearBlockCode for ExtendedHammingCode {
     }
 
     fn parity_check_matrix(&self) -> &Gf2Matrix {
-        &self.h
+        &self.tables.h
     }
 
     fn parity_block(&self) -> &Gf2Matrix {
-        &self.a
+        &self.tables.a
     }
 
     fn syndrome_kernel(&self) -> &SyndromeKernel {
-        &self.kernel
+        &self.tables.kernel
     }
 
     fn decode(&self, stored: &BitVec) -> DecodeResult {
-        let k = self.layout.data_len();
-        let p = self.inner.parity_len();
+        let k = self.tables.layout.data_len();
+        let p = self.tables.inner.parity_len();
         let syndrome = self.syndrome(stored);
         if syndrome.is_zero() {
             return DecodeResult {
@@ -196,7 +210,7 @@ impl LinearBlockCode for ExtendedHammingCode {
             // Only the overall parity bit itself flipped.
             Some(self.overall_parity_position())
         } else {
-            self.inner.position_for_syndrome(&hamming_syndrome)
+            self.tables.inner.position_for_syndrome(&hamming_syndrome)
         };
         match position {
             Some(position) => {
@@ -219,8 +233,8 @@ impl LinearBlockCode for ExtendedHammingCode {
     fn description(&self) -> String {
         format!(
             "SEC-DED extended Hamming ({}, {})",
-            self.layout.codeword_len(),
-            self.layout.data_len()
+            self.tables.layout.codeword_len(),
+            self.tables.layout.data_len()
         )
     }
 
@@ -232,11 +246,11 @@ impl LinearBlockCode for ExtendedHammingCode {
     ) {
         assert_eq!(
             stored.len(),
-            self.layout.codeword_len(),
+            self.tables.layout.codeword_len(),
             "stored codeword length mismatch"
         );
-        let k = self.layout.data_len();
-        let p = self.inner.parity_len();
+        let k = self.tables.layout.data_len();
+        let p = self.tables.inner.parity_len();
         out.syndrome.assign_u64(p + 1, syndrome_word);
         out.dataword.copy_prefix_from(stored, k);
         if syndrome_word == 0 {
@@ -253,7 +267,9 @@ impl LinearBlockCode for ExtendedHammingCode {
         let position = if hamming_syndrome == 0 {
             Some(self.overall_parity_position())
         } else {
-            self.inner.position_for_syndrome_word(hamming_syndrome)
+            self.tables
+                .inner
+                .position_for_syndrome_word(hamming_syndrome)
         };
         match position {
             Some(position) => {

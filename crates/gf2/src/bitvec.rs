@@ -241,14 +241,45 @@ impl BitVec {
         }
     }
 
+    /// Iterates, in increasing order, over the positions below `len` where
+    /// `self` and `other` differ: the set bits of the packed XOR of their
+    /// first `len` bits, read a word at a time with no intermediate vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds either vector's length.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// # use harp_gf2::BitVec;
+    /// let stored = BitVec::from_indices(71, [3, 64, 70]);
+    /// let written = BitVec::from_indices(64, [3, 9]);
+    /// assert_eq!(stored.iter_diff_ones(&written, 64).collect::<Vec<_>>(), vec![9]);
+    /// ```
+    pub fn iter_diff_ones<'a>(&'a self, other: &'a Self, len: usize) -> DiffOnes<'a> {
+        assert!(
+            len <= self.len && len <= other.len,
+            "{len} bits out of range for {} and {} bits",
+            self.len,
+            other.len
+        );
+        let mut ones = DiffOnes {
+            a: &self.words,
+            b: &other.words,
+            len,
+            word_index: 0,
+            current: 0,
+        };
+        if len > 0 {
+            ones.current = ones.diff_word(0);
+        }
+        ones
+    }
+
     /// Iterates over all bits as booleans in index order.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
-    }
-
-    /// Returns the bits as a `Vec<bool>`.
-    pub fn to_bools(&self) -> Vec<bool> {
-        self.iter().collect()
     }
 
     /// Interprets the first `min(len, 64)` bits as an integer (bit `i` of the
@@ -344,11 +375,26 @@ impl BitVec {
     /// ```
     pub fn not(&self) -> Self {
         let mut out = self.clone();
-        for w in &mut out.words {
+        out.invert();
+        out
+    }
+
+    /// Complements every bit in place: the allocation-free twin of
+    /// [`BitVec::not`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// # use harp_gf2::BitVec;
+    /// let mut v = BitVec::from_indices(4, [0, 2]);
+    /// v.invert();
+    /// assert_eq!(v, BitVec::from_indices(4, [1, 3]));
+    /// ```
+    pub fn invert(&mut self) {
+        for w in &mut self.words {
             *w = !*w;
         }
-        out.mask_tail();
-        out
+        self.mask_tail();
     }
 
     /// Access to the underlying packed words (low bit of word 0 is bit 0).
@@ -431,6 +477,66 @@ impl BitVec {
             } else {
                 value & ((1u64 << len) - 1)
             });
+        }
+    }
+
+    /// Makes `self` a `len`-bit vector whose packed words are the first
+    /// `len.div_ceil(64)` items of `words` (low bit of the first word is bit
+    /// 0; bits past `len` are dropped), reusing the word buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` yields fewer words than `len` needs.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// # use harp_gf2::BitVec;
+    /// let mut v = BitVec::default();
+    /// v.assign_words(70, std::iter::repeat(u64::MAX));
+    /// assert_eq!(v, BitVec::ones(70));
+    /// ```
+    pub fn assign_words(&mut self, len: usize, words: impl IntoIterator<Item = u64>) {
+        let needed = len.div_ceil(WORD_BITS);
+        self.len = len;
+        self.words.clear();
+        self.words.extend(words.into_iter().take(needed));
+        assert_eq!(self.words.len(), needed, "{len} bits need {needed} words");
+        self.mask_tail();
+    }
+
+    /// Overwrites the `len <= 64` bits starting at `start` with the low
+    /// `len` bits of `value`, leaving every other bit untouched. The bits
+    /// may straddle a word boundary; no allocation occurs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > 64` or `start + len > self.len()`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// # use harp_gf2::BitVec;
+    /// let mut v = BitVec::zeros(72);
+    /// v.splice_u64(60, 8, 0b1000_0001);
+    /// assert_eq!(v.iter_ones().collect::<Vec<_>>(), vec![60, 67]);
+    /// ```
+    pub fn splice_u64(&mut self, start: usize, len: usize, value: u64) {
+        assert!(
+            len <= WORD_BITS && start + len <= self.len,
+            "{len} bits at {start} out of range for {} bits",
+            self.len
+        );
+        if len == 0 {
+            return;
+        }
+        let mask = u64::MAX >> (WORD_BITS - len);
+        let value = value & mask;
+        let (word, offset) = (start / WORD_BITS, start % WORD_BITS);
+        self.words[word] = (self.words[word] & !(mask << offset)) | (value << offset);
+        if offset + len > WORD_BITS {
+            let shift = WORD_BITS - offset;
+            self.words[word + 1] = (self.words[word + 1] & !(mask >> shift)) | (value >> shift);
         }
     }
 
@@ -530,6 +636,48 @@ impl Iterator for IterOnes<'_> {
                 return None;
             }
             self.current = self.vec.words[self.word_index];
+        }
+    }
+}
+
+/// Iterator over the positions where two vectors differ, produced by
+/// [`BitVec::iter_diff_ones`].
+pub struct DiffOnes<'a> {
+    a: &'a [u64],
+    b: &'a [u64],
+    len: usize,
+    word_index: usize,
+    current: u64,
+}
+
+impl DiffOnes<'_> {
+    /// Word `index` of the XOR, with the bits at and past `len` cleared.
+    fn diff_word(&self, index: usize) -> u64 {
+        let diff = self.a[index] ^ self.b[index];
+        let end = (index + 1) * WORD_BITS;
+        if end > self.len {
+            diff & (u64::MAX >> (end - self.len))
+        } else {
+            diff
+        }
+    }
+}
+
+impl Iterator for DiffOnes<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        loop {
+            if self.current != 0 {
+                let bit = self.current.trailing_zeros() as usize;
+                self.current &= self.current - 1;
+                return Some(self.word_index * WORD_BITS + bit);
+            }
+            self.word_index += 1;
+            if self.word_index * WORD_BITS >= self.len {
+                return None;
+            }
+            self.current = self.diff_word(self.word_index);
         }
     }
 }
@@ -747,6 +895,34 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn copy_prefix_longer_than_source_panics() {
         BitVec::default().copy_prefix_from(&BitVec::zeros(8), 9);
+    }
+
+    /// `splice_u64` and `iter_diff_ones` equal their bit-by-bit
+    /// definitions at every offset and length around the word boundaries.
+    #[test]
+    fn packed_splice_and_diff_match_bit_by_bit() {
+        let pattern = 0x9E37_79B9_7F4A_7C15u64;
+        for total in [1usize, 63, 64, 65, 130] {
+            let base = BitVec::from_indices(total, (0..total).filter(|i| i % 3 == 0));
+            for start in 0..total {
+                for len in 0..=(total - start).min(64) {
+                    let mut spliced = base.clone();
+                    spliced.splice_u64(start, len, pattern);
+                    let mut expected = base.clone();
+                    for bit in 0..len {
+                        expected.set(start + bit, (pattern >> bit) & 1 == 1);
+                    }
+                    assert_eq!(spliced, expected, "{len} bits at {start} of {total}");
+                }
+                let other = BitVec::from_indices(total, (start..total).step_by(2));
+                for len in [0, start, total] {
+                    let diff: Vec<usize> = base.iter_diff_ones(&other, len).collect();
+                    let expected: Vec<usize> =
+                        (0..len).filter(|&i| base.get(i) != other.get(i)).collect();
+                    assert_eq!(diff, expected, "{len} of {total} bits from {start}");
+                }
+            }
+        }
     }
 
     #[test]

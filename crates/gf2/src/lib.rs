@@ -43,6 +43,6 @@ pub mod solve;
 
 pub use batch::SyndromeKernel;
 pub use bitslice::BitsliceScratch;
-pub use bitvec::BitVec;
+pub use bitvec::{BitVec, DiffOnes};
 pub use matrix::Gf2Matrix;
 pub use solve::{solve, LinearSolution, RowEchelon};

@@ -23,7 +23,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use harp_ecc::{DecodeResult, HammingCode, LinearBlockCode};
-use harp_gf2::{BitVec, BitsliceScratch};
+use harp_gf2::{BitVec, BitsliceScratch, DiffOnes};
 
 use crate::fault::FaultModel;
 
@@ -63,43 +63,33 @@ impl ReadObservation {
         &self.decode
     }
 
-    /// Dataword positions where the post-correction data differs from the
-    /// written data — the post-correction errors the memory controller
-    /// observes on a normal read.
-    pub fn post_correction_errors(&self) -> Vec<usize> {
+    /// Dataword positions (ascending) where the post-correction data
+    /// differs from the written data — the post-correction errors the memory
+    /// controller observes on a normal read.
+    pub fn post_correction_errors(&self) -> DiffOnes<'_> {
         self.decode.post_correction_errors(&self.written)
     }
 
-    /// Dataword positions where the *raw* data bits differ from the written
-    /// data — the direct (pre-correction) errors visible through the bypass
-    /// path.
+    /// Dataword positions (ascending) where the *raw* data bits differ from
+    /// the written data — the direct (pre-correction) errors visible through
+    /// the bypass path.
     ///
-    /// Evaluated word-by-word over the packed bit representations (no
-    /// intermediate `BitVec`s): this runs once per word per profiling round
-    /// in every bypass-based campaign.
-    pub fn direct_errors(&self) -> Vec<usize> {
-        let mut errors = Vec::new();
-        let stored = self.stored_with_errors.as_words();
-        let written = self.written.as_words();
-        for (index, (&stored_word, &written_word)) in stored.iter().zip(written).enumerate() {
-            let mut diff = stored_word ^ written_word;
-            // Parity bits sharing the written word's last u64 are masked out
-            // (`written` carries exactly `data_len` bits with a masked tail).
-            let word_end = (index + 1) * 64;
-            if word_end > self.data_len {
-                let live = 64 - (word_end - self.data_len);
-                diff &= if live == 0 {
-                    0
-                } else {
-                    u64::MAX >> (64 - live)
-                };
-            }
-            while diff != 0 {
-                errors.push(index * 64 + diff.trailing_zeros() as usize);
-                diff &= diff - 1;
-            }
-        }
-        errors
+    /// Evaluated word by word over the packed bit representations, with no
+    /// intermediate vector: this runs once per word per profiling round in
+    /// every bypass-based campaign.
+    pub fn direct_errors(&self) -> DiffOnes<'_> {
+        self.stored_with_errors
+            .iter_diff_ones(&self.written, self.data_len)
+    }
+
+    /// Whether dataword position `position` is a direct error: its raw data
+    /// bit differs from the written one. Read from the packed words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position` is not a dataword position.
+    pub fn is_direct_error(&self, position: usize) -> bool {
+        self.stored_with_errors.get(position) != self.written.get(position)
     }
 
     /// Simulator-only ground truth: the raw error pattern injected into the
@@ -216,9 +206,9 @@ impl BurstScratch {
 /// let obs = chip.read(2, &mut rng);
 /// // Two simultaneous raw errors exceed SEC correction capability, so the
 /// // post-correction data is corrupted...
-/// assert!(!obs.post_correction_errors().is_empty());
+/// assert!(obs.post_correction_errors().next().is_some());
 /// // ...while the bypass path reports exactly the two direct errors.
-/// assert_eq!(obs.direct_errors(), vec![0, 1]);
+/// assert_eq!(obs.direct_errors().collect::<Vec<_>>(), vec![0, 1]);
 /// # Ok::<(), harp_ecc::CodeError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -289,14 +279,16 @@ impl<C: LinearBlockCode> MemoryChip<C> {
     /// the word's existing storage buffers: the semantic twin of
     /// [`MemoryChip::write`] with no heap allocation in the steady state.
     ///
-    /// The data bits are spliced into the stored codeword's prefix and the
-    /// parity bits recomputed from the code's parity block — exactly the
-    /// systematic layout [`LinearBlockCode::encode`] produces (checked by a
-    /// debug assertion, so any code overriding `encode` with a different
-    /// layout fails fast in tests). Per-round rewrites are the second-hottest
-    /// chip operation of a profiling campaign after the burst read itself;
-    /// the cell-batched campaign engine rewrites every word of a sweep cell
-    /// each round through this path.
+    /// The data bits are spliced into the stored codeword's prefix. Each
+    /// parity bit is the parity of the AND of its parity-block row with the
+    /// data, taken over packed words, and the parity bits are spliced in as
+    /// packed words of up to 64 bits — exactly the systematic layout
+    /// [`LinearBlockCode::encode`] produces (checked by a debug assertion,
+    /// so any code overriding `encode` with a different layout fails fast in
+    /// tests). Per-round rewrites are the second-hottest chip operation of a
+    /// profiling campaign after the burst read itself; the cell-batched
+    /// campaign engine rewrites every word of a sweep cell each round
+    /// through this path.
     ///
     /// # Panics
     ///
@@ -314,10 +306,22 @@ impl<C: LinearBlockCode> MemoryChip<C> {
         self.written[word].copy_from(data);
         let stored = &mut self.stored[word];
         stored.overwrite_prefix(data);
-        let data_len = data.len();
-        for (row, parity_row) in self.code.parity_block().iter_rows().enumerate() {
-            stored.set(data_len + row, parity_row.dot(data));
+        let data_words = data.as_words();
+        let (mut start, mut packed, mut filled) = (data.len(), 0u64, 0);
+        for parity_row in self.code.parity_block().iter_rows() {
+            let and = parity_row
+                .as_words()
+                .iter()
+                .zip(data_words)
+                .fold(0u64, |acc, (row, data)| acc ^ (row & data));
+            packed |= u64::from(and.count_ones() & 1) << filled;
+            filled += 1;
+            if filled == 64 {
+                stored.splice_u64(start, filled, packed);
+                (start, packed, filled) = (start + filled, 0, 0);
+            }
         }
+        stored.splice_u64(start, filled, packed);
         debug_assert_eq!(
             stored,
             &self.code.encode(data),
@@ -400,8 +404,8 @@ impl<C: LinearBlockCode> MemoryChip<C> {
     /// // passes, keeping the steady state allocation-free.
     /// let observations = chip.read_burst(0..8, &mut rng, &mut scratch);
     /// assert_eq!(observations.len(), 8);
-    /// assert_eq!(observations[3].direct_errors(), vec![3]); // corrected...
-    /// assert!(observations[3].post_correction_errors().is_empty()); // ...cleanly
+    /// assert_eq!(observations[3].direct_errors().collect::<Vec<_>>(), vec![3]); // corrected...
+    /// assert_eq!(observations[3].post_correction_errors().next(), None); // ...cleanly
     /// # Ok::<(), harp_ecc::CodeError>(())
     /// ```
     pub fn read_burst<'s, R: Rng + ?Sized>(
@@ -570,8 +574,8 @@ mod tests {
         for word in 0..3 {
             let obs = chip.read(word, &mut rng);
             assert!(obs.post_correction_data().is_zero());
-            assert!(obs.post_correction_errors().is_empty());
-            assert!(obs.direct_errors().is_empty());
+            assert!(obs.post_correction_errors().next().is_none());
+            assert!(obs.direct_errors().next().is_none());
             assert_eq!(obs.decode_result().outcome, DecodeOutcome::NoErrorDetected);
         }
     }
@@ -598,10 +602,10 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let obs = chip.read(0, &mut rng);
         // Normal read: corrected.
-        assert!(obs.post_correction_errors().is_empty());
+        assert!(obs.post_correction_errors().next().is_none());
         assert_eq!(obs.decode_result().outcome, DecodeOutcome::corrected(5));
         // Bypass read: the direct error is visible.
-        assert_eq!(obs.direct_errors(), vec![5]);
+        assert_eq!(obs.direct_errors().collect::<Vec<_>>(), vec![5]);
         assert_eq!(
             obs.raw_error_pattern().iter_ones().collect::<Vec<_>>(),
             vec![5]
@@ -614,8 +618,8 @@ mod tests {
         chip.write(0, &BitVec::zeros(64));
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let obs = chip.read(0, &mut rng);
-        assert!(obs.direct_errors().is_empty());
-        assert!(obs.post_correction_errors().is_empty());
+        assert!(obs.direct_errors().next().is_none());
+        assert!(obs.post_correction_errors().next().is_none());
     }
 
     #[test]
@@ -624,10 +628,10 @@ mod tests {
         chip.write(0, &BitVec::ones(64));
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let obs = chip.read(0, &mut rng);
-        assert_eq!(obs.direct_errors(), vec![0, 1, 2]);
+        assert_eq!(obs.direct_errors().collect::<Vec<_>>(), vec![0, 1, 2]);
         // Three errors exceed SEC capability: at least two post-correction
         // errors must remain (the decoder can remove or add at most one).
-        assert!(obs.post_correction_errors().len() >= 2);
+        assert!(obs.post_correction_errors().count() >= 2);
     }
 
     #[test]
@@ -642,8 +646,8 @@ mod tests {
         // it is charged it fails, is corrected, and never shows up in either
         // the post-correction data or the bypass data bits.
         let obs = chip.read(0, &mut rng);
-        assert!(obs.post_correction_errors().is_empty());
-        assert!(obs.direct_errors().is_empty());
+        assert!(obs.post_correction_errors().next().is_none());
+        assert!(obs.direct_errors().next().is_none());
     }
 
     #[test]
@@ -657,8 +661,8 @@ mod tests {
         chip.write(0, &BitVec::ones(64));
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let obs = chip.read(0, &mut rng);
-        assert_eq!(obs.direct_errors(), vec![3, 9]);
-        assert_eq!(obs.post_correction_errors(), vec![3, 9]);
+        assert_eq!(obs.direct_errors().collect::<Vec<_>>(), vec![3, 9]);
+        assert_eq!(obs.post_correction_errors().collect::<Vec<_>>(), vec![3, 9]);
         assert_eq!(
             obs.decode_result().outcome,
             DecodeOutcome::DetectedUncorrectable
@@ -673,7 +677,7 @@ mod tests {
         let mut failed = 0;
         let trials = 2000;
         for _ in 0..trials {
-            if !chip.read(0, &mut rng).direct_errors().is_empty() {
+            if chip.read(0, &mut rng).direct_errors().next().is_some() {
                 failed += 1;
             }
         }
@@ -726,7 +730,7 @@ mod tests {
         // though the scratch still holds eight slots.
         let short = chip.read_burst(2..4, &mut rng, &mut scratch);
         assert_eq!(short.len(), 2);
-        assert_eq!(short[0].direct_errors(), vec![1]);
+        assert_eq!(short[0].direct_errors().collect::<Vec<_>>(), vec![1]);
 
         let mut fresh_rng = ChaCha8Rng::seed_from_u64(5);
         let mut fresh_scratch = BurstScratch::new();

@@ -10,6 +10,8 @@
 //! * **random** — a fresh uniform-random word every two rounds, inverted on
 //!   the second of the two rounds.
 
+use std::iter;
+
 use rand::RngCore;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -21,6 +23,10 @@ use harp_gf2::BitVec;
 /// [`DataPattern::Random`] words (the 64-bit golden-ratio multiplier, so
 /// consecutive pairs land on well-separated streams).
 const RANDOM_PAIR_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A packed word of the [`DataPattern::Checkered`] even-round pattern: bit
+/// `i` is charged when `i` is even.
+const CHECKERED_EVEN: u64 = 0x5555_5555_5555_5555;
 
 /// A memory data-pattern family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -81,10 +87,13 @@ pub struct PatternSchedule {
     pattern: DataPattern,
     data_bits: usize,
     seed: u64,
-    /// Memoized `(pair, base word)` for [`DataPattern::Random`]: campaigns
-    /// query rounds in order, so each pair's base is derived once and its
-    /// second (inverted) round reuses it instead of re-keying the RNG.
-    cached: Option<(usize, BitVec)>,
+    /// The pair whose base word `base` holds, for [`DataPattern::Random`]:
+    /// campaigns query rounds in order, so each pair's base is derived once
+    /// and its second (inverted) round reuses it instead of re-keying the
+    /// RNG.
+    cached_pair: Option<usize>,
+    /// The memoized base word, overwritten in place for each new pair.
+    base: BitVec,
 }
 
 impl PatternSchedule {
@@ -95,7 +104,8 @@ impl PatternSchedule {
             pattern,
             data_bits,
             seed,
-            cached: None,
+            cached_pair: None,
+            base: BitVec::default(),
         }
     }
 
@@ -118,62 +128,54 @@ impl PatternSchedule {
     /// receiver only updates the internal memo for [`DataPattern::Random`]
     /// pairs.
     pub fn dataword_for_round(&mut self, round: usize) -> BitVec {
+        let mut data = BitVec::default();
+        self.dataword_into(round, &mut data);
+        data
+    }
+
+    /// Writes the dataword of round `round` into `data`, reusing its buffer:
+    /// the allocation-free form of [`PatternSchedule::dataword_for_round`],
+    /// which campaigns call once per word per round.
+    pub fn dataword_into(&mut self, round: usize, data: &mut BitVec) {
+        let even = round.is_multiple_of(2);
         match self.pattern {
-            DataPattern::Charged => BitVec::ones(self.data_bits),
-            DataPattern::Discharged => BitVec::zeros(self.data_bits),
+            DataPattern::Charged => data.assign_words(self.data_bits, iter::repeat(u64::MAX)),
+            DataPattern::Discharged => data.reset(self.data_bits),
             DataPattern::Checkered => {
-                let base = BitVec::from_indices(
-                    self.data_bits,
-                    (0..self.data_bits).filter(|i| i % 2 == 0),
-                );
-                if round.is_multiple_of(2) {
-                    base
+                // Even rounds charge the even bits ('1010…'), odd rounds the
+                // odd ones.
+                let word = if even {
+                    CHECKERED_EVEN
                 } else {
-                    base.not()
-                }
+                    !CHECKERED_EVEN
+                };
+                data.assign_words(self.data_bits, iter::repeat(word));
             }
             DataPattern::Random => {
-                let pair = round / 2;
-                let base = self.random_base_for_pair(pair);
-                if round.is_multiple_of(2) {
-                    base.clone()
-                } else {
-                    base.not()
+                self.refresh_random_base(round / 2);
+                data.copy_from(&self.base);
+                if !even {
+                    data.invert();
                 }
             }
         }
     }
 
-    /// The base word of one [`DataPattern::Random`] pair, memoized: the
-    /// second round of a pair (and any repeated query) reuses the cached
-    /// word instead of re-keying the RNG. Datawords are requested once per
-    /// word per profiling round, making this the hottest pattern path of a
-    /// campaign.
-    fn random_base_for_pair(&mut self, pair: usize) -> &BitVec {
-        let hit = matches!(&self.cached, Some((p, _)) if *p == pair);
-        if !hit {
-            // Derive the word for this pair deterministically from the
-            // schedule seed so rounds can be queried in any order, drawing
-            // 64 uniform bits per RNG word instead of one full RNG word per
-            // bit.
-            let mut rng =
-                ChaCha8Rng::seed_from_u64(self.seed ^ (pair as u64).wrapping_mul(RANDOM_PAIR_SALT));
-            let base = if self.data_bits <= 64 {
-                BitVec::from_u64(self.data_bits, rng.next_u64())
-            } else {
-                let mut drawn = 0u64;
-                (0..self.data_bits)
-                    .map(|bit| {
-                        if bit % 64 == 0 {
-                            drawn = rng.next_u64();
-                        }
-                        (drawn >> (bit % 64)) & 1 == 1
-                    })
-                    .collect()
-            };
-            self.cached = Some((pair, base));
+    /// Derives the base word of one [`DataPattern::Random`] pair into the
+    /// memo, unless it already holds that pair: the second round of a pair
+    /// (and any repeated query) reuses it instead of re-keying the RNG.
+    fn refresh_random_base(&mut self, pair: usize) {
+        if self.cached_pair == Some(pair) {
+            return;
         }
-        &self.cached.as_ref().expect("memo populated above").1
+        // Derive the word for this pair deterministically from the schedule
+        // seed so rounds can be queried in any order, drawing 64 uniform
+        // bits per RNG word.
+        let mut rng =
+            ChaCha8Rng::seed_from_u64(self.seed ^ (pair as u64).wrapping_mul(RANDOM_PAIR_SALT));
+        self.base
+            .assign_words(self.data_bits, iter::repeat_with(|| rng.next_u64()));
+        self.cached_pair = Some(pair);
     }
 }
 
@@ -235,6 +237,51 @@ mod tests {
         let r5_first = schedule.dataword_for_round(5);
         let _ = schedule.dataword_for_round(0);
         assert_eq!(schedule.dataword_for_round(5), r5_first);
+    }
+
+    /// `dataword_into` overwrites whatever the buffer held with the round's
+    /// word, as the patterns define it: all ones, all zeros, the
+    /// even-then-odd checkerboard, and random words of 64 bits per RNG draw
+    /// inverted on the second round of a pair, at lengths on and off the
+    /// word boundaries.
+    #[test]
+    fn dataword_into_writes_each_patterns_definition_over_a_reused_buffer() {
+        let mut data = BitVec::ones(300);
+        for bits in [5usize, 64, 70, 128] {
+            for round in 0..6usize {
+                let even = round % 2 == 0;
+                let expected = [
+                    BitVec::ones(bits),
+                    BitVec::zeros(bits),
+                    BitVec::from_indices(bits, (0..bits).filter(|i| (i % 2 == 0) == even)),
+                ];
+                let patterns = [
+                    DataPattern::Charged,
+                    DataPattern::Discharged,
+                    DataPattern::Checkered,
+                ];
+                for (pattern, expected) in patterns.into_iter().zip(expected) {
+                    PatternSchedule::new(pattern, bits, 1).dataword_into(round, &mut data);
+                    assert_eq!(data, expected, "{pattern} round {round}, {bits} bits");
+                }
+                let mut rng = ChaCha8Rng::seed_from_u64(
+                    31 ^ ((round / 2) as u64).wrapping_mul(RANDOM_PAIR_SALT),
+                );
+                let mut drawn = 0;
+                let base: BitVec = (0..bits)
+                    .map(|bit| {
+                        if bit % 64 == 0 {
+                            drawn = rng.next_u64();
+                        }
+                        (drawn >> (bit % 64)) & 1 == 1
+                    })
+                    .collect();
+                let expected = if even { base } else { base.not() };
+                let mut schedule = PatternSchedule::new(DataPattern::Random, bits, 31);
+                schedule.dataword_into(round, &mut data);
+                assert_eq!(data, expected, "random round {round}, {bits} bits");
+            }
+        }
     }
 
     #[test]

@@ -171,7 +171,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> CampaignBatch<C> {
                 snapshots: Vec::with_capacity(rounds),
             })
             .collect();
-        BatchRun::new(self, kind).advance(rounds, |word, profiler| {
+        BatchRun::new(self, kind).advance(rounds, |word, profiler, _| {
             let snapshots = &mut results[word].snapshots;
             snapshots.push(RoundSnapshot {
                 round: snapshots.len(),

@@ -21,7 +21,6 @@
 //! incapable of) achieving full coverage of direct errors — the behaviour
 //! the paper reports in §7.2.1.
 
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use harp_gf2::BitVec;
@@ -29,11 +28,11 @@ use harp_memsim::pattern::{DataPattern, PatternSchedule};
 use harp_memsim::ReadObservation;
 
 use crate::checkpoint::ProfilerState;
-use crate::traits::Profiler;
+use crate::traits::{insert_all, Profiler};
 
-/// Crafts a `data_len`-bit BEEP test pattern: charge a targeted combination
-/// of the known at-risk dataword positions and discharge every other data
-/// bit.
+/// Crafts a `data_len`-bit BEEP test pattern into `out`, reusing its
+/// buffer: charge a targeted combination of the known at-risk dataword
+/// positions and discharge every other data bit.
 ///
 /// `iteration` selects which combination (pairs first, then triples) is
 /// targeted, cycling deterministically so repeated calls explore different
@@ -42,45 +41,45 @@ use crate::traits::Profiler;
 /// # Panics
 ///
 /// Panics if any known position is not below `data_len`.
-pub fn craft_beep_pattern(data_len: usize, known_at_risk: &[usize], iteration: usize) -> BitVec {
-    // Callers pass a set's ascending, distinct bits; anything else is
-    // sorted and deduplicated first.
-    let known: Cow<'_, [usize]> = if known_at_risk.windows(2).all(|pair| pair[0] < pair[1]) {
-        Cow::Borrowed(known_at_risk)
-    } else {
-        let mut sorted = known_at_risk.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        Cow::Owned(sorted)
-    };
-    for &pos in known.iter() {
+pub fn craft_beep_pattern(
+    data_len: usize,
+    known_at_risk: &BTreeSet<usize>,
+    iteration: usize,
+    out: &mut BitVec,
+) {
+    if let Some(&last) = known_at_risk.last() {
         assert!(
-            pos < data_len,
-            "known at-risk position {pos} is not a data bit"
+            last < data_len,
+            "known at-risk position {last} is not a data bit"
         );
     }
-
-    match *known {
+    out.reset(data_len);
+    match known_at_risk.len() {
         // Nothing to target yet: a discharged word (the caller normally
         // uses the random schedule in this situation).
-        [] => BitVec::zeros(data_len),
-        [only] => {
-            // A single suspected bit cannot form an uncorrectable combination
-            // by itself; charge it and vary the remaining bits
+        0 => {}
+        1 => {
+            // A single suspected bit cannot form an uncorrectable
+            // combination by itself; charge it and vary the remaining bits
             // deterministically so different parity-bit values are explored
             // across iterations.
-            let mut word = BitVec::zeros(data_len);
-            word.set(only, true);
+            let only = *known_at_risk.first().expect("one known bit");
             for bit in 0..data_len {
-                if bit != only && (bit.wrapping_mul(31) ^ iteration).is_multiple_of(3) {
-                    word.set(bit, true);
+                if bit == only || (bit.wrapping_mul(31) ^ iteration).is_multiple_of(3) {
+                    out.set(bit, true);
                 }
             }
-            word
         }
-        _ => {
-            let (target, len) = target_combination(known.len(), iteration);
-            BitVec::from_indices(data_len, target[..len].iter().map(|&index| known[index]))
+        m => {
+            // The targeted indices ascend, so one pass over the set finds
+            // their bits.
+            let (target, len) = target_combination(m, iteration);
+            let mut targets = target[..len].iter().peekable();
+            for (index, &bit) in known_at_risk.iter().enumerate() {
+                if targets.next_if_eq(&&index).is_some() {
+                    out.set(bit, true);
+                }
+            }
         }
     }
 }
@@ -162,20 +161,20 @@ impl Profiler for BeepProfiler {
         "BEEP"
     }
 
-    fn dataword_for_round(&mut self, round: usize) -> BitVec {
+    fn dataword_into(&mut self, round: usize, data: &mut BitVec) {
         if self.identified.is_empty() {
             // Bootstrapping: standard random pattern until the first
             // post-correction error is confirmed.
-            self.schedule.dataword_for_round(round)
+            self.schedule.dataword_into(round, data);
         } else {
-            let known: Vec<usize> = self.identified.iter().copied().collect();
             self.crafted_iterations += 1;
-            craft_beep_pattern(self.schedule.data_bits(), &known, self.crafted_iterations)
+            let data_bits = self.schedule.data_bits();
+            craft_beep_pattern(data_bits, &self.identified, self.crafted_iterations, data);
         }
     }
 
-    fn observe_round(&mut self, _round: usize, observation: &ReadObservation) {
-        self.identified.extend(observation.post_correction_errors());
+    fn observe_round(&mut self, _round: usize, observation: &ReadObservation) -> bool {
+        insert_all(&mut self.identified, observation.post_correction_errors())
     }
 
     fn identified(&self) -> &BTreeSet<usize> {
@@ -220,10 +219,22 @@ mod tests {
         }
     }
 
+    /// Crafts into a fresh buffer.
+    fn crafted(data_len: usize, known: &[usize], iteration: usize) -> BitVec {
+        let mut out = BitVec::default();
+        craft_beep_pattern(
+            data_len,
+            &known.iter().copied().collect(),
+            iteration,
+            &mut out,
+        );
+        out
+    }
+
     #[test]
     fn crafted_pattern_charges_only_the_target_combination() {
         let known = [4usize, 10, 50];
-        let pattern = craft_beep_pattern(64, &known, 0);
+        let pattern = crafted(64, &known, 0);
         let ones: Vec<usize> = pattern.iter_ones().collect();
         assert_eq!(ones.len(), 2);
         for bit in ones {
@@ -234,9 +245,8 @@ mod tests {
     #[test]
     fn crafted_patterns_cycle_through_combinations() {
         let known = [1usize, 2, 3];
-        let patterns: BTreeSet<String> = (0..6)
-            .map(|i| craft_beep_pattern(64, &known, i).to_string())
-            .collect();
+        let patterns: BTreeSet<String> =
+            (0..6).map(|i| crafted(64, &known, i).to_string()).collect();
         // 3 pairs + 1 triple = 4 distinct combinations.
         assert_eq!(patterns.len(), 4);
     }
@@ -266,31 +276,29 @@ mod tests {
 
     /// The directly computed target equals the enumerated one for every
     /// count of suspected bits from 2 to 19, over thousands of iterations
-    /// (several full cycles even at 19 bits), for random known sets passed
-    /// sorted, shuffled and with duplicates.
+    /// (several full cycles even at 19 bits), for random known sets, crafted
+    /// into one reused buffer that the previous pattern left dirty.
     #[test]
     fn crafted_targets_match_the_enumerated_combinations() {
         use rand::seq::SliceRandom;
         use rand::Rng;
 
         let mut rng = ChaCha8Rng::seed_from_u64(0xBEE9);
+        let mut out = BitVec::ones(64);
         for m in 2..=19usize {
             let mut positions: Vec<usize> = (0..64).collect();
             positions.shuffle(&mut rng);
-            let mut known = positions[..m].to_vec();
-            known.sort_unstable();
-            let combinations = enumerated_combinations(&known);
-            let mut scrambled = known.clone();
-            scrambled.push(known[rng.gen_range(0..m)]);
-            scrambled.shuffle(&mut rng);
+            let known: BTreeSet<usize> = positions[..m].iter().copied().collect();
+            let sorted: Vec<usize> = known.iter().copied().collect();
+            let combinations = enumerated_combinations(&sorted);
             let start = rng.gen_range(0..1_000_000);
             for iteration in (0..4096).chain(start..start + 512) {
                 let expected = BitVec::from_indices(
                     64,
                     combinations[iteration % combinations.len()].iter().copied(),
                 );
-                assert_eq!(craft_beep_pattern(64, &known, iteration), expected);
-                assert_eq!(craft_beep_pattern(64, &scrambled, iteration), expected);
+                craft_beep_pattern(64, &known, iteration, &mut out);
+                assert_eq!(out, expected);
             }
         }
     }
@@ -298,20 +306,20 @@ mod tests {
     #[test]
     fn single_known_bit_is_always_charged() {
         for iteration in 0..5 {
-            let pattern = craft_beep_pattern(64, &[13], iteration);
+            let pattern = crafted(64, &[13], iteration);
             assert!(pattern.get(13));
         }
     }
 
     #[test]
     fn empty_known_set_yields_discharged_word() {
-        assert!(craft_beep_pattern(64, &[], 3).is_zero());
+        assert!(crafted(64, &[], 3).is_zero());
     }
 
     #[test]
     #[should_panic(expected = "not a data bit")]
     fn crafting_rejects_parity_positions() {
-        craft_beep_pattern(64, &[70], 0);
+        crafted(64, &[70], 0);
     }
 
     #[test]

@@ -32,6 +32,7 @@ use rand::SeedableRng;
 use rand_chacha::{ChaCha8Rng, ChaCha8RngState};
 
 use harp_ecc::LinearBlockCode;
+use harp_gf2::BitVec;
 use harp_memsim::{BurstScratch, MemoryChip};
 
 use crate::batch::CampaignBatch;
@@ -121,13 +122,13 @@ pub struct CampaignCheckpoint {
 ///     vec![BatchWord::new(FaultModel::uniform(&[5, 9], 0.5), DataPattern::Random, 0xFEED)],
 /// );
 /// let mut run = BatchRun::new(&batch, ProfilerKind::HarpU);
-/// run.advance(10, |_, _| {});
+/// run.advance(10, |_, _, _| {});
 /// let frozen = run.checkpoint();
 /// let mut resumed = BatchRun::resume(&batch, &frozen);
 /// // Both continue identically: word 0 knows the same bits after each round.
 /// let (mut direct, mut thawed) = (Vec::new(), Vec::new());
-/// run.advance(22, |_, profiler| direct.push(profiler.identified().clone()));
-/// resumed.advance(22, |_, profiler| thawed.push(profiler.identified().clone()));
+/// run.advance(22, |_, profiler, _| direct.push(profiler.identified().clone()));
+/// resumed.advance(22, |_, profiler, _| thawed.push(profiler.identified().clone()));
 /// assert_eq!(direct, thawed);
 /// // And match the scalar oracle running the word alone:
 /// let oracle = batch.scalar_campaign(0).run(ProfilerKind::HarpU, 32);
@@ -141,6 +142,8 @@ pub struct BatchRun<C: LinearBlockCode = harp_ecc::HammingCode> {
     rngs: Vec<ChaCha8Rng>,
     scratch: BurstScratch,
     profilers: Vec<Box<dyn Profiler>>,
+    /// The one dataword buffer every word's pattern is built in.
+    data: BitVec,
     round: usize,
 }
 
@@ -166,6 +169,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
                 .iter()
                 .map(|word| kind.instantiate(batch.code(), word.pattern, word.seed))
                 .collect(),
+            data: BitVec::zeros(batch.code().data_len()),
             round: 0,
         }
     }
@@ -218,22 +222,37 @@ impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
         self.kind
     }
 
+    /// Word `word`'s profiler, as the last completed round left it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word` is not a word of the batch.
+    pub fn profiler(&self, word: usize) -> &dyn Profiler {
+        self.profilers[word].as_ref()
+    }
+
     /// Runs `rounds` further rounds. This is the only batched round loop:
-    /// each round writes every slot's dataword, scrubs the whole cell with
-    /// **one** [`MemoryChip::read_burst_with_rngs`] (slot `i` draws its raw
-    /// errors from word `i`'s own RNG stream only), lets each profiler
-    /// observe its own slot, and then calls `on_round(word, profiler)` for
-    /// every word in word order. The engine keeps no per-round history: what
-    /// a round produced is whatever the caller records from the profilers.
-    /// `BurstScratch` persists across rounds, so the steady-state decode
-    /// path performs no heap allocation.
-    pub fn advance(&mut self, rounds: usize, mut on_round: impl FnMut(usize, &dyn Profiler)) {
+    /// each round builds every slot's dataword in the run's one buffer and
+    /// writes it in place, scrubs the whole cell with **one**
+    /// [`MemoryChip::read_burst_with_rngs`] (slot `i` draws its raw errors
+    /// from word `i`'s own RNG stream only), lets each profiler observe its
+    /// own slot, and then calls `on_round(word, profiler, changed)` for
+    /// every word in word order, where `changed` is what
+    /// [`Profiler::observe_round`] returned: `false` promises that the
+    /// word's identified and predicted sets, and so its score, are the
+    /// previous round's. The engine keeps no per-round history: what a
+    /// round produced is whatever the caller records from the profilers.
+    /// The dataword buffer and the `BurstScratch` persist across rounds, so
+    /// a steady-state round in which no profiler changes performs no heap
+    /// allocation (debug builds still check each in-place write against a
+    /// full encode, which allocates).
+    pub fn advance(&mut self, rounds: usize, mut on_round: impl FnMut(usize, &dyn Profiler, bool)) {
         let count = self.profilers.len();
         for _ in 0..rounds {
             let round = self.round;
             for (slot, profiler) in self.profilers.iter_mut().enumerate() {
-                let data = profiler.dataword_for_round(round);
-                self.chip.write_in_place(slot, &data);
+                profiler.dataword_into(round, &mut self.data);
+                self.chip.write_in_place(slot, &self.data);
             }
             let observations =
                 self.chip
@@ -241,8 +260,8 @@ impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
             for (slot, (profiler, observation)) in
                 self.profilers.iter_mut().zip(observations).enumerate()
             {
-                profiler.observe_round(round, observation);
-                on_round(slot, profiler.as_ref());
+                let changed = profiler.observe_round(round, observation);
+                on_round(slot, profiler.as_ref(), changed);
             }
             self.round += 1;
         }
@@ -320,7 +339,7 @@ mod tests {
             profiler: run.kind().name().to_owned(),
             snapshots: Vec::new(),
         });
-        run.advance(rounds, |word, profiler| {
+        run.advance(rounds, |word, profiler, _| {
             let snapshots = &mut results[word].snapshots;
             snapshots.push(RoundSnapshot {
                 round: snapshots.len(),
@@ -369,7 +388,7 @@ mod tests {
         for kind in ProfilerKind::ALL {
             let mut original = kind.instantiate(&code, DataPattern::Random, 3);
             let mut run = BatchRun::new(&batch, kind);
-            run.advance(12, |_, _| {});
+            run.advance(12, |_, _, _| {});
             let state = run.profilers[0].state();
             original.restore(&state);
             assert_eq!(original.state(), state, "{kind}");
@@ -401,10 +420,10 @@ mod tests {
         );
         for kind in [ProfilerKind::HarpA, ProfilerKind::HarpABeep] {
             let mut early = BatchRun::new(&batch, kind);
-            early.advance(2, |_, _| {});
+            early.advance(2, |_, _, _| {});
             let frozen = early.checkpoint();
             let mut used = BatchRun::new(&batch, kind);
-            used.advance(24, |_, _| {});
+            used.advance(24, |_, _, _| {});
             let went_further = used
                 .profilers
                 .iter()
@@ -429,7 +448,7 @@ mod tests {
     fn word_count_mismatch_is_rejected() {
         let batch = cell(15);
         let mut run = BatchRun::new(&batch, ProfilerKind::Naive);
-        run.advance(2, |_, _| {});
+        run.advance(2, |_, _, _| {});
         let mut frozen = run.checkpoint();
         frozen.words.pop();
         let _ = BatchRun::resume(&batch, &frozen);

@@ -18,6 +18,14 @@
 //! score. Every per-round value is read back from them, direct coverage as
 //! `hits / truth` at read time, so a series costs a few points whatever its
 //! length.
+//!
+//! A round's score is a pure function of the profiler's identified and
+//! predicted sets, so the sweeps score only the rounds that change a
+//! profile ([`CoverageSeries::push_round`]), and the first round; every
+//! other round extends the last change point
+//! ([`CoverageSeries::push_unchanged`]) without being scored. A series
+//! built that way equals one that scores every round, which is what
+//! [`CoverageSeries::from_campaign`] does for the scalar oracle.
 
 use std::collections::BTreeSet;
 
@@ -114,9 +122,9 @@ impl CoverageSeries {
     /// Scores the next round: what the profiler had `identified` and
     /// `predicted` after it, against the word's ground truth `space` (the
     /// one the series was created with). This is the one scoring step;
-    /// every sweep calls it as each round is produced, and it reads all
-    /// three numbers from one [`ErrorSpace::score`] pass over dataword
-    /// masks.
+    /// every sweep calls it for each word's first round and for every round
+    /// that changes its profile, and it reads all three numbers from one
+    /// [`ErrorSpace::score`] pass over dataword masks.
     pub fn push_round(
         &mut self,
         space: &ErrorSpace,
@@ -132,6 +140,23 @@ impl CoverageSeries {
         if self.points.last().map(|&(_, last)| last) != Some(score) {
             self.points.push((self.rounds, score));
         }
+        self.rounds += 1;
+    }
+
+    /// Adds one round whose profile, and so whose score, is the previous
+    /// round's, without scoring it: the step for a round after which
+    /// [`Profiler::observe_round`](crate::Profiler::observe_round) reported
+    /// no change.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the series holds no round yet (the first round is always
+    /// scored).
+    pub fn push_unchanged(&mut self) {
+        assert!(
+            !self.points.is_empty(),
+            "the first round of a series must be scored"
+        );
         self.rounds += 1;
     }
 
@@ -286,6 +311,42 @@ mod tests {
         (0..series.rounds())
             .map(|round| series.direct_coverage_at(round))
             .collect()
+    }
+
+    /// An unscored round extends the last change point, exactly as scoring
+    /// the same profile again does.
+    #[test]
+    fn push_unchanged_extends_the_last_point() {
+        let code = HammingCode::random(64, 4).unwrap();
+        let space = ErrorSpace::enumerate(
+            &code,
+            &[5, 9],
+            harp_ecc::analysis::FailureDependence::TrueCell,
+        );
+        let found: BTreeSet<usize> = [5].into();
+        let (mut scored, mut skipped) = (
+            CoverageSeries::new("HARP-U", &space),
+            CoverageSeries::new("HARP-U", &space),
+        );
+        for series in [&mut scored, &mut skipped] {
+            series.push_round(&space, &BTreeSet::new(), &BTreeSet::new());
+            series.push_round(&space, &found, &BTreeSet::new());
+        }
+        for _ in 0..5 {
+            scored.push_round(&space, &found, &BTreeSet::new());
+            skipped.push_unchanged();
+        }
+        assert_eq!(skipped, scored);
+        assert_eq!((skipped.rounds(), skipped.points().len()), (7, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "must be scored")]
+    fn the_first_round_cannot_go_unscored() {
+        let code = HammingCode::random(64, 4).unwrap();
+        let space =
+            ErrorSpace::enumerate(&code, &[5], harp_ecc::analysis::FailureDependence::TrueCell);
+        CoverageSeries::new("HARP-U", &space).push_unchanged();
     }
 
     /// `push_round` on dataword masks equals the set formulas it replaced,

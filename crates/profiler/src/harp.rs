@@ -27,7 +27,7 @@ use harp_memsim::ReadObservation;
 
 use crate::beep::craft_beep_pattern;
 use crate::checkpoint::ProfilerState;
-use crate::traits::Profiler;
+use crate::traits::{insert_all, Profiler};
 
 /// HARP-Unaware: active profiling through the decode-bypass read path,
 /// without knowledge of the on-die ECC parity-check matrix.
@@ -62,15 +62,15 @@ impl Profiler for HarpUProfiler {
         "HARP-U"
     }
 
-    fn dataword_for_round(&mut self, round: usize) -> BitVec {
-        self.schedule.dataword_for_round(round)
+    fn dataword_into(&mut self, round: usize, data: &mut BitVec) {
+        self.schedule.dataword_into(round, data);
     }
 
-    fn observe_round(&mut self, _round: usize, observation: &ReadObservation) {
+    fn observe_round(&mut self, _round: usize, observation: &ReadObservation) -> bool {
         // Raw data bits are read through the bypass path: every raw error in
         // the data region is visible directly, independent of what on-die ECC
         // would have done with it.
-        self.identified.extend(observation.direct_errors());
+        insert_all(&mut self.identified, observation.direct_errors())
     }
 
     fn identified(&self) -> &BTreeSet<usize> {
@@ -119,13 +119,18 @@ impl<C: LinearBlockCode> HarpAProfiler<C> {
         self.predictor.predicted()
     }
 
-    /// Records one direct-error bit; returns whether it was new.
-    fn identify(&mut self, bit: usize) -> bool {
-        let new = self.inner.identified.insert(bit);
-        if new {
-            self.predictor.add_direct(&self.code, bit);
+    /// Records one direct-error bit. Returns whether it was new, and
+    /// whether the predictions moved with it.
+    fn identify(&mut self, bit: usize) -> (bool, bool) {
+        if !self.inner.identified.insert(bit) {
+            return (false, false);
         }
-        new
+        let predicted = self.predictor.predicted();
+        let (held, before) = (predicted.contains(&bit), predicted.len());
+        self.predictor.add_direct(&self.code, bit);
+        // A new direct bit leaves the predictions, and every other change
+        // adds to them.
+        (true, held || self.predictor.predicted().len() != before)
     }
 
     /// Replaces the identified set and rebuilds the predictions from it,
@@ -144,14 +149,16 @@ impl<C: LinearBlockCode + Send> Profiler for HarpAProfiler<C> {
         "HARP-A"
     }
 
-    fn dataword_for_round(&mut self, round: usize) -> BitVec {
-        self.inner.dataword_for_round(round)
+    fn dataword_into(&mut self, round: usize, data: &mut BitVec) {
+        self.inner.dataword_into(round, data);
     }
 
-    fn observe_round(&mut self, _round: usize, observation: &ReadObservation) {
-        for bit in observation.direct_errors() {
-            self.identify(bit);
-        }
+    fn observe_round(&mut self, _round: usize, observation: &ReadObservation) -> bool {
+        // Predictions are a function of the direct set, so they change
+        // only with it.
+        observation
+            .direct_errors()
+            .fold(false, |changed, bit| self.identify(bit).0 | changed)
     }
 
     fn identified(&self) -> &BTreeSet<usize> {
@@ -208,34 +215,39 @@ impl<C: LinearBlockCode + Send> Profiler for HarpABeepProfiler<C> {
         "HARP-A+BEEP"
     }
 
-    fn dataword_for_round(&mut self, round: usize) -> BitVec {
+    fn dataword_into(&mut self, round: usize, data: &mut BitVec) {
         // Alternate between BEEP-crafted patterns (to provoke indirect
         // errors from known direct bits) and standard patterns (to keep
         // finding direct bits that have not failed yet).
         let direct = self.harp_a.identified();
         if direct.len() >= 2 && round.is_multiple_of(2) {
-            let known: Vec<usize> = direct.iter().copied().collect();
             self.crafted_rounds += 1;
             let data_bits = self.harp_a.code.data_len();
-            return craft_beep_pattern(data_bits, &known, self.crafted_rounds);
+            craft_beep_pattern(data_bits, direct, self.crafted_rounds, data);
+        } else {
+            self.harp_a.dataword_into(round, data);
         }
-        self.harp_a.dataword_for_round(round)
     }
 
-    fn observe_round(&mut self, _round: usize, observation: &ReadObservation) {
-        let direct = observation.direct_errors();
-        for &bit in &direct {
-            if self.harp_a.identify(bit) {
-                self.union.insert(bit);
+    fn observe_round(&mut self, _round: usize, observation: &ReadObservation) -> bool {
+        let mut changed = false;
+        for bit in observation.direct_errors() {
+            let (new, moved) = self.harp_a.identify(bit);
+            if new {
+                // The union may already hold the bit as an observed
+                // indirect one; the change is then in HARP-A's predictions,
+                // if they moved.
+                changed |= self.union.insert(bit) | moved;
             }
         }
         // Unlike plain HARP, also watch the post-correction data so that
         // miscorrections provoked by the crafted patterns are recorded.
         for bit in observation.post_correction_errors() {
-            if !direct.contains(&bit) && self.observed_indirect.insert(bit) {
-                self.union.insert(bit);
+            if !observation.is_direct_error(bit) && self.observed_indirect.insert(bit) {
+                changed |= self.union.insert(bit);
             }
         }
+        changed
     }
 
     fn identified(&self) -> &BTreeSet<usize> {

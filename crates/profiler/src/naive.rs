@@ -14,7 +14,7 @@ use harp_memsim::pattern::{DataPattern, PatternSchedule};
 use harp_memsim::ReadObservation;
 
 use crate::checkpoint::ProfilerState;
-use crate::traits::Profiler;
+use crate::traits::{insert_all, Profiler};
 
 /// Round-based profiling from post-correction errors only.
 ///
@@ -55,14 +55,14 @@ impl Profiler for NaiveProfiler {
         "Naive"
     }
 
-    fn dataword_for_round(&mut self, round: usize) -> BitVec {
-        self.schedule.dataword_for_round(round)
+    fn dataword_into(&mut self, round: usize, data: &mut BitVec) {
+        self.schedule.dataword_into(round, data);
     }
 
-    fn observe_round(&mut self, _round: usize, observation: &ReadObservation) {
+    fn observe_round(&mut self, _round: usize, observation: &ReadObservation) -> bool {
         // The only signal available is a mismatch between what was written
         // and what the (decoded) read returned.
-        self.identified.extend(observation.post_correction_errors());
+        insert_all(&mut self.identified, observation.post_correction_errors())
     }
 
     fn identified(&self) -> &BTreeSet<usize> {

@@ -23,7 +23,7 @@ use harp_memsim::pattern::{DataPattern, PatternSchedule};
 use harp_memsim::ReadObservation;
 
 use crate::checkpoint::ProfilerState;
-use crate::traits::Profiler;
+use crate::traits::{insert_all, Profiler};
 
 /// HARP with the syndrome-on-correction interface instead of a bypass read.
 ///
@@ -75,13 +75,15 @@ impl Profiler for HarpSProfiler {
         "HARP-S"
     }
 
-    fn dataword_for_round(&mut self, round: usize) -> BitVec {
-        self.schedule.dataword_for_round(round)
+    fn dataword_into(&mut self, round: usize, data: &mut BitVec) {
+        self.schedule.dataword_into(round, data);
     }
 
-    fn observe_round(&mut self, _round: usize, observation: &ReadObservation) {
-        self.identified
-            .extend(Self::reconstruct_direct_errors(observation));
+    fn observe_round(&mut self, _round: usize, observation: &ReadObservation) -> bool {
+        insert_all(
+            &mut self.identified,
+            Self::reconstruct_direct_errors(observation),
+        )
     }
 
     fn identified(&self) -> &BTreeSet<usize> {
@@ -130,7 +132,7 @@ mod tests {
         let obs = chip.read(0, &mut rng);
         assert_eq!(
             HarpSProfiler::reconstruct_direct_errors(&obs),
-            obs.direct_errors()
+            obs.direct_errors().collect::<Vec<_>>()
         );
     }
 
@@ -150,7 +152,7 @@ mod tests {
             let obs = chip.read(0, &mut rng);
             assert_eq!(
                 HarpSProfiler::reconstruct_direct_errors(&obs),
-                obs.direct_errors(),
+                obs.direct_errors().collect::<Vec<_>>(),
                 "round {round}"
             );
         }

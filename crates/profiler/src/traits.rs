@@ -18,10 +18,10 @@ use crate::naive::NaiveProfiler;
 /// A round-based active error profiler for a single ECC word.
 ///
 /// Each profiling round, the campaign driver asks the profiler which dataword
-/// to program ([`Profiler::dataword_for_round`]), performs the access, and
-/// hands back the resulting [`ReadObservation`]. The profiler updates its set
-/// of identified at-risk bits; which parts of the observation it is allowed
-/// to consult is what distinguishes the algorithms:
+/// to program ([`Profiler::dataword_into`]), performs the access, and hands
+/// back the resulting [`ReadObservation`]. The profiler updates its set of
+/// identified at-risk bits; which parts of the observation it is allowed to
+/// consult is what distinguishes the algorithms:
 ///
 /// | profiler | post-correction data | bypass (raw data bits) | knows `H` |
 /// |----------|----------------------|------------------------|-----------|
@@ -34,6 +34,19 @@ use crate::naive::NaiveProfiler;
 /// ECC structure are generic over [`LinearBlockCode`], so the same lineup
 /// runs against Hamming, SEC-DED, and BCH-protected words.
 ///
+/// The contract the campaign engine relies on:
+///
+/// * [`Profiler::dataword_into`] overwrites its buffer with the round's
+///   whole dataword, exactly `k` bits long, whatever the buffer held
+///   before; it is the only place a round's pattern comes from, and it may
+///   advance the profiler's own crafting state;
+/// * [`Profiler::observe_round`] returns whether [`Profiler::identified`]
+///   or [`Profiler::predicted`] changed. A `false` promises that both are
+///   exactly what they were before the call, so a round's score, a pure
+///   function of the two sets, is the previous round's. A needless `true`
+///   would cost one score and a missing one a stale score; every kind
+///   here reports the change exactly (`tests/campaign_equivalence.rs`).
+///
 /// `Send` is a supertrait so boxed profilers can migrate across worker
 /// threads inside resumable sweeps (the codes they capture are plain data);
 /// `Debug` so resumable engines holding boxed profilers stay debuggable.
@@ -41,12 +54,22 @@ pub trait Profiler: Send + std::fmt::Debug {
     /// Short identifier used in reports (e.g. `"HARP-U"`).
     fn name(&self) -> &'static str;
 
-    /// The dataword to program into the word for profiling round `round`.
-    fn dataword_for_round(&mut self, round: usize) -> BitVec;
+    /// Writes the dataword to program for profiling round `round` into
+    /// `data`, replacing its contents and reusing its buffer.
+    fn dataword_into(&mut self, round: usize, data: &mut BitVec);
+
+    /// The dataword to program into the word for profiling round `round`:
+    /// [`Profiler::dataword_into`] into a fresh buffer.
+    fn dataword_for_round(&mut self, round: usize) -> BitVec {
+        let mut data = BitVec::default();
+        self.dataword_into(round, &mut data);
+        data
+    }
 
     /// Consumes the observation of round `round` and updates the identified
-    /// at-risk bits.
-    fn observe_round(&mut self, round: usize, observation: &ReadObservation);
+    /// at-risk bits. Returns whether the identified or predicted set
+    /// changed (see the trait's contract).
+    fn observe_round(&mut self, round: usize, observation: &ReadObservation) -> bool;
 
     /// Dataword positions identified as at risk so far (these are the bits
     /// the profiler would record into the repair mechanism's error profile).
@@ -80,6 +103,14 @@ pub trait Profiler: Send + std::fmt::Debug {
     /// state and recomputes any derived state, so that subsequent rounds
     /// behave exactly as if the profiler had accumulated `state` itself.
     fn restore(&mut self, state: &ProfilerState);
+}
+
+/// Inserts every one of `bits` into `set`; returns whether any was new (the
+/// change flag of [`Profiler::observe_round`] for a profiler whose only
+/// state is that set).
+pub(crate) fn insert_all(set: &mut BTreeSet<usize>, bits: impl IntoIterator<Item = usize>) -> bool {
+    bits.into_iter()
+        .fold(false, |changed, bit| set.insert(bit) | changed)
 }
 
 /// The profiling algorithms evaluated in the paper (§7.1.1), used as a

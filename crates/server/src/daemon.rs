@@ -257,11 +257,6 @@ impl Daemon {
         begin_shutdown(&self.shared);
     }
 
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Joins the worker pool (idempotent; implies [`Daemon::begin_shutdown`]).
     pub fn join(&self) {
         begin_shutdown(&self.shared);

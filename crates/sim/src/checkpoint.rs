@@ -155,6 +155,8 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
     /// resuming never trips a downstream panic: `BatchRun::restore` asserts,
     /// the predicting kinds enumerate error spaces over restored sets, and
     /// crafting indexes the dataword and counts on (one pattern per round).
+    /// Each series' last score must also be the score of its restored
+    /// profile, because the rounds that change no profile are not scored.
     fn restore(
         &mut self,
         record: GroupRecord,
@@ -227,6 +229,23 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
         }
         for (run, checkpoint) in self.group.runs.iter_mut().zip(&record.campaigns) {
             run.restore(checkpoint);
+        }
+        // A round that changes no profile extends its series' last point
+        // unscored, so that point must be the score of the restored profile.
+        for ((run, series), kind) in self.group.runs.iter().zip(&restored).zip(profilers) {
+            for (index, (word, space)) in series.iter().zip(&self.group.spaces).enumerate() {
+                let Some(last) = word.final_score() else {
+                    continue;
+                };
+                let profiler = run.profiler(index);
+                let score = space.score(profiler.identified(), &profiler.predicted());
+                if last != score {
+                    return Err(format!(
+                        "word {index}: {kind}'s last stored score {last:?} is not \
+                         its restored profile's {score:?}"
+                    ));
+                }
+            }
         }
         self.group.series = restored;
         Ok(())
@@ -1458,7 +1477,7 @@ mod tests {
         );
         for kind in ProfilerKind::ALL {
             let mut run = BatchRun::new(&batch, kind);
-            run.advance(9, |_, _| {});
+            run.advance(9, |_, _, _| {});
             let checkpoint = run.checkpoint();
             let json = checkpoint.to_json().unwrap();
             let reparsed = Json::parse(&json.render()).unwrap();
@@ -1669,9 +1688,9 @@ mod tests {
 
     /// A stored series is checked against the ground truth recomputed from
     /// the configuration: its length, its truth-set sizes and its profiler
-    /// name must all fit the group, and its change points must be a list
-    /// `push_round` can produce, or resume fails with a description naming
-    /// the word.
+    /// name must all fit the group, its change points must be a list
+    /// `push_round` can produce, and its last score must be the restored
+    /// profile's, or resume fails with a description naming the word.
     #[test]
     fn corrupt_group_series_are_rejected() {
         let config = tiny_config();
@@ -1741,6 +1760,17 @@ mod tests {
             vec![[0, 0, indirect + 1, 1]],
             &format!("misses {} of {indirect} indirect truth bits", indirect + 1),
         );
+
+        // A well-formed series whose last score is not the score of the
+        // restored profile. Rounds that change no profile are not scored,
+        // so it would stand until the profile next changed.
+        let last = *stored.series[0][1].points.last().expect("a scored round");
+        reject_points(
+            vec![[0, 0, 0, last[3] + 1]],
+            "is not its restored profile's",
+        );
+        let err = ResumableSweep::<HammingCode>::resume(&dir, make_code(&config)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -97,7 +97,7 @@ pub fn run_with(
                     }
                     let stored = &encoded ^ &raw;
                     let decoded = sample.code.decode(&stored);
-                    let errors = decoded.post_correction_errors(&data);
+                    let errors: Vec<usize> = decoded.post_correction_errors(&data).collect();
                     for (i, &pos) in post_risk.iter().enumerate() {
                         if errors.contains(&pos) {
                             post_failures[i] += 1;

@@ -18,7 +18,9 @@
 //!
 //! Each round is scored where it runs: a code group is one `GroupUnit`,
 //! which pushes every word's round into its [`CoverageSeries`] as the
-//! campaign produces it, so no sweep keeps a snapshot history. The unit is
+//! campaign produces it, so no sweep keeps a snapshot history. Only the
+//! rounds that change a profile (and each word's first) are scored; the
+//! others extend the last change point. The unit is
 //! shared with the fig10 active phase and with
 //! [`ResumableSweep`](crate::checkpoint::ResumableSweep), so every sweep
 //! builds, scores and labels a code group the same way.
@@ -142,16 +144,23 @@ impl<C: LinearBlockCode + Clone + Send + 'static> GroupUnit<C> {
     }
 
     /// Advances every profiler's campaign by `rounds` rounds, one after
-    /// another, scoring each word's round into its series as it is
-    /// produced.
+    /// another, adding each word's round to its series as it is produced:
+    /// scored when the round changed the word's profile or is its first,
+    /// and otherwise added unscored, since the score of an unchanged profile
+    /// is the last one.
     pub(crate) fn advance(&mut self, rounds: usize) {
         for (run, series) in self.runs.iter_mut().zip(&mut self.series) {
-            run.advance(rounds, |word, profiler| {
-                series[word].push_round(
-                    &self.spaces[word],
-                    profiler.identified(),
-                    &profiler.predicted(),
-                );
+            run.advance(rounds, |word, profiler, changed| {
+                let series = &mut series[word];
+                if changed || series.is_empty() {
+                    series.push_round(
+                        &self.spaces[word],
+                        profiler.identified(),
+                        &profiler.predicted(),
+                    );
+                } else {
+                    series.push_unchanged();
+                }
             });
         }
     }

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "triple raw error -> {:?}, post-correction errors at {:?}",
         decoded.outcome,
-        decoded.post_correction_errors(&data)
+        decoded.post_correction_errors(&data).collect::<Vec<_>>()
     );
 
     // 4. The paper's Table 2, recomputed for t = 2: far fewer uncorrectable

@@ -23,7 +23,7 @@ fn miscorrecting_parity_pair(code: &HammingCode) -> [usize; 2] {
     let k = code.data_len();
     for a in k..code.codeword_len() {
         for b in (a + 1)..code.codeword_len() {
-            let syndrome = code.column(a) ^ code.column(b);
+            let syndrome = &code.column(a) ^ &code.column(b);
             if code.position_for_syndrome(&syndrome).is_some_and(|m| m < k) {
                 return [a, b];
             }

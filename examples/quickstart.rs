@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "double raw error at bits 9, 42 -> {:?}, post-correction errors at {:?}",
         decoded.outcome,
-        decoded.post_correction_errors(&data)
+        decoded.post_correction_errors(&data).collect::<Vec<_>>()
     );
     assert_ne!(decoded.outcome, DecodeOutcome::NoErrorDetected);
 

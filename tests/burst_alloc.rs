@@ -8,7 +8,9 @@
 //! warm-up pass over both burst sizes, whole alternating read bursts run
 //! with **zero** heap allocations for every code family. A coverage series
 //! adds a change point only when a round's scores change, so scoring a
-//! round that changed nothing allocates nothing either.
+//! round that changed nothing allocates nothing either; and a whole
+//! campaign round in which no profiler finds a new bit (dataword, write,
+//! burst, observe, and the sweep's scoring step) allocates nothing.
 //!
 //! The tests live in their own integration-test binary because the counting
 //! allocator is process-global; it counts per thread, so tests running
@@ -25,8 +27,9 @@ use harp_bch::BchCode;
 use harp_ecc::analysis::FailureDependence;
 use harp_ecc::{ErrorSpace, ExtendedHammingCode, HammingCode, LinearBlockCode};
 use harp_gf2::BitVec;
+use harp_memsim::pattern::DataPattern;
 use harp_memsim::{BurstScratch, FaultModel, MemoryChip};
-use harp_profiler::CoverageSeries;
+use harp_profiler::{BatchRun, BatchWord, CampaignBatch, CoverageSeries, Profiler, ProfilerKind};
 
 /// Counts every allocation and reallocation the current thread makes
 /// through the global allocator (deallocations are not counted: freeing is
@@ -178,4 +181,116 @@ fn unchanged_rounds_score_without_allocating() {
     let after = allocations();
     assert_eq!(after - before, 0, "unchanged rounds allocated");
     assert_eq!((series.rounds(), series.points().len()), (66, 2));
+}
+
+/// Adds one round to a word's series as the sweep's group unit does: scored
+/// when the profile changed or the series is empty, unscored otherwise.
+fn score_round(
+    series: &mut CoverageSeries,
+    space: &ErrorSpace,
+    profiler: &dyn Profiler,
+    changed: bool,
+) {
+    if changed || series.is_empty() {
+        series.push_round(space, profiler.identified(), &profiler.predicted());
+    } else {
+        series.push_unchanged();
+    }
+}
+
+/// Runs `kind` over a small cell of `code` words, one `advance(1)` at a
+/// time after a warm-up, and asserts that every round in which no word's
+/// profile changed made zero allocations. Returns how many such rounds ran.
+///
+/// Debug builds check every `write_in_place` against a full `encode`, which
+/// allocates; there the round may make exactly those allocations, one
+/// `encode` per word, and nothing else.
+fn assert_quiet_rounds_allocate_nothing<C: LinearBlockCode + Clone + Send + 'static>(
+    code: C,
+    kind: ProfilerKind,
+) -> usize {
+    let label = format!("{kind} on {}", code.description());
+    let per_encode = {
+        let data = BitVec::zeros(code.data_len());
+        let before = allocations();
+        drop(code.encode(&data));
+        allocations() - before
+    };
+    let batch = CampaignBatch::new(
+        code,
+        vec![
+            BatchWord::new(FaultModel::uniform(&[3, 40], 1.0), DataPattern::Random, 1),
+            BatchWord::new(FaultModel::uniform(&[7], 0.5), DataPattern::Random, 2),
+            BatchWord::new(FaultModel::none(), DataPattern::Random, 3),
+            BatchWord::new(
+                FaultModel::uniform(&[1, 20, 50], 0.75),
+                DataPattern::Random,
+                4,
+            ),
+        ],
+    );
+    let spaces: Vec<ErrorSpace> = (0..batch.len())
+        .map(|word| batch.error_space(word))
+        .collect();
+    let mut series: Vec<CoverageSeries> = spaces
+        .iter()
+        .map(|space| CoverageSeries::new(kind.name(), space))
+        .collect();
+    let mut run = BatchRun::new(&batch, kind);
+    run.advance(64, |word, profiler, changed| {
+        score_round(&mut series[word], &spaces[word], profiler, changed);
+    });
+
+    let write_checks = if cfg!(debug_assertions) {
+        batch.len() * per_encode
+    } else {
+        0
+    };
+    let mut quiet = 0;
+    for _ in 0..64 {
+        let mut changed_any = false;
+        let before = allocations();
+        run.advance(1, |word, profiler, changed| {
+            changed_any |= changed;
+            score_round(&mut series[word], &spaces[word], profiler, changed);
+        });
+        let allocated = allocations() - before;
+        if !changed_any {
+            assert_eq!(
+                allocated, write_checks,
+                "{label}: a round that changed nothing allocated"
+            );
+            quiet += 1;
+        }
+    }
+    quiet
+}
+
+/// After warm-up, a whole `BatchRun::advance` round whose profilers find no
+/// new bit allocates nothing: the dataword is built in the run's one
+/// buffer, written in place, read in one burst, observed through
+/// iterators, and added to each series unscored. Checked for each of the
+/// five Fig. 8 kinds (BEEP and HARP-A+BEEP craft in those rounds) on
+/// Hamming and SEC-DED.
+#[test]
+fn unchanged_campaign_rounds_allocate_nothing() {
+    for kind in [
+        ProfilerKind::HarpU,
+        ProfilerKind::Naive,
+        ProfilerKind::Beep,
+        ProfilerKind::HarpA,
+        ProfilerKind::HarpABeep,
+    ] {
+        let hamming = HammingCode::random(64, 3).expect("valid code");
+        let secded = ExtendedHammingCode::random(64, 3).expect("valid code");
+        for quiet in [
+            assert_quiet_rounds_allocate_nothing(hamming, kind),
+            assert_quiet_rounds_allocate_nothing(secded, kind),
+        ] {
+            assert!(
+                quiet >= 32,
+                "{kind}: only {quiet} of 64 rounds changed nothing"
+            );
+        }
+    }
 }

@@ -17,10 +17,17 @@
 //! series in a sweep equals the scalar oracle's snapshot history scored
 //! after the fact by [`CoverageSeries::from_campaign`].
 //!
+//! The sweeps score only the rounds whose `observe_round` reports a change,
+//! so a third property pins that flag down: for every profiler kind and
+//! code family it is `true` exactly in the rounds that change the word's
+//! identified or predicted set.
+//!
 //! This layer is what makes hot-path rewrites of the campaign engine safe to
 //! keep making: any future change that perturbs a single RNG draw, write
-//! order, snapshot or score breaks these tests before it reaches an
-//! experiment.
+//! order, snapshot, change flag or score breaks these tests before it
+//! reaches an experiment.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
@@ -29,7 +36,9 @@ use harp_ecc::analysis::FailureDependence;
 use harp_ecc::{ExtendedHammingCode, HammingCode, LinearBlockCode};
 use harp_memsim::pattern::DataPattern;
 use harp_memsim::{AtRiskBit, FaultModel};
-use harp_profiler::{BatchWord, CampaignBatch, CoverageSeries, ProfilerKind, ProfilingCampaign};
+use harp_profiler::{
+    BatchRun, BatchWord, CampaignBatch, CoverageSeries, ProfilerKind, ProfilingCampaign,
+};
 use harp_sim::experiments::sweep::run_coverage_sweep_with;
 use harp_sim::sample::sample_words_with;
 use harp_sim::EvaluationConfig;
@@ -137,6 +146,80 @@ proptest! {
             assert_cell_matches_scalar(&hamming, &specs, kind);
             assert_cell_matches_scalar(&secded, &specs, kind);
             assert_cell_matches_scalar(&bch, &specs, kind);
+        }
+    }
+}
+
+/// Asserts that every change flag a batched run of `kind` over a cell of
+/// `code` words reports is exactly whether that round changed the word's
+/// identified or predicted set, against snapshots of both sets taken after
+/// every round (a fresh profiler starts with both empty).
+fn assert_change_flags_are_exact<C: LinearBlockCode + Clone + Send + 'static>(
+    code: &C,
+    specs: &[WordSpec],
+    kind: ProfilerKind,
+) {
+    let words: Vec<BatchWord> = specs
+        .iter()
+        .map(|spec| BatchWord::new(fault_model_for(code, spec), DataPattern::Random, spec.3))
+        .collect();
+    let batch = CampaignBatch::new(code.clone(), words);
+    let mut run = BatchRun::new(&batch, kind);
+    let mut before: Vec<(BTreeSet<usize>, BTreeSet<usize>)> = (0..batch.len())
+        .map(|word| {
+            let profiler = run.profiler(word);
+            (profiler.identified().clone(), profiler.predicted())
+        })
+        .collect();
+    assert!(before
+        .iter()
+        .all(|(identified, predicted)| identified.is_empty() && predicted.is_empty()));
+    run.advance(FLAG_ROUNDS, |word, profiler, changed| {
+        let after = (profiler.identified().clone(), profiler.predicted());
+        assert_eq!(
+            changed,
+            after != before[word],
+            "{kind} word {word} ({}): change flag {changed} after {:?} -> {:?}",
+            code.description(),
+            before[word],
+            after
+        );
+        before[word] = after;
+    });
+}
+
+/// Rounds of the change-flag property: enough for the crafting kinds to
+/// craft and HARP-A to predict from several direct bits.
+const FLAG_ROUNDS: usize = 32;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `observe_round` returns `true` exactly when the identified or the
+    /// predicted set differs from its value before the call, for every
+    /// profiler kind and code family over random cells. A `false` is what
+    /// lets the sweeps skip scoring a round, so a missing `true` would
+    /// freeze a series at a stale score.
+    #[test]
+    fn observe_round_flags_exactly_the_rounds_that_change_a_profile(
+        seed in 0u64..200,
+        specs in proptest::collection::vec(
+            (
+                proptest::collection::vec(0usize..64, 1..6),
+                proptest::sample::select(vec![0.25f64, 0.5, 0.75, 1.0]),
+                any::<u8>(),
+                any::<u64>(),
+            ),
+            1..5,
+        ),
+    ) {
+        let hamming = HammingCode::random(DATA_BITS, seed).expect("valid Hamming code");
+        let secded = ExtendedHammingCode::random(DATA_BITS, seed).expect("valid SEC-DED code");
+        let bch = BchCode::dec(DATA_BITS).expect("valid BCH code");
+        for kind in ProfilerKind::ALL {
+            assert_change_flags_are_exact(&hamming, &specs, kind);
+            assert_change_flags_are_exact(&secded, &specs, kind);
+            assert_change_flags_are_exact(&bch, &specs, kind);
         }
     }
 }

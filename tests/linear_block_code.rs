@@ -363,6 +363,87 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `write_in_place` (the parity bits computed over packed words and
+    /// spliced into the stored codeword) leaves every word exactly as
+    /// `write` (the full `encode`) does, for random data on all three
+    /// families, over slots that already hold earlier words. The data
+    /// lengths put the parity bits across a `u64` boundary (60, and 120
+    /// for SEC-DED and BCH) and at the start of one (64, 128). With no
+    /// faults a read returns the stored codeword verbatim, so equal reads
+    /// mean equal chips.
+    #[test]
+    fn write_in_place_matches_the_full_encode(
+        seed in 0u64..200,
+        k in proptest::sample::select(vec![60usize, 64, 120, 128]),
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x3171);
+        for code in all_codes(k, seed) {
+            let mut encoded = MemoryChip::new(&*code, 3);
+            let mut in_place = MemoryChip::new(&*code, 3);
+            for write in 0..12 {
+                let word = write % 3;
+                let data: BitVec = (0..k).map(|_| rand::Rng::gen_bool(&mut rng, 0.5)).collect();
+                encoded.write(word, &data);
+                in_place.write_in_place(word, &data);
+                let mut reads = ChaCha8Rng::seed_from_u64(seed);
+                prop_assert_eq!(
+                    encoded.read(word, &mut reads),
+                    in_place.read(word, &mut reads),
+                    "{} write {}", code.description(), write
+                );
+            }
+        }
+    }
+}
+
+/// `HammingCode`'s sorted syndrome lookup resolves every one of the `2^p`
+/// syndromes exactly as a scan of `parity_check_matrix()`'s columns does:
+/// for minimal codes of several dataword lengths, for a code built with
+/// more parity bits than it needs, and through SEC-DED's inner code.
+#[test]
+fn syndrome_lookup_matches_a_scan_of_the_columns() {
+    fn check(code: &HammingCode) {
+        let h = code.parity_check_matrix();
+        let p = code.parity_len();
+        let columns: Vec<u64> = (0..h.cols()).map(|i| h.col(i).to_u64()).collect();
+        for syndrome in 0..(1u64 << p) {
+            let scan = columns
+                .iter()
+                .position(|&column| syndrome != 0 && column == syndrome);
+            assert_eq!(
+                code.position_for_syndrome_word(syndrome),
+                scan,
+                "{} syndrome {syndrome:#x}",
+                code.description()
+            );
+            assert_eq!(
+                code.position_for_syndrome(&BitVec::from_u64(p, syndrome)),
+                scan
+            );
+        }
+    }
+    for k in [4, 8, 16, 32, 64, 120, 128] {
+        for seed in 0..3 {
+            check(&HammingCode::random(k, seed).expect("valid Hamming code"));
+            let secded = ExtendedHammingCode::random(k, seed).expect("valid SEC-DED code");
+            check(secded.inner());
+        }
+    }
+    // Ten parity bits for twenty data bits, where five would do.
+    let wide: Vec<BitVec> = (0u64..1 << 10)
+        .filter(|column| column.count_ones() >= 2)
+        .step_by(37)
+        .take(20)
+        .map(|column| BitVec::from_u64(10, column))
+        .collect();
+    let wide = HammingCode::from_data_columns(wide).expect("valid Hamming code");
+    assert!(wide.parity_len() > harp_ecc::CodeShape::min_parity_bits(wide.data_len()));
+    check(&wide);
+}
+
 /// An unchargeable pattern must stay out of the packed space. Random at-risk
 /// sets rarely show it (an unchargeable subset's errors are almost always
 /// caused by a chargeable one too), so this pins one case: in the (13, 5)
