@@ -161,12 +161,12 @@ pub fn run_sweep(args: &[String]) -> Result<(), String> {
                 Path::new(base).join(shard_file_name(sweep.shard()))
             }
         };
+        let shard = sweep.shard();
         sweep
             .write_shard_output(&path)
             .map_err(|e| format!("could not write shard output: {e}"))?;
         println!(
-            "shard {} complete: wrote {} (fold the shards with `harp merge`)",
-            sweep.shard(),
+            "shard {shard} complete: wrote {} (fold the shards with `harp merge`)",
             path.display()
         );
     }

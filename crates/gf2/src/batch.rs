@@ -144,33 +144,9 @@ impl SyndromeKernel {
     ///
     /// # Panics
     ///
-    /// Panics if `codeword.len()` does not match the kernel.
+    /// Panics as [`SyndromeKernel::syndrome_word`] does.
     pub fn syndrome(&self, codeword: &BitVec) -> BitVec {
-        if self.rows <= 64 {
-            return BitVec::from_u64(self.rows, self.syndrome_word(codeword));
-        }
-        // Wide-syndrome fallback (unused by the built-in codes but kept for
-        // generality): evaluate row by row.
-        assert_eq!(
-            codeword.len(),
-            self.cols,
-            "codeword length mismatch: expected {}, got {}",
-            self.cols,
-            codeword.len()
-        );
-        let data = codeword.as_words();
-        let mut out = BitVec::zeros(self.rows);
-        for r in 0..self.rows {
-            let row = &self.packed[r * self.words_per_row..(r + 1) * self.words_per_row];
-            let mut acc = 0u64;
-            for (h_word, c_word) in row.iter().zip(data) {
-                acc ^= h_word & c_word;
-            }
-            if acc.count_ones() & 1 == 1 {
-                out.set(r, true);
-            }
-        }
-        out
+        BitVec::from_u64(self.rows, self.syndrome_word(codeword))
     }
 
     /// Computes the syndromes of a batch of codewords, appending one `BitVec`
@@ -301,39 +277,6 @@ impl SyndromeKernel {
                 out[base + i] = word;
                 dirty &= dirty - 1;
             }
-            masks.push(mask);
-        });
-    }
-
-    /// Computes only the per-block nonzero-syndrome masks of a batch of
-    /// codewords (bit `i` of `masks[block]` set iff codeword
-    /// `64 * block + i` has a nonzero syndrome), reusing `masks` (cleared
-    /// first).
-    ///
-    /// Unlike [`SyndromeKernel::syndrome_words_bitsliced_into`], this entry
-    /// point has no 64-row limit: it is the bit-sliced twin of the
-    /// wide-syndrome [`SyndromeKernel::syndrome`] fallback, since the mask
-    /// only needs the OR of the row accumulators, never a packed syndrome
-    /// word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any codeword length does not match the kernel.
-    pub fn nonzero_masks_bitsliced_into<'a, I>(
-        &self,
-        codewords: I,
-        masks: &mut Vec<u64>,
-        scratch: &mut BitsliceScratch,
-    ) where
-        I: IntoIterator<Item = &'a BitVec>,
-    {
-        masks.clear();
-        self.for_each_block(codewords, scratch, |kernel, block, scratch| {
-            let mask = if kernel.slice_block(block, scratch) {
-                kernel.accumulate_rows(scratch)
-            } else {
-                0
-            };
             masks.push(mask);
         });
     }
@@ -589,24 +532,6 @@ mod tests {
                 &mut scratch,
             );
             assert_eq!(out, reference);
-        }
-    }
-
-    #[test]
-    fn wide_kernel_masks_match_wide_syndromes() {
-        // More than 64 rows: packed syndrome words are unavailable, but the
-        // nonzero masks still are (the wide-syndrome fallback's twin).
-        let h = dense_h(70, 100, 31);
-        let kernel = SyndromeKernel::new(&h);
-        let words: Vec<BitVec> = (0..70)
-            .map(|k| BitVec::from_indices(100, (0..100).filter(move |&b| (b * 3 + k) % 9 == 0)))
-            .collect();
-        let mut masks = Vec::new();
-        kernel.nonzero_masks_bitsliced_into(&words, &mut masks, &mut BitsliceScratch::new());
-        assert_eq!(masks.len(), 2);
-        for (i, word) in words.iter().enumerate() {
-            let bit = (masks[i / 64] >> (i % 64)) & 1;
-            assert_eq!(bit == 1, !kernel.syndrome(word).is_zero(), "word {i}");
         }
     }
 

@@ -138,6 +138,10 @@ impl CoverageSeries {
     /// differs from the last one.
     pub fn push_score(&mut self, score: RoundScore) {
         if self.points.last().map(|&(_, last)| last) != Some(score) {
+            // Exactly sized: a series keeps its few points for the whole
+            // sweep, and finishing the sweep moves them into its result, so
+            // spare capacity would be held by every series to the end.
+            self.points.reserve_exact(1);
             self.points.push((self.rounds, score));
         }
         self.rounds += 1;

@@ -951,6 +951,37 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A finished job whose `RESULT.json` is of schema 1, which stored each
+    /// coverage series dense, ends its watcher with the typed schema error
+    /// instead of a misread sweep, and the connection stays usable.
+    #[test]
+    fn schema_1_results_end_watchers_with_a_schema_error() {
+        let dir = temp_dir("schema_1_result");
+        let daemon = Daemon::start(DaemonConfig::new(&dir)).unwrap();
+        let mut client = connect(&daemon);
+        let job = client
+            .submit(&tiny_config(), &[ProfilerKind::HarpU])
+            .unwrap();
+        let outcome = client.watch(job, |_| {}).unwrap();
+        assert!(matches!(outcome, WatchOutcome::Completed(_)), "{outcome:?}");
+        let legacy = concat!(
+            r#"{"type":"result","job":0,"sweep":{"schema":1,"rounds":2,"#,
+            r#""error_counts":[2],"probabilities":[0.5],"profilers":["HARP-U"],"#,
+            r#""evaluations":[{"error_count":2,"probability":0.5,"profiler":"HARP-U","#,
+            r#""series":{"profiler":"HARP-U","direct_coverage":[0.5,1],"#,
+            r#""missed_indirect":[0,0],"max_simultaneous":[1,0],"bootstrap_round":0,"#,
+            r#""direct_truth_len":2,"indirect_truth_len":0}}]}}"#
+        );
+        let path = dir.join(format!("JOB_{job}")).join(RESULT_FILE);
+        std::fs::write(&path, legacy).unwrap();
+        let err = client.watch(job, |_| {}).unwrap_err();
+        assert!(err.contains("sweep.schema: expected 3, found 1"), "{err}");
+        assert_eq!(client.status(job).unwrap().state, "done");
+        client.shutdown().unwrap();
+        daemon.join();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// Every drive-loop failure must end as a `failed` job whose watchers
     /// get a terminal frame — here via a checkpoint archive corrupted while
     /// the job waits in the queue.

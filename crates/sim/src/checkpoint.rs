@@ -31,10 +31,12 @@
 //! below, and single-record files go through [`read_record`] and
 //! [`write_record`]. `u64` seeds and RNG block counters are stored as raw
 //! literals (never through `f64`), so a resumed RNG stream is positioned
-//! bit-exactly. A group record stores each coverage series as its change
-//! points; shard outputs and sweep results store it dense, one value per
-//! round, and decoding either form rejects what
-//! [`CoverageSeries::push_round`] cannot produce.
+//! bit-exactly. Every record carries one schema version,
+//! [`SCHEMA_VERSION`]. A coverage series has one encoding wherever it is
+//! stored (group records, shard outputs and sweep results alike): its
+//! change points, which decode through [`CoverageSeries::from_points`], so
+//! a point list [`CoverageSeries::push_round`] cannot produce is a decode
+//! error.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
@@ -51,23 +53,19 @@ use harp_profiler::{
 use crate::config::EvaluationConfig;
 use crate::experiments::sweep::{CoverageSweep, GroupUnit, WordEvaluation};
 use crate::json_record;
-use crate::minijson::{named, DecodeError, Json, JsonCodec, NonFiniteFloat};
+use crate::minijson::{field, named, DecodeError, Json, JsonCodec, NonFiniteFloat};
 use crate::report::{fixed, TextTable};
 use crate::runner::parallel_map_mut;
 use crate::sample::{group_by_code, sample_words_with};
 use crate::stats::mean;
 
-/// Version of the manifest, shard-output and sweep-result schema. Bump on
-/// any incompatible layout change; readers reject mismatched versions
-/// instead of misinterpreting them.
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 1;
-
-/// Version of the group-record schema. Version 3 stores each word's scored
-/// coverage series as its change points (version 2 stored three dense
-/// per-round arrays) and each RNG stream as its position alone, without the
-/// key the word's seed gives; a record of an older version fails to decode
-/// with a `schema` error.
-pub const GROUP_SCHEMA_VERSION: u64 = 3;
+/// Version of every record schema: the manifest, group records, shard
+/// outputs and the sweep result. Version 3 stores each coverage series as
+/// its change points (older versions stored three dense per-round arrays)
+/// and each RNG stream as its position alone, without the key the word's
+/// seed gives. Bump on any incompatible layout change; a record of another
+/// version fails to decode with a `schema` error instead of being misread.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Name of the archive file: the manifest, then one line per group record.
 pub const ARCHIVE_FILE: &str = "ARCHIVE.jsonl";
@@ -155,7 +153,9 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
     /// resuming never trips a downstream panic: `BatchRun::restore` asserts,
     /// the predicting kinds enumerate error spaces over restored sets, and
     /// crafting indexes the dataword and counts on (one pattern per round).
-    /// Each series' last score must also be the score of its restored
+    /// Decoding already refused point lists `push_round` cannot produce;
+    /// here each series must fit the group's round, ground truth and
+    /// lineup, and its last score must be the score of its restored
     /// profile, because the rounds that change no profile are not scored.
     fn restore(
         &mut self,
@@ -177,8 +177,8 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
             return Err(format!("campaigns or series out of lineup {profilers:?}"));
         }
         let (words, data_len) = (self.group.batch.len(), self.group.batch.code().data_len());
-        let mut restored = Vec::with_capacity(profilers.len());
-        for ((campaign, stored), &kind) in record.campaigns.iter().zip(record.series).zip(profilers)
+        for ((campaign, stored), &kind) in
+            record.campaigns.iter().zip(&record.series).zip(profilers)
         {
             let shape = (campaign.round, campaign.words.len(), stored.len());
             if shape != (round, words, words) {
@@ -188,8 +188,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
                 ));
             }
             let states = campaign.words.iter().map(|word| &word.profiler);
-            let mut series = Vec::with_capacity(words);
-            for (index, ((state, word), space)) in
+            for (index, ((state, series), space)) in
                 states.zip(stored).zip(&self.group.spaces).enumerate()
             {
                 let mut bits = state.identified.iter().chain(&state.observed_indirect);
@@ -212,27 +211,23 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
                     ));
                 }
                 let truth = (space.direct_at_risk().len(), space.indirect_at_risk().len());
-                let found = (word.direct_truth_len, word.indirect_truth_len);
-                if (word.rounds, word.profiler.as_str(), found) != (round, kind.name(), truth) {
+                let found = (series.direct_truth_len, series.indirect_truth_len);
+                let rounds = series.rounds();
+                if (rounds, series.profiler.as_str(), found) != (round, kind.name(), truth) {
                     return Err(format!(
-                        "word {index}: a {} series of {} rounds over {found:?} truth bits \
+                        "word {index}: a {} series of {rounds} rounds over {found:?} truth bits \
                          does not fit {kind} at round {round} over {truth:?}",
-                        word.profiler, word.rounds
+                        series.profiler
                     ));
                 }
-                series.push(
-                    word.into_series()
-                        .map_err(|problem| format!("word {index}: {problem}"))?,
-                );
             }
-            restored.push(series);
         }
         for (run, checkpoint) in self.group.runs.iter_mut().zip(&record.campaigns) {
             run.restore(checkpoint);
         }
         // A round that changes no profile extends its series' last point
         // unscored, so that point must be the score of the restored profile.
-        for ((run, series), kind) in self.group.runs.iter().zip(&restored).zip(profilers) {
+        for ((run, series), kind) in self.group.runs.iter().zip(&record.series).zip(profilers) {
             for (index, (word, space)) in series.iter().zip(&self.group.spaces).enumerate() {
                 let Some(last) = word.final_score() else {
                     continue;
@@ -247,7 +242,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
                 }
             }
         }
-        self.group.series = restored;
+        self.group.series = record.series;
         Ok(())
     }
 }
@@ -397,12 +392,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
                     code_index: unit.code_index,
                     round: self.round,
                     campaigns: unit.group.runs.iter().map(BatchRun::checkpoint).collect(),
-                    series: unit
-                        .group
-                        .series
-                        .iter()
-                        .map(|words| words.iter().map(ChangePoints::of).collect())
-                        .collect(),
+                    series: unit.group.series.clone(),
                 };
                 write_line(out, &group)?;
             }
@@ -470,26 +460,34 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
             .collect()
     }
 
-    /// Labels the owned groups' series as evaluations, in global group
-    /// order, once all rounds have completed.
+    /// Labels the owned groups' series as a shard output, moving each
+    /// series into its evaluation, in global group order, once all rounds
+    /// have completed.
     ///
     /// # Panics
     ///
     /// Panics if the sweep has not completed all configured rounds.
-    fn owned_evaluations(&self) -> Vec<(usize, Vec<WordEvaluation>)> {
+    fn into_output(self) -> ShardOutput {
         assert!(
             self.is_complete(),
             "sweep stopped at round {} of {}",
             self.round,
             self.config.rounds
         );
-        self.units
-            .iter()
-            .map(|unit| {
-                let evaluations = unit.group.label(unit.error_count, unit.probability);
-                (unit.group_index, evaluations)
+        let groups = self
+            .units
+            .into_iter()
+            .map(|unit| ShardGroup {
+                group_index: unit.group_index,
+                evaluations: unit.group.label(unit.error_count, unit.probability),
             })
-            .collect()
+            .collect();
+        ShardOutput {
+            shard: self.shard,
+            profilers: self.profilers,
+            config: self.config,
+            groups,
+        }
     }
 
     /// Finishes a **full** (unsharded) sweep into the exact
@@ -502,25 +500,21 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
     /// Panics if rounds remain or the sweep owns only a shard (shard workers
     /// persist a [`ShardOutput`](Self::write_shard_output) for `merge`
     /// instead).
-    pub fn into_sweep(&self) -> CoverageSweep {
+    pub fn into_sweep(self) -> CoverageSweep {
         assert_eq!(
             self.shard,
             ShardSpec::full(),
             "a {} shard cannot assemble the full sweep; merge shard outputs",
             self.shard
         );
-        let evaluations = self
-            .owned_evaluations()
-            .into_iter()
-            .flat_map(|(_, evals)| evals)
-            .collect();
-        CoverageSweep {
-            rounds: self.config.rounds,
-            error_counts: self.config.error_counts.clone(),
-            probabilities: self.config.probabilities.clone(),
-            profilers: self.profilers.clone(),
-            evaluations,
-        }
+        let ShardOutput {
+            config,
+            profilers,
+            groups,
+            ..
+        } = self.into_output();
+        let evaluations = groups.into_iter().flat_map(|group| group.evaluations);
+        assemble(config, profilers, evaluations.collect())
     }
 
     /// Writes this worker's completed groups as a shard-output file for the
@@ -535,26 +529,29 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
     /// # Panics
     ///
     /// Panics if the sweep has not completed all configured rounds.
-    pub fn write_shard_output(&self, path: &Path) -> io::Result<()> {
-        let output = ShardOutput {
-            shard: self.shard,
-            profilers: self.profilers.clone(),
-            config: self.config.clone(),
-            groups: self
-                .owned_evaluations()
-                .into_iter()
-                .map(|(group_index, evaluations)| ShardGroup {
-                    group_index,
-                    evaluations,
-                })
-                .collect(),
-        };
+    pub fn write_shard_output(self, path: &Path) -> io::Result<()> {
+        let output = self.into_output();
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
         write_record(path, &output)
+    }
+}
+
+/// The sweep of `config` over `profilers` with these evaluations.
+fn assemble(
+    config: EvaluationConfig,
+    profilers: Vec<ProfilerKind>,
+    evaluations: Vec<WordEvaluation>,
+) -> CoverageSweep {
+    CoverageSweep {
+        rounds: config.rounds,
+        error_counts: config.error_counts,
+        probabilities: config.probabilities,
+        profilers,
+        evaluations,
     }
 }
 
@@ -690,13 +687,11 @@ pub fn merge_shards(paths: &[PathBuf]) -> io::Result<CoverageSweep> {
             }
         }
     }
-    Ok(CoverageSweep {
-        rounds: config.rounds,
-        error_counts: config.error_counts.clone(),
-        probabilities: config.probabilities.clone(),
+    Ok(assemble(
+        config,
         profilers,
-        evaluations: groups.into_values().flatten().collect(),
-    })
+        groups.into_values().flatten().collect(),
+    ))
 }
 
 /// Renders a per-cell summary of a sweep for the CLI: mean final direct
@@ -911,157 +906,7 @@ struct GroupRecord {
     code_index: usize,
     round: usize,
     campaigns: Vec<CampaignCheckpoint>,
-    series: Vec<Vec<ChangePoints>>,
-}
-
-/// A coverage series as a group record stores it: its change points, each
-/// one `[round, direct_hits, missed_indirect, max_simultaneous]` array.
-struct ChangePoints {
-    profiler: String,
-    direct_truth_len: usize,
-    indirect_truth_len: usize,
-    rounds: usize,
-    points: Vec<[usize; 4]>,
-}
-
-impl ChangePoints {
-    fn of(series: &CoverageSeries) -> Self {
-        Self {
-            profiler: series.profiler.clone(),
-            direct_truth_len: series.direct_truth_len,
-            indirect_truth_len: series.indirect_truth_len,
-            rounds: series.rounds(),
-            points: series
-                .points()
-                .iter()
-                .map(|&(round, score)| {
-                    [
-                        round,
-                        score.direct_hits,
-                        score.missed_indirect,
-                        score.max_simultaneous,
-                    ]
-                })
-                .collect(),
-        }
-    }
-
-    /// The series, or why `push_round` cannot have produced these points.
-    fn into_series(self) -> Result<CoverageSeries, String> {
-        let points = self
-            .points
-            .into_iter()
-            .map(|[round, direct_hits, missed_indirect, max_simultaneous]| {
-                let score = RoundScore {
-                    direct_hits,
-                    missed_indirect,
-                    max_simultaneous,
-                };
-                (round, score)
-            })
-            .collect();
-        CoverageSeries::from_points(
-            self.profiler,
-            self.direct_truth_len,
-            self.indirect_truth_len,
-            self.rounds,
-            points,
-        )
-    }
-}
-
-/// A coverage series as shard outputs and sweep results store it (schema
-/// 1): dense, one value per round in each of three arrays.
-struct DenseSeries {
-    profiler: String,
-    direct_coverage: Vec<f64>,
-    missed_indirect: Vec<usize>,
-    max_simultaneous: Vec<usize>,
-    bootstrap_round: Option<usize>,
-    direct_truth_len: usize,
-    indirect_truth_len: usize,
-}
-
-impl DenseSeries {
-    fn of(series: &CoverageSeries) -> Self {
-        let scores: Vec<RoundScore> = (0..series.rounds())
-            .map(|round| series.score_at(round))
-            .collect();
-        let column = |value: fn(&RoundScore) -> usize| scores.iter().map(value).collect();
-        Self {
-            profiler: series.profiler.clone(),
-            direct_coverage: (0..series.rounds())
-                .map(|round| series.direct_coverage_at(round))
-                .collect(),
-            missed_indirect: column(|score| score.missed_indirect),
-            max_simultaneous: column(|score| score.max_simultaneous),
-            bootstrap_round: series.bootstrap_round(),
-            direct_truth_len: series.direct_truth_len,
-            indirect_truth_len: series.indirect_truth_len,
-        }
-    }
-
-    /// The series, if the arrays are what one holds: one length, every
-    /// coverage exactly `hits / truth` for a whole `hits <= truth`, change
-    /// points of the shape `push_round` gives, and the bootstrap round the
-    /// scores give.
-    fn into_series(self) -> Result<CoverageSeries, DecodeError> {
-        let rounds = self.direct_coverage.len();
-        for (key, len) in [
-            ("missed_indirect", self.missed_indirect.len()),
-            ("max_simultaneous", self.max_simultaneous.len()),
-        ] {
-            if len != rounds {
-                let message = format!("{len} rounds where direct_coverage holds {rounds}");
-                return Err(DecodeError::new(message).at_key(key));
-            }
-        }
-        // The whole number of hits nearest each coverage; that it gives
-        // exactly this coverage is checked on the decoded series.
-        let truth = self.direct_truth_len as f64;
-        let scores = self.direct_coverage.iter().zip(&self.missed_indirect);
-        let mut points: Vec<_> = scores
-            .zip(&self.max_simultaneous)
-            .map(
-                |((&coverage, &missed_indirect), &max_simultaneous)| RoundScore {
-                    direct_hits: (coverage * truth).round().clamp(0.0, truth) as usize,
-                    missed_indirect,
-                    max_simultaneous,
-                },
-            )
-            .enumerate()
-            .collect();
-        points.dedup_by_key(|&mut (_, score)| score);
-        let series = CoverageSeries::from_points(
-            self.profiler,
-            self.direct_truth_len,
-            self.indirect_truth_len,
-            rounds,
-            points,
-        )
-        .map_err(DecodeError::new)?;
-        let coverage = &self.direct_coverage;
-        if let Some(round) =
-            (0..rounds).find(|&r| series.direct_coverage_at(r).to_bits() != coverage[r].to_bits())
-        {
-            let message = format!(
-                "{} is not a whole number of {} direct truth bits",
-                coverage[round], series.direct_truth_len
-            );
-            return Err(DecodeError::new(message)
-                .at_index(round)
-                .at_key("direct_coverage"));
-        }
-        if series.bootstrap_round() != self.bootstrap_round {
-            let message = format!(
-                "{:?} where the scores give {:?}",
-                self.bootstrap_round,
-                series.bootstrap_round()
-            );
-            return Err(DecodeError::new(message).at_key("bootstrap_round"));
-        }
-        Ok(series)
-    }
+    series: Vec<Vec<CoverageSeries>>,
 }
 
 /// A `SHARD_i_of_N.json` file: the finished evaluations of one worker's
@@ -1078,13 +923,13 @@ struct ShardGroup {
     evaluations: Vec<WordEvaluation>,
 }
 
-json_record!(Manifest as "schema": CHECKPOINT_SCHEMA_VERSION {
+json_record!(Manifest as "schema": SCHEMA_VERSION {
     round, shard, profilers, config, num_groups
 });
-json_record!(GroupRecord as "schema": GROUP_SCHEMA_VERSION {
+json_record!(GroupRecord as "schema": SCHEMA_VERSION {
     group_index, cell_index, code_index, round, campaigns, series
 });
-json_record!(ShardOutput as "schema": CHECKPOINT_SCHEMA_VERSION {
+json_record!(ShardOutput as "schema": SCHEMA_VERSION {
     shard, profilers, config, groups
 });
 json_record!(ShardGroup {
@@ -1094,7 +939,7 @@ json_record!(ShardGroup {
 // The daemon's result payload: the encoding is fully deterministic
 // (ordered keys, shortest-round-trip floats), so two sweeps are equal iff
 // their rendered encodings are byte-identical.
-json_record!(CoverageSweep as "schema": CHECKPOINT_SCHEMA_VERSION {
+json_record!(CoverageSweep as "schema": SCHEMA_VERSION {
     rounds, error_counts, probabilities, profilers, evaluations
 });
 json_record!(WordEvaluation {
@@ -1102,22 +947,6 @@ json_record!(WordEvaluation {
     probability,
     profiler,
     series
-});
-json_record!(DenseSeries {
-    profiler,
-    direct_coverage,
-    missed_indirect,
-    max_simultaneous,
-    bootstrap_round,
-    direct_truth_len,
-    indirect_truth_len,
-});
-json_record!(ChangePoints {
-    profiler,
-    direct_truth_len,
-    indirect_truth_len,
-    rounds,
-    points
 });
 json_record!(CampaignCheckpoint { kind, round, words });
 json_record!(WordCheckpoint { rng, profiler });
@@ -1157,15 +986,60 @@ fn check_rng_cursor(position: &RngPosition) -> Result<(), String> {
     Ok(())
 }
 
-/// Schema 1 (shard outputs, `RESULT.json` and `result` frames) keeps a
-/// series dense: see [`DenseSeries`].
+/// A coverage series, wherever it is stored, is its change points: the
+/// profiler, the two truth sizes, the round count and the points. It decodes
+/// through [`CoverageSeries::from_points`], so a point list that
+/// [`CoverageSeries::push_round`] cannot produce is a decode error.
 impl JsonCodec for CoverageSeries {
     fn to_json(&self) -> Result<Json, NonFiniteFloat> {
-        DenseSeries::of(self).to_json()
+        let points = self.points().iter().map(JsonCodec::to_json);
+        let entries = [
+            ("profiler", self.profiler.to_json()?),
+            ("direct_truth_len", self.direct_truth_len.to_json()?),
+            ("indirect_truth_len", self.indirect_truth_len.to_json()?),
+            ("rounds", self.rounds().to_json()?),
+            ("points", Json::Array(points.collect::<Result<_, _>>()?)),
+        ];
+        let entries = entries
+            .into_iter()
+            .map(|(key, value)| (key.to_owned(), value));
+        Ok(Json::Object(entries.collect()))
     }
 
     fn from_json(json: &Json) -> Result<Self, DecodeError> {
-        DenseSeries::from_json(json)?.into_series()
+        CoverageSeries::from_points(
+            field(json, "profiler")?,
+            field(json, "direct_truth_len")?,
+            field(json, "indirect_truth_len")?,
+            field(json, "rounds")?,
+            field(json, "points")?,
+        )
+        .map_err(DecodeError::new)
+    }
+}
+
+/// A change point is one `[round, direct_hits, missed_indirect,
+/// max_simultaneous]` array.
+impl JsonCodec for (usize, RoundScore) {
+    fn to_json(&self) -> Result<Json, NonFiniteFloat> {
+        let (round, score) = self;
+        [
+            *round,
+            score.direct_hits,
+            score.missed_indirect,
+            score.max_simultaneous,
+        ]
+        .to_json()
+    }
+
+    fn from_json(json: &Json) -> Result<Self, DecodeError> {
+        let [round, direct_hits, missed_indirect, max_simultaneous] = JsonCodec::from_json(json)?;
+        let score = RoundScore {
+            direct_hits,
+            missed_indirect,
+            max_simultaneous,
+        };
+        Ok((round, score))
     }
 }
 
@@ -1213,9 +1087,10 @@ impl JsonCodec for ShardSpec {
 ///
 /// # Errors
 ///
-/// Returns the first non-finite float in the sweep — e.g. a coverage mean
-/// produced by a buggy stats pipeline — so the daemon can fail the *job*
-/// instead of losing the worker thread to a render panic.
+/// Returns the first non-finite float in the sweep — its only floats are
+/// the swept probabilities, since series store whole counts — so the
+/// daemon can fail the *job* instead of losing the worker thread to a
+/// render panic.
 pub fn try_encode_sweep(sweep: &CoverageSweep) -> Result<Json, NonFiniteFloat> {
     sweep.to_json()
 }
@@ -1516,8 +1391,14 @@ mod tests {
             assert!(err.contains(expected), "{err}");
         };
 
-        // Wrong schema version in the manifest.
-        reject(0, "{\"schema\":1", "{\"schema\":999", "schema");
+        // A manifest of schema 1, from before every record moved to one
+        // schema version, is refused with the typed schema error.
+        reject(
+            0,
+            "{\"schema\":3",
+            "{\"schema\":1",
+            "schema: expected 3, found 1",
+        );
         // A group record from before change points replaced dense series
         // (schema 2) is refused with the typed schema error.
         reject(
@@ -1688,9 +1569,10 @@ mod tests {
 
     /// A stored series is checked against the ground truth recomputed from
     /// the configuration: its length, its truth-set sizes and its profiler
-    /// name must all fit the group, its change points must be a list
-    /// `push_round` can produce, and its last score must be the restored
-    /// profile's, or resume fails with a description naming the word.
+    /// name must all fit the group, and its last score must be the restored
+    /// profile's, or resume fails with a description naming the word. A
+    /// point list `push_round` cannot produce already fails to decode, with
+    /// an error naming the series.
     #[test]
     fn corrupt_group_series_are_rejected() {
         let config = tiny_config();
@@ -1702,72 +1584,98 @@ mod tests {
         let mutate = |corrupt: &dyn Fn(&mut GroupRecord)| {
             corrupt_first_group(&dir, &config, &pristine, corrupt)
         };
-        let reject = |corrupt: fn(&mut ChangePoints)| {
+        let stored: GroupRecord = decode(&pristine[1]).unwrap();
+        let word = &stored.series[0][1];
+        let (direct, indirect) = (word.direct_truth_len, word.indirect_truth_len);
+        let series_of = |rounds: usize, points: Vec<(usize, RoundScore)>| {
+            CoverageSeries::from_points(word.profiler.clone(), direct, indirect, rounds, points)
+                .unwrap()
+        };
+        let reject = |corrupt: &dyn Fn(&mut CoverageSeries)| {
             let err = mutate(&|group| corrupt(&mut group.series[0][1]));
             assert!(
                 err.contains("word 1: a ") && err.contains("does not fit"),
                 "{err}"
             );
         };
-        reject(|series| series.rounds += 1);
-        reject(|series| series.rounds -= 1);
-        reject(|series| series.indirect_truth_len += 1);
-        reject(|series| series.profiler = "Naive".to_owned());
+        reject(&|series| series.push_unchanged());
+        reject(&|series| {
+            let points = series.points().iter().filter(|&&(round, _)| round < 2);
+            *series = series_of(2, points.copied().collect());
+        });
+        reject(&|series| series.indirect_truth_len += 1);
+        reject(&|series| series.profiler = "Naive".to_owned());
         let err = mutate(&|group| {
             group.series[1].pop();
         });
         assert!(err.contains("(round, words, series)"), "{err}");
 
         // Point lists no run of three rounds can produce.
-        let stored: GroupRecord = decode(&pristine[1]).unwrap();
-        let (direct, indirect) = (
-            stored.series[0][1].direct_truth_len,
-            stored.series[0][1].indirect_truth_len,
-        );
-        let reject_points = |points: Vec<[usize; 4]>, expected: &str| {
-            let err = mutate(&|group| group.series[0][1].points = points.clone());
-            assert!(err.contains("word 1: ") && err.contains(expected), "{err}");
+        let corrupt_points = |points: &str| {
+            let mut group = Json::parse(&pristine[1]).unwrap();
+            let series = item(item(entry(&mut group, "series"), 0), 1);
+            *entry(series, "points") = Json::parse(points).unwrap();
+            let mut lines = pristine.clone();
+            lines[1] = group.render();
+            write_archive_lines(&dir, &lines);
+            resume_error(&dir, &config)
         };
-        reject_points(vec![], "no change point in 3 rounds");
+        let reject_points = |points: &str, expected: &str| {
+            let err = corrupt_points(points);
+            let at = format!("{ARCHIVE_FILE}:2: series[0][1]: ");
+            assert!(err.contains(&(at + expected)), "{err}");
+        };
+        reject_points("[]", "no change point in 3 rounds");
+        reject_points("[[1,0,0,1]]", "change point 0 at round 1 is not at round 0");
         reject_points(
-            vec![[1, 0, 0, 1]],
-            "change point 0 at round 1 is not at round 0",
-        );
-        reject_points(
-            vec![[0, 0, 0, 1], [2, 0, 0, 2], [2, 0, 0, 3]],
+            "[[0,0,0,1],[2,0,0,2],[2,0,0,3]]",
             "change point 2 at round 2 does not follow round 2",
         );
         reject_points(
-            vec![[0, 0, 0, 1], [2, 0, 0, 2], [1, 0, 0, 3]],
+            "[[0,0,0,1],[2,0,0,2],[1,0,0,3]]",
             "change point 2 at round 1 does not follow round 2",
         );
         reject_points(
-            vec![[0, 0, 0, 1], [3, 0, 0, 2]],
+            "[[0,0,0,1],[3,0,0,2]]",
             "change point 1 at round 3 is past the last of 3 rounds",
         );
         reject_points(
-            vec![[0, 0, 0, 1], [1, 0, 0, 1]],
+            "[[0,0,0,1],[1,0,0,1]]",
             "change point 1 at round 1 repeats the scores before it",
         );
         reject_points(
-            vec![[0, direct + 1, 0, 1]],
+            &format!("[[0,{},0,1]]", direct + 1),
             &format!(
-                "has {} direct hits of {direct} direct truth bits",
+                "change point 0 at round 0 has {} direct hits of {direct} direct truth bits",
                 direct + 1
             ),
         );
         reject_points(
-            vec![[0, 0, indirect + 1, 1]],
-            &format!("misses {} of {indirect} indirect truth bits", indirect + 1),
+            &format!("[[0,0,{},1]]", indirect + 1),
+            &format!(
+                "change point 0 at round 0 misses {} of {indirect} indirect truth bits",
+                indirect + 1
+            ),
+        );
+        let err = corrupt_points("[[0,0,0]]");
+        assert!(
+            err.contains(":2: series[0][1].points[0]: expected 4 items, found 3"),
+            "{err}"
         );
 
         // A well-formed series whose last score is not the score of the
         // restored profile. Rounds that change no profile are not scored,
         // so it would stand until the profile next changed.
-        let last = *stored.series[0][1].points.last().expect("a scored round");
-        reject_points(
-            vec![[0, 0, 0, last[3] + 1]],
-            "is not its restored profile's",
+        let last = word.final_score().expect("a scored round");
+        let tampered = RoundScore {
+            direct_hits: 0,
+            missed_indirect: 0,
+            max_simultaneous: last.max_simultaneous + 1,
+        };
+        let err = mutate(&|group| group.series[0][1] = series_of(3, vec![(0, tampered)]));
+        assert!(
+            err.contains("word 1: ") && err.contains("is not its restored profile's"),
+            "{err}"
         );
         let err = ResumableSweep::<HammingCode>::resume(&dir, make_code(&config)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
@@ -1775,13 +1683,11 @@ mod tests {
     }
 
     /// Random per-round score sequences pushed into series — long runs,
-    /// repeats, empty direct truths and zero rounds among them. The dense
-    /// form of shard outputs and results holds every round's values and
-    /// re-renders byte for byte after a decode; a group record's change
-    /// points round-trip.
+    /// repeats, empty direct truths and zero rounds among them. A series'
+    /// change points decode to the same series, which re-renders byte for
+    /// byte and reads back every round's scores.
     #[test]
     fn series_codecs_round_trip_random_score_sequences() {
-        use crate::minijson::field;
         use rand::{Rng, SeedableRng};
 
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xDE45E);
@@ -1818,29 +1724,13 @@ mod tests {
             }
 
             let rendered = series.to_json().unwrap().render();
-            let json = Json::parse(&rendered).unwrap();
-            let coverage: Vec<f64> = field(&json, "direct_coverage").unwrap();
-            let expected: Vec<f64> = dense
-                .iter()
-                .map(|s| match direct {
-                    0 => 1.0,
-                    truth => s.direct_hits as f64 / truth as f64,
-                })
-                .collect();
-            assert_eq!(coverage, expected, "case {case}");
-            let missed: Vec<usize> = field(&json, "missed_indirect").unwrap();
-            assert!(missed.iter().eq(dense.iter().map(|s| &s.missed_indirect)));
-            let max: Vec<usize> = field(&json, "max_simultaneous").unwrap();
-            assert!(max.iter().eq(dense.iter().map(|s| &s.max_simultaneous)));
-            let bootstrap: Option<usize> = field(&json, "bootstrap_round").unwrap();
-            assert_eq!(bootstrap, series.bootstrap_round());
-            let decoded = CoverageSeries::from_json(&json).unwrap();
+            let decoded = CoverageSeries::from_json(&Json::parse(&rendered).unwrap()).unwrap();
             assert_eq!(decoded, series, "case {case}");
             assert_eq!(decoded.to_json().unwrap().render(), rendered);
-
-            let stored = ChangePoints::of(&series).to_json().unwrap().render();
-            let reparsed = ChangePoints::from_json(&Json::parse(&stored).unwrap()).unwrap();
-            assert_eq!(reparsed.into_series(), Ok(series), "case {case}");
+            assert_eq!(decoded.rounds(), rounds);
+            for (round, &score) in dense.iter().enumerate() {
+                assert_eq!(decoded.score_at(round), score, "case {case}, round {round}");
+            }
         }
     }
 
@@ -1858,14 +1748,14 @@ mod tests {
         &mut items[index]
     }
 
-    /// A shard output whose dense series no sweep can produce fails `merge`
-    /// with a decode error naming the file and the path to the value: a
-    /// coverage that is not `hits / truth`, arrays of different lengths,
-    /// and a bootstrap round the scores disagree with.
+    /// A shard output whose change points no sweep can produce fails
+    /// `merge` with a decode error naming the file and the series: a point
+    /// at or past the round count, rounds out of order, two equal
+    /// consecutive scores, and more hits than direct truth bits.
     #[test]
-    fn merge_rejects_dense_series_no_sweep_produces() {
+    fn merge_rejects_change_points_no_sweep_produces() {
         let config = tiny_config();
-        let dir = temp_dir("merge_dense");
+        let dir = temp_dir("merge_points");
         let path = dir.join(shard_file_name(ShardSpec::full()));
         let mut worker = ResumableSweep::new(&config, &KINDS, make_code(&config));
         worker.advance(config.rounds);
@@ -1873,46 +1763,64 @@ mod tests {
         let mut pristine = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         merge_shards(std::slice::from_ref(&path)).unwrap();
 
-        // The first series over two direct truth bits.
+        // The first series over two direct truth bits and no indirect one.
         let evaluations = entry(item(entry(&mut pristine, "groups"), 0), "evaluations");
         let index = (0..)
             .find(|&e| {
                 let series = entry(item(evaluations, e), "series");
                 *entry(series, "direct_truth_len") == Json::from_u64(2)
+                    && *entry(series, "indirect_truth_len") == Json::from_u64(0)
             })
             .unwrap();
-        let reject = |corrupt: &dyn Fn(&mut Json), at: &str, expected: &str| {
+        let reject = |points: &str, expected: &str| {
             let mut shard = pristine.clone();
             let evaluations = entry(item(entry(&mut shard, "groups"), 0), "evaluations");
-            corrupt(entry(item(evaluations, index), "series"));
+            let series = entry(item(evaluations, index), "series");
+            *entry(series, "points") = Json::parse(points).unwrap();
             std::fs::write(&path, shard.render()).unwrap();
-            let err = merge_shards(std::slice::from_ref(&path))
-                .unwrap_err()
-                .to_string();
-            let at = format!("groups[0].evaluations[{index}].series.{at}: ");
+            let err = merge_shards(std::slice::from_ref(&path)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            let err = err.to_string();
+            let at = format!("groups[0].evaluations[{index}].series: ");
             assert!(err.contains(&path.display().to_string()), "{err}");
             assert!(err.contains(&(at + expected)), "{err}");
         };
         reject(
-            &|series| *item(entry(series, "direct_coverage"), 0) = Json::Number("0.3".into()),
-            "direct_coverage[0]",
-            "0.3 is not a whole number of 2 direct truth bits",
+            "[[0,0,0,2],[16,1,0,1]]",
+            "change point 1 at round 16 is past the last of 16 rounds",
         );
         reject(
-            &|series| {
-                let Json::Array(missed) = entry(series, "missed_indirect") else {
-                    panic!("not an array")
-                };
-                missed.pop();
-            },
-            "missed_indirect",
-            "15 rounds where direct_coverage holds 16",
+            "[[0,0,0,2],[9,1,0,1],[5,2,0,0]]",
+            "change point 2 at round 5 does not follow round 9",
         );
         reject(
-            &|series| *entry(series, "bootstrap_round") = Json::from_u64(16),
-            "bootstrap_round",
-            "Some(16) where the scores give",
+            "[[0,0,0,2],[4,0,0,2]]",
+            "change point 1 at round 4 repeats the scores before it",
         );
+        reject(
+            "[[0,3,0,1]]",
+            "change point 0 at round 0 has 3 direct hits of 2 direct truth bits",
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A shard output of schema 1, written before series were stored as
+    /// change points, is refused with the typed schema error.
+    #[test]
+    fn merge_refuses_schema_1_shard_outputs() {
+        let config = tiny_config();
+        let dir = temp_dir("merge_schema_1");
+        let path = dir.join(shard_file_name(ShardSpec::full()));
+        let mut worker = ResumableSweep::new(&config, &KINDS, make_code(&config));
+        worker.advance(config.rounds);
+        worker.write_shard_output(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with("{\"schema\":3,"), "{text}");
+        std::fs::write(&path, text.replacen("3", "1", 1)).unwrap();
+        let err = merge_shards(std::slice::from_ref(&path)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let expected = format!("{}: schema: expected 3, found 1", path.display());
+        assert!(err.to_string().contains(&expected), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

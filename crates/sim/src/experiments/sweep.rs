@@ -165,23 +165,28 @@ impl<C: LinearBlockCode + Clone + Send + 'static> GroupUnit<C> {
         }
     }
 
-    /// Labels the series as [`WordEvaluation`]s of one sweep cell, in
-    /// word-major order (word, then profiler) — the order the historical
-    /// per-word loop produced.
-    pub(crate) fn label(&self, error_count: usize, probability: f64) -> Vec<WordEvaluation> {
-        (0..self.batch.len())
-            .flat_map(|word| {
-                self.runs
+    /// Labels the series as [`WordEvaluation`]s of one sweep cell, moving
+    /// each one, in word-major order (word, then profiler) — the order the
+    /// historical per-word loop produced.
+    pub(crate) fn label(self, error_count: usize, probability: f64) -> Vec<WordEvaluation> {
+        let kinds: Vec<ProfilerKind> = self.runs.iter().map(BatchRun::kind).collect();
+        let mut columns: Vec<_> = self.series.into_iter().map(Vec::into_iter).collect();
+        let mut evaluations = Vec::with_capacity(kinds.len() * self.batch.len());
+        for _ in 0..self.batch.len() {
+            let word = columns.iter_mut().filter_map(Iterator::next);
+            evaluations.extend(
+                kinds
                     .iter()
-                    .zip(&self.series)
-                    .map(move |(run, series)| WordEvaluation {
+                    .zip(word)
+                    .map(|(&profiler, series)| WordEvaluation {
                         error_count,
                         probability,
-                        profiler: run.kind(),
-                        series: series[word].clone(),
-                    })
-            })
-            .collect()
+                        profiler,
+                        series,
+                    }),
+            );
+        }
+        evaluations
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property suite for the bit-sliced syndrome layer (`harp_gf2::bitslice`
 //! and the `SyndromeKernel` bit-sliced entry points).
 //!
-//! Three contracts, each over random shapes:
+//! Two contracts, each over random shapes:
 //!
 //! 1. **Transpose round-trip** — slicing up to 64 codewords into `u64` lanes
 //!    and reading any word back is the identity, for ragged tails (< 64
@@ -10,9 +10,6 @@
 //!    byte-identical to the per-word `syndrome_words_into` loop for random
 //!    dense `H`, and its per-block masks flag exactly the words whose
 //!    `syndrome_word` is nonzero.
-//! 3. **Wide-syndrome fallback** — for kernels with more than 64 rows
-//!    (where no packed syndrome word exists), `nonzero_masks_bitsliced_into`
-//!    agrees with the allocating `syndrome` path on which words are clean.
 //!
 //! The nightly CI job runs this suite at elevated `PROPTEST_CASES`, next to
 //! `campaign_equivalence` and the other differential suites.
@@ -110,31 +107,6 @@ proptest! {
         let tail = count % BLOCK_WORDS;
         if tail != 0 {
             prop_assert_eq!(masks.last().unwrap() >> tail, 0);
-        }
-    }
-
-    /// For kernels wider than 64 syndrome rows (no packed word exists) the
-    /// mask-only fallback agrees with the allocating `syndrome` path.
-    #[test]
-    fn wide_kernel_masks_match_allocating_syndromes(
-        rows in 65usize..=80,
-        cols in 65usize..=150,
-        count in 1usize..=70,
-        density_choice in 0usize..3,
-        seed in any::<u64>(),
-    ) {
-        let density = [0.0, 0.02, 0.5][density_choice];
-        let kernel = SyndromeKernel::new(&random_matrix(rows, cols, seed));
-        let words = random_words(count, cols, density, seed ^ 0xF00D);
-
-        let mut masks = Vec::new();
-        let mut scratch = BitsliceScratch::new();
-        kernel.nonzero_masks_bitsliced_into(&words, &mut masks, &mut scratch);
-
-        prop_assert_eq!(masks.len(), count.div_ceil(BLOCK_WORDS));
-        for (index, word) in words.iter().enumerate() {
-            let flagged = masks[index / BLOCK_WORDS] >> (index % BLOCK_WORDS) & 1 == 1;
-            prop_assert_eq!(flagged, !kernel.syndrome(word).is_zero(), "word {}", index);
         }
     }
 }

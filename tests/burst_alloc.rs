@@ -270,8 +270,9 @@ fn assert_quiet_rounds_allocate_nothing<C: LinearBlockCode + Clone + Send + 'sta
 /// new bit allocates nothing: the dataword is built in the run's one
 /// buffer, written in place, read in one burst, observed through
 /// iterators, and added to each series unscored. Checked for each of the
-/// five Fig. 8 kinds (BEEP and HARP-A+BEEP craft in those rounds) on
-/// Hamming and SEC-DED.
+/// five Fig. 8 kinds (BEEP and HARP-A+BEEP craft in those rounds) and
+/// HARP-S (which reconstructs raw errors from a normal read) on Hamming
+/// and SEC-DED.
 #[test]
 fn unchanged_campaign_rounds_allocate_nothing() {
     for kind in [
@@ -280,6 +281,7 @@ fn unchanged_campaign_rounds_allocate_nothing() {
         ProfilerKind::Beep,
         ProfilerKind::HarpA,
         ProfilerKind::HarpABeep,
+        ProfilerKind::HarpS,
     ] {
         let hamming = HammingCode::random(64, 3).expect("valid code");
         let secded = ExtendedHammingCode::random(64, 3).expect("valid code");
