@@ -98,22 +98,6 @@ impl<C: LinearBlockCode> MemoryController<C> {
         }
     }
 
-    /// Creates a controller seeded with an existing error profile (e.g. the
-    /// output of an active profiling phase).
-    pub fn with_profile(
-        chip: MemoryChip<C>,
-        secondary: SecondaryEcc,
-        profile: ErrorProfile,
-    ) -> Self {
-        Self {
-            chip,
-            repair: BitRepairMechanism::new(profile),
-            secondary,
-            reactive_profiling_enabled: true,
-            scratch: BurstScratch::new(),
-        }
-    }
-
     /// Enables or disables reactive profiling (identification of new at-risk
     /// bits by the secondary ECC). Correction still happens either way.
     pub fn set_reactive_profiling(&mut self, enabled: bool) {
@@ -473,21 +457,5 @@ mod tests {
         controller.write(0, &BitVec::ones(64));
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         assert!(controller.read(0, &mut rng).is_correct());
-    }
-
-    #[test]
-    fn with_profile_seeds_the_repair_mechanism() {
-        let code = HammingCode::random(64, 33).unwrap();
-        let mut chip = MemoryChip::new(code, 1);
-        chip.set_fault_model(0, FaultModel::uniform(&[1, 2], 1.0));
-        let mut profile = ErrorProfile::new();
-        profile.mark_all(0, [1, 2]);
-        let mut controller =
-            MemoryController::with_profile(chip, SecondaryEcc::ideal_sec(), profile);
-        controller.write(0, &BitVec::ones(64));
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let outcome = controller.read(0, &mut rng);
-        assert!(outcome.is_correct());
-        assert_eq!(controller.secondary().correction_capability(), 1);
     }
 }

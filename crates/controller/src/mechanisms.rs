@@ -192,11 +192,6 @@ impl ArchShieldRepair {
         self.remapped.len()
     }
 
-    /// Number of multi-bit-faulty words the spare region could not absorb.
-    pub fn unprotected_words(&self) -> usize {
-        self.unprotected.len()
-    }
-
     /// Requests coverage of at-risk bit `(word, bit)`. Returns `true` if the
     /// word remains protected (in place or remapped), `false` if the word
     /// needed remapping but the spare region is exhausted.
@@ -298,7 +293,6 @@ mod tests {
         assert_eq!(arch.spares_remaining(), 0);
         assert!(arch.cover(3, 1));
         assert!(!arch.cover(3, 2), "second multi-bit word finds no spare");
-        assert_eq!(arch.unprotected_words(), 1);
         assert!(arch.is_covered(0, 1));
         assert!(!arch.is_covered(3, 2));
     }

@@ -47,14 +47,6 @@ impl SecondaryObservation {
     pub fn is_safe(&self) -> bool {
         !matches!(self, SecondaryObservation::Unsafe { .. })
     }
-
-    /// The positions identified as at risk, if any.
-    pub fn identified_positions(&self) -> &[usize] {
-        match self {
-            SecondaryObservation::Identified { positions } => positions,
-            _ => &[],
-        }
-    }
 }
 
 /// A secondary error-correcting code within the memory controller.
@@ -238,9 +230,6 @@ mod tests {
             SecondaryObservation::Clean
         );
         assert!(SecondaryObservation::Clean.is_safe());
-        assert!(SecondaryObservation::Clean
-            .identified_positions()
-            .is_empty());
     }
 
     #[test]

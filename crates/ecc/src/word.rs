@@ -88,16 +88,6 @@ impl WordLayout {
         self.classify(pos) == BitClass::Parity
     }
 
-    /// Iterator over the data positions `0..k`.
-    pub fn data_positions(&self) -> std::ops::Range<usize> {
-        0..self.data_bits
-    }
-
-    /// Iterator over the parity positions `k..k+p`.
-    pub fn parity_positions(&self) -> std::ops::Range<usize> {
-        self.data_bits..self.codeword_len()
-    }
-
     /// Maps a parity position to its row index in the parity-check matrix.
     ///
     /// # Panics
@@ -119,8 +109,6 @@ mod tests {
         assert_eq!(layout.data_len(), 64);
         assert_eq!(layout.parity_len(), 7);
         assert_eq!(layout.codeword_len(), 71);
-        assert_eq!(layout.data_positions().count(), 64);
-        assert_eq!(layout.parity_positions().count(), 7);
     }
 
     #[test]

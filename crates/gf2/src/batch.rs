@@ -95,11 +95,6 @@ impl SyndromeKernel {
         }
     }
 
-    /// Number of syndrome bits produced per codeword.
-    pub fn syndrome_len(&self) -> usize {
-        self.rows
-    }
-
     /// Codeword length the kernel expects.
     pub fn codeword_len(&self) -> usize {
         self.cols
@@ -403,7 +398,6 @@ mod tests {
         for (rows, cols, salt) in [(3, 7, 1), (7, 71, 2), (8, 136, 3), (16, 144, 4), (1, 1, 5)] {
             let h = dense_h(rows, cols, salt);
             let kernel = SyndromeKernel::new(&h);
-            assert_eq!(kernel.syndrome_len(), rows);
             assert_eq!(kernel.codeword_len(), cols);
             for k in 0..20 {
                 let word = BitVec::from_indices(

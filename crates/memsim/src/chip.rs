@@ -92,12 +92,6 @@ impl ReadObservation {
         self.stored_with_errors.get(position) != self.written.get(position)
     }
 
-    /// Simulator-only ground truth: the raw error pattern injected into the
-    /// full codeword (including parity bits) for this access.
-    pub fn raw_error_pattern(&self) -> &BitVec {
-        &self.raw_error
-    }
-
     /// An empty placeholder observation whose buffers the burst read path
     /// overwrites in place.
     fn placeholder() -> Self {
@@ -251,16 +245,6 @@ impl<C: LinearBlockCode> MemoryChip<C> {
     pub fn set_fault_model(&mut self, word: usize, model: FaultModel) {
         assert!(word < self.num_words(), "word index {word} out of range");
         self.faults[word] = model;
-    }
-
-    /// The fault model of word `word`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word >= num_words()`.
-    pub fn fault_model(&self, word: usize) -> &FaultModel {
-        assert!(word < self.num_words(), "word index {word} out of range");
-        &self.faults[word]
     }
 
     /// Writes (and on-die-ECC encodes) a dataword into word `word`.
@@ -606,10 +590,6 @@ mod tests {
         assert_eq!(obs.decode_result().outcome, DecodeOutcome::corrected(5));
         // Bypass read: the direct error is visible.
         assert_eq!(obs.direct_errors().collect::<Vec<_>>(), vec![5]);
-        assert_eq!(
-            obs.raw_error_pattern().iter_ones().collect::<Vec<_>>(),
-            vec![5]
-        );
     }
 
     #[test]
@@ -875,14 +855,5 @@ mod tests {
         let chip = MemoryChip::new(code, 4);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         chip.read_burst(2..5, &mut rng, &mut BurstScratch::new());
-    }
-
-    #[test]
-    fn fault_model_accessor_returns_configured_model() {
-        let mut chip = chip_with_faults(&[], 0.0);
-        let model = FaultModel::uniform(&[1, 2, 3], 0.25);
-        chip.set_fault_model(0, model.clone());
-        assert_eq!(chip.fault_model(0), &model);
-        assert_eq!(chip.num_words(), 1);
     }
 }

@@ -113,11 +113,6 @@ impl FaultModel {
         self.dependence
     }
 
-    /// Returns `true` if the word has no at-risk cells.
-    pub fn is_error_free(&self) -> bool {
-        self.at_risk.is_empty()
-    }
-
     /// Samples a raw (pre-correction) error pattern for one access, given the
     /// codeword value currently stored in the cells.
     ///
@@ -281,7 +276,6 @@ mod tests {
     #[test]
     fn none_model_is_error_free() {
         let model = FaultModel::none();
-        assert!(model.is_error_free());
         assert!(model.at_risk_positions().is_empty());
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         assert!(model.sample_errors(&BitVec::ones(71), &mut rng).is_zero());

@@ -136,11 +136,6 @@ impl ModuleGeometry {
         self.chips * self.ondie_words_per_chip()
     }
 
-    /// Beats spanned by a single on-die ECC word of one chip.
-    pub fn beats_per_ondie_word(&self) -> usize {
-        self.ondie_word_bits / self.io_width
-    }
-
     /// Maps a cache-line bit index to its physical location.
     ///
     /// The mapping is beat-major and chip-interleaved: consecutive line bits
@@ -315,7 +310,6 @@ mod tests {
         let ddr4 = ModuleGeometry::ddr4_style_rank();
         assert_eq!(ddr4.line_bits(), 512);
         assert_eq!(ddr4.ondie_words_per_access(), 8);
-        assert_eq!(ddr4.beats_per_ondie_word(), 8);
 
         let lpddr4 = ModuleGeometry::lpddr4_x16();
         assert_eq!(lpddr4.line_bits(), 256);

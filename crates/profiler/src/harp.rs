@@ -113,12 +113,6 @@ impl<C: LinearBlockCode> HarpAProfiler<C> {
         }
     }
 
-    /// The dataword positions predicted (not yet observed) to be at risk of
-    /// indirect error.
-    pub fn predicted_indirect(&self) -> &BTreeSet<usize> {
-        self.predictor.predicted()
-    }
-
     /// Records one direct-error bit. Returns whether it was new, and
     /// whether the predictions moved with it.
     fn identify(&mut self, bit: usize) -> (bool, bool) {
@@ -359,7 +353,6 @@ mod tests {
         // All direct bits identified -> the prediction equals the ground
         // truth indirect set (all at-risk bits are data bits here).
         assert_eq!(&profiler.predicted(), space.indirect_at_risk());
-        assert_eq!(profiler.predicted_indirect(), space.indirect_at_risk());
         // Known-at-risk covers everything.
         let known = profiler.known_at_risk();
         assert!(space.post_correction_at_risk().is_subset(&known));

@@ -13,8 +13,6 @@ use std::collections::BTreeSet;
 use harp_ecc::{SecondaryEcc, SecondaryObservation};
 use harp_gf2::BitVec;
 
-use crate::traits::Profiler;
-
 /// A reactive profiler for a single ECC word.
 ///
 /// # Example
@@ -118,19 +116,11 @@ impl ReactiveProfiler {
     pub fn secondary(&self) -> &SecondaryEcc {
         &self.secondary
     }
-
-    /// Seeds the reactive profiler with the bits already identified by an
-    /// active profiler (so repeated identifications are not double counted).
-    pub fn seed_with_active_results(&mut self, active: &dyn Profiler) {
-        self.identified.extend(active.known_at_risk());
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive::NaiveProfiler;
-    use harp_memsim::pattern::DataPattern;
 
     #[test]
     fn clean_observations_identify_nothing() {
@@ -208,16 +198,5 @@ mod tests {
         assert_eq!(out_of_band.identified(), in_band.identified());
         assert_eq!(out_of_band.observations(), in_band.observations());
         assert_eq!(out_of_band.unsafe_events(), in_band.unsafe_events());
-    }
-
-    #[test]
-    fn seeding_with_active_results_prevents_recounting() {
-        let active = NaiveProfiler::new(16, DataPattern::Charged, 0);
-        // Simulate the active profiler having identified bit 4 already.
-        // (Directly exercising the Profiler trait object path.)
-        let mut reactive = ReactiveProfiler::new(SecondaryEcc::ideal_sec());
-        reactive.seed_with_active_results(&active);
-        assert!(reactive.identified().is_empty());
-        let _ = active.identified();
     }
 }

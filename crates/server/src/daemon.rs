@@ -34,7 +34,7 @@ use harp_sim::minijson::{named, DecodeError, Json, JsonCodec, NonFiniteFloat};
 use harp_sim::EvaluationConfig;
 
 use crate::proto::{JobStatus, ProfilerCoverage, Request, Response, Snapshot};
-use crate::transport::{FrameTransport, TcpTransport};
+use crate::transport::{FrameTransport, TcpTransport, MAX_FRAME_BYTES};
 
 /// Name of the per-job state record inside the job's directory.
 pub const JOB_FILE: &str = "JOB.json";
@@ -651,9 +651,21 @@ fn watch_job<T: FrameTransport>(
             transport.send(frame)?;
         }
         if done {
-            return match read_record::<Json>(&cell.dir.join(RESULT_FILE)) {
+            // The file holds the result frame's rendered payload, so one
+            // over the cap is refused here: the transport would refuse it by
+            // dropping the connection.
+            let path = cell.dir.join(RESULT_FILE);
+            let result = match std::fs::metadata(&path) {
+                Ok(meta) if meta.len() > MAX_FRAME_BYTES as u64 => Err(format!(
+                    "job result of {} bytes in {} is over the {MAX_FRAME_BYTES}-byte frame cap",
+                    meta.len(),
+                    path.display()
+                )),
+                _ => read_record::<Json>(&path).map_err(|e| format!("unreadable job result: {e}")),
+            };
+            return match result {
                 Ok(result) => transport.send(&result),
-                Err(err) => send_error(transport, format!("unreadable job result: {err}")),
+                Err(message) => send_error(transport, message),
             };
         }
         if let Some(status) = status {
@@ -778,6 +790,31 @@ mod tests {
         // The durable records exist on disk.
         assert!(dir.join(format!("JOB_{job}")).join(RESULT_FILE).exists());
 
+        client.shutdown().unwrap();
+        daemon.join();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_result_over_the_frame_cap_is_an_error_frame() {
+        let dir = temp_dir("oversize");
+        let daemon = Daemon::start(DaemonConfig::new(&dir)).unwrap();
+        let mut client = connect(&daemon);
+        let job = client
+            .submit(&tiny_config(), &[ProfilerKind::HarpU])
+            .unwrap();
+        let outcome = client.watch(job, |_| {}).unwrap();
+        assert!(matches!(outcome, WatchOutcome::Completed(_)), "{outcome:?}");
+        // Extending the file leaves a hole, so almost nothing is written.
+        let path = dir.join(format!("JOB_{job}")).join(RESULT_FILE);
+        let bytes = MAX_FRAME_BYTES as u64 + 1;
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(bytes).unwrap();
+        let err = client.watch(job, |_| {}).unwrap_err();
+        let expected = format!("{bytes} bytes in {}", path.display());
+        assert!(err.contains(&expected), "{err}");
+        // The connection stays usable.
+        assert!(client.jobs().unwrap().iter().any(|j| j.job == job));
         client.shutdown().unwrap();
         daemon.join();
         std::fs::remove_dir_all(&dir).unwrap();

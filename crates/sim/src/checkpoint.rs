@@ -7,8 +7,9 @@
 //!
 //! * [`ResumableSweep`] is the stateful twin of
 //!   [`run_coverage_sweep_with`](crate::experiments::sweep::run_coverage_sweep_with):
-//!   one resumable [`BatchRun`] per (sweep cell, code group, profiler),
-//!   advanced in round increments and frozen between them. An uninterrupted
+//!   it builds its code groups from the one-shot sweep's plan, but keeps
+//!   them: one resumable [`BatchRun`] per (code group, profiler), advanced
+//!   in round increments and frozen between them. An uninterrupted
 //!   run and a stop-at-round-`k`-then-resume run produce byte-identical
 //!   [`CoverageSweep`]s (`tests/checkpoint_resume.rs` locks this down for
 //!   every profiler kind and code family).
@@ -24,7 +25,8 @@
 //!   the partition. Shard outputs are folded back into one sweep by
 //!   [`merge_shards`], which validates completeness via
 //!   [`CoverageSeries::checked_final_direct_coverage`] instead of trusting
-//!   the silent 0.0 of an empty series.
+//!   the silent 0.0 of an empty series, and checks every evaluation's
+//!   labels against the ones the plan gives its group index.
 //!
 //! All persistence goes through [`crate::minijson`]'s one codec trait,
 //! [`JsonCodec`]: every archive line and shard output is a record type
@@ -56,7 +58,7 @@ use crate::json_record;
 use crate::minijson::{field, named, DecodeError, Json, JsonCodec, NonFiniteFloat};
 use crate::report::{fixed, TextTable};
 use crate::runner::parallel_map_mut;
-use crate::sample::{group_by_code, sample_words_with};
+use crate::sample::{coverage_cell, Cell, SweepPlan};
 use crate::stats::mean;
 
 /// Version of every record schema: the manifest, group records, shard
@@ -134,19 +136,7 @@ impl std::fmt::Display for ShardSpec {
     }
 }
 
-/// One resumable work unit: all profilers over one code group of one sweep
-/// cell, with the group's place in the sweep.
-#[derive(Debug)]
-struct SweepUnit<C: LinearBlockCode> {
-    group_index: usize,
-    cell_index: usize,
-    code_index: usize,
-    error_count: usize,
-    probability: f64,
-    group: GroupUnit<C>,
-}
-
-impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
+impl<C: LinearBlockCode + Clone + Send + 'static> GroupUnit<C> {
     /// Restores the unit's engines and series, in place, from its record once
     /// the record fits this group at `round` and the lineup. Corrupt state
     /// is rejected here, where batch geometry and ground truth are known, so
@@ -162,9 +152,10 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
         record: GroupRecord,
         round: usize,
         profilers: &[ProfilerKind],
+        num_codes: usize,
     ) -> Result<(), String> {
         let found = (record.group_index, record.cell_index, record.code_index);
-        let expected = (self.group_index, self.cell_index, self.code_index);
+        let expected = (self.index, self.index / num_codes, self.index % num_codes);
         if (found, record.round) != (expected, round) {
             return Err(format!(
                 "group record (index, cell, code) {found:?} frozen at round {} \
@@ -176,7 +167,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
         if !kinds.eq(profilers.iter().copied()) || record.series.len() != profilers.len() {
             return Err(format!("campaigns or series out of lineup {profilers:?}"));
         }
-        let (words, data_len) = (self.group.batch.len(), self.group.batch.code().data_len());
+        let (words, data_len) = (self.batch.len(), self.batch.code().data_len());
         for ((campaign, stored), &kind) in
             record.campaigns.iter().zip(&record.series).zip(profilers)
         {
@@ -189,7 +180,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
             }
             let states = campaign.words.iter().map(|word| &word.profiler);
             for (index, ((state, series), space)) in
-                states.zip(stored).zip(&self.group.spaces).enumerate()
+                states.zip(stored).zip(&self.spaces).enumerate()
             {
                 let mut bits = state.identified.iter().chain(&state.observed_indirect);
                 if let Some(bit) = bits.find(|&&bit| bit >= data_len) {
@@ -222,13 +213,13 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
                 }
             }
         }
-        for (run, checkpoint) in self.group.runs.iter_mut().zip(&record.campaigns) {
+        for (run, checkpoint) in self.runs.iter_mut().zip(&record.campaigns) {
             run.restore(checkpoint);
         }
         // A round that changes no profile extends its series' last point
         // unscored, so that point must be the score of the restored profile.
-        for ((run, series), kind) in self.group.runs.iter().zip(&record.series).zip(profilers) {
-            for (index, (word, space)) in series.iter().zip(&self.group.spaces).enumerate() {
+        for ((run, series), kind) in self.runs.iter().zip(&record.series).zip(profilers) {
+            for (index, (word, space)) in series.iter().zip(&self.spaces).enumerate() {
                 let Some(last) = word.final_score() else {
                     continue;
                 };
@@ -242,7 +233,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
                 }
             }
         }
-        self.group.series = record.series;
+        self.series = record.series;
         Ok(())
     }
 }
@@ -252,18 +243,18 @@ impl<C: LinearBlockCode + Clone + Send + 'static> SweepUnit<C> {
 ///
 /// Construction regenerates the word population deterministically from the
 /// configuration (samples are never persisted — only mutable campaign state
-/// and the series scored so far are), builds one [`BatchRun`] per (cell,
-/// code group, profiler), and advances all of them in lock-step round
-/// increments, scoring every round into its word's [`CoverageSeries`] as it
-/// runs. After `config.rounds` rounds, [`ResumableSweep::into_sweep`]
-/// labels those series into the exact [`CoverageSweep`] the one-shot path
-/// produces.
+/// and the series scored so far are) through the one-shot path's plan, one
+/// [`BatchRun`] per (owned code group, profiler), and advances all of them
+/// in lock-step round increments, scoring every round into its word's
+/// [`CoverageSeries`] as it runs. After `config.rounds` rounds,
+/// [`ResumableSweep::into_sweep`] labels those series into the exact
+/// [`CoverageSweep`] the one-shot path produces.
 #[derive(Debug)]
 pub struct ResumableSweep<C: LinearBlockCode = HammingCode> {
     config: EvaluationConfig,
     profilers: Vec<ProfilerKind>,
     shard: ShardSpec,
-    units: Vec<SweepUnit<C>>,
+    units: Vec<GroupUnit<C>>,
     round: usize,
 }
 
@@ -277,37 +268,21 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
         Self::sharded(config, profilers, ShardSpec::full(), make_code)
     }
 
-    /// Starts a resumable sweep owning only the given shard's groups.
+    /// Starts a resumable sweep owning only the given shard's groups, each
+    /// drawn and built from the sweep's plan. The groups are built on the
+    /// calling thread: building them inside the runner measured slower set-up
+    /// and a higher peak RSS on the archived-sweep benchmark.
     pub fn sharded<F: Fn(u64) -> C>(
         config: &EvaluationConfig,
         profilers: &[ProfilerKind],
         shard: ShardSpec,
         make_code: F,
     ) -> Self {
-        config.validate();
-        let mut units = Vec::new();
-        let mut cell_index = 0;
-        for &error_count in &config.error_counts {
-            for &probability in &config.probabilities {
-                let samples = sample_words_with(config, error_count, probability, &make_code);
-                for group in group_by_code(&samples) {
-                    let code_index = group[0].code_index;
-                    let group_index = cell_index * config.num_codes + code_index;
-                    if !shard.owns(group_index) {
-                        continue;
-                    }
-                    units.push(SweepUnit {
-                        group_index,
-                        cell_index,
-                        code_index,
-                        error_count,
-                        probability,
-                        group: GroupUnit::new(group, profilers, config.pattern),
-                    });
-                }
-                cell_index += 1;
-            }
-        }
+        let plan = SweepPlan::new(config, Cell::coverage(config), make_code);
+        let owned = plan.groups().into_iter().filter(|&group| shard.owns(group));
+        let units = owned
+            .map(|group| GroupUnit::new(&plan, group, profilers))
+            .collect();
         Self {
             config: config.clone(),
             profilers: profilers.to_vec(),
@@ -355,7 +330,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
             return;
         }
         let threads = self.config.threads;
-        parallel_map_mut(&mut self.units, threads, |unit| unit.group.advance(rounds));
+        parallel_map_mut(&mut self.units, threads, |unit| unit.advance(rounds));
         self.round += rounds;
     }
 
@@ -385,14 +360,15 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
         };
         write_durably_with(fs, &dir.join(ARCHIVE_FILE), |out| {
             write_line(out, &manifest)?;
+            let codes = self.config.num_codes;
             for unit in &self.units {
                 let group = GroupRecord {
-                    group_index: unit.group_index,
-                    cell_index: unit.cell_index,
-                    code_index: unit.code_index,
+                    group_index: unit.index,
+                    cell_index: unit.index / codes,
+                    code_index: unit.index % codes,
                     round: self.round,
-                    campaigns: unit.group.runs.iter().map(BatchRun::checkpoint).collect(),
-                    series: unit.group.series.clone(),
+                    campaigns: unit.runs.iter().map(BatchRun::checkpoint).collect(),
+                    series: unit.series.clone(),
                 };
                 write_line(out, &group)?;
             }
@@ -426,7 +402,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
             let Some(group) = archive.next()? else {
                 return Err(archive.error(format!("ends after {read} of {groups} group records")));
             };
-            unit.restore(group, round, &sweep.profilers)
+            unit.restore(group, round, &sweep.profilers, config.num_codes)
                 .map_err(|message| archive.error(message))?;
         }
         if archive.next::<Json>()?.is_some() {
@@ -446,8 +422,8 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
         let mut sums = vec![0.0_f64; self.profilers.len()];
         let mut words = 0usize;
         for unit in &self.units {
-            words += unit.group.batch.len();
-            for (sum, series) in sums.iter_mut().zip(&unit.group.series) {
+            words += unit.batch.len();
+            for (sum, series) in sums.iter_mut().zip(&unit.series) {
                 for word in series {
                     *sum += word.final_direct_coverage();
                 }
@@ -474,12 +450,13 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
             self.round,
             self.config.rounds
         );
+        let config = &self.config;
         let groups = self
             .units
             .into_iter()
             .map(|unit| ShardGroup {
-                group_index: unit.group_index,
-                evaluations: unit.group.label(unit.error_count, unit.probability),
+                group_index: unit.index,
+                evaluations: unit.label(config),
             })
             .collect();
         ShardOutput {
@@ -514,7 +491,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
             ..
         } = self.into_output();
         let evaluations = groups.into_iter().flat_map(|group| group.evaluations);
-        assemble(config, profilers, evaluations.collect())
+        CoverageSweep::of(&config, &profilers, evaluations.collect())
     }
 
     /// Writes this worker's completed groups as a shard-output file for the
@@ -537,21 +514,6 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
             }
         }
         write_record(path, &output)
-    }
-}
-
-/// The sweep of `config` over `profilers` with these evaluations.
-fn assemble(
-    config: EvaluationConfig,
-    profilers: Vec<ProfilerKind>,
-    evaluations: Vec<WordEvaluation>,
-) -> CoverageSweep {
-    CoverageSweep {
-        rounds: config.rounds,
-        error_counts: config.error_counts,
-        probabilities: config.probabilities,
-        profilers,
-        evaluations,
     }
 }
 
@@ -614,43 +576,42 @@ pub fn read_manifest(dir: &Path) -> io::Result<Manifest> {
 ///
 /// Validates that every file shares one schema version, configuration, and
 /// profiler lineup; that the shards jointly cover every code group exactly
-/// once; and that every coverage series actually holds the configured number
-/// of rounds — an empty series is a hole in the data, not a zero-coverage
-/// word, and is rejected via
+/// once; and that each group is what the sweep's plan makes of its index:
+/// its labels, lineup order, word count and round count are checked, not
+/// trusted. An empty series is a hole in the data, not a
+/// zero-coverage word, and is rejected via
 /// [`CoverageSeries::checked_final_direct_coverage`].
 ///
 /// # Errors
 ///
 /// Returns an error describing the first inconsistency found.
 pub fn merge_shards(paths: &[PathBuf]) -> io::Result<CoverageSweep> {
-    if paths.is_empty() {
-        return Err(invalid("no shard files to merge".to_owned()));
-    }
     let mut reference: Option<(EvaluationConfig, Vec<ProfilerKind>)> = None;
     let mut groups: BTreeMap<usize, Vec<WordEvaluation>> = BTreeMap::new();
     for path in paths {
-        let ShardOutput {
-            shard: _,
-            profilers,
-            config,
-            groups: shard_groups,
-        } = read_record(path)?;
-        match &reference {
-            None => reference = Some((config, profilers)),
-            Some((ref_config, ref_profilers)) => {
-                if *ref_config != config || *ref_profilers != profilers {
-                    return Err(invalid(format!(
-                        "{}: shard was produced by a different sweep configuration",
-                        path.display()
-                    )));
-                }
+        let output: ShardOutput = read_record(path)?;
+        let sweep = (output.config, output.profilers);
+        let (config, profilers) = match &reference {
+            Some(first) if *first != sweep => {
+                return Err(invalid(format!(
+                    "{}: shard was produced by a different sweep configuration",
+                    path.display()
+                )));
             }
-        }
+            Some(first) => first,
+            None => reference.insert(sweep),
+        };
         for ShardGroup {
             group_index,
             evaluations,
-        } in shard_groups
+        } in output.groups
         {
+            check_group(config, profilers, group_index, &evaluations).map_err(|message| {
+                invalid(format!(
+                    "{}: group {group_index}: {message}",
+                    path.display()
+                ))
+            })?;
             if groups.insert(group_index, evaluations).is_some() {
                 return Err(invalid(format!(
                     "group {group_index} appears in more than one shard"
@@ -659,7 +620,7 @@ pub fn merge_shards(paths: &[PathBuf]) -> io::Result<CoverageSweep> {
         }
     }
     let Some((config, profilers)) = reference else {
-        return Err(invalid("no shard files were provided to merge"));
+        return Err(invalid("no shard files to merge"));
     };
     let expected = total_groups(&config);
     if groups.len() != expected {
@@ -673,25 +634,61 @@ pub fn merge_shards(paths: &[PathBuf]) -> io::Result<CoverageSweep> {
             missing.join(", ")
         )));
     }
-    for (group_index, evaluations) in &groups {
-        for evaluation in evaluations {
-            if evaluation.series.checked_final_direct_coverage().is_none()
-                || evaluation.series.rounds() != config.rounds
-            {
-                return Err(invalid(format!(
-                    "group {group_index}: a {} series holds {} of {} rounds",
-                    evaluation.profiler,
-                    evaluation.series.rounds(),
-                    config.rounds
-                )));
-            }
+    let evaluations = groups.into_values().flatten().collect();
+    Ok(CoverageSweep::of(&config, &profilers, evaluations))
+}
+
+/// Why `evaluations` are not group `group` of the sweep of `config` over
+/// `profilers`, if they are not. Every label follows from the group index
+/// through the sweep's plan, so the stored ones are checked, not trusted:
+/// the group is one of the configuration's, it holds `words_per_code`
+/// words of one evaluation per profiler in lineup order, each labelled with
+/// the error count and probability of the group's cell, and each series is
+/// its evaluation's profiler's and holds the configured rounds.
+fn check_group(
+    config: &EvaluationConfig,
+    profilers: &[ProfilerKind],
+    group: usize,
+    evaluations: &[WordEvaluation],
+) -> Result<(), String> {
+    let groups = total_groups(config);
+    if group >= groups {
+        return Err(format!("outside the {groups} groups of the configuration"));
+    }
+    let (words, kinds) = (config.words_per_code, profilers.len());
+    if evaluations.len() != words * kinds {
+        return Err(format!(
+            "{} evaluations where {words} words of {kinds} profilers belong",
+            evaluations.len()
+        ));
+    }
+    let (error_count, probability) = coverage_cell(config, group / config.num_codes);
+    let lineup = profilers.iter().cycle();
+    for (index, (evaluation, &kind)) in evaluations.iter().zip(lineup).enumerate() {
+        let series = &evaluation.series;
+        let (profiler, series_profiler) = (evaluation.profiler.name(), series.profiler.as_str());
+        let found = (
+            evaluation.error_count,
+            evaluation.probability,
+            profiler,
+            series_profiler,
+        );
+        let expected = (error_count, probability, kind.name(), kind.name());
+        if found != expected {
+            return Err(format!(
+                "evaluation {index} is labelled (error count, probability, profiler, \
+                 series profiler) {found:?} where {expected:?} belongs"
+            ));
+        }
+        if series.checked_final_direct_coverage().is_none() || series.rounds() != config.rounds {
+            return Err(format!(
+                "evaluation {index}: a {kind} series holds {} of {} rounds",
+                series.rounds(),
+                config.rounds
+            ));
         }
     }
-    Ok(assemble(
-        config,
-        profilers,
-        groups.into_values().flatten().collect(),
-    ))
+    Ok(())
 }
 
 /// Renders a per-cell summary of a sweep for the CLI: mean final direct
@@ -1801,6 +1798,67 @@ mod tests {
             "[[0,3,0,1]]",
             "change point 0 at round 0 has 3 direct hits of 2 direct truth bits",
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A shard output whose labels are not the ones its group index gives
+    /// fails `merge` with an error naming the file and the group: a
+    /// relabelled cell, a series filed under another profiler, a lineup out
+    /// of order and a dropped evaluation.
+    #[test]
+    fn merge_checks_each_groups_labels_against_its_index() {
+        let config = tiny_config();
+        let dir = temp_dir("merge_labels");
+        let path = dir.join(shard_file_name(ShardSpec::full()));
+        let mut worker = ResumableSweep::new(&config, &KINDS, make_code(&config));
+        worker.advance(config.rounds);
+        worker.write_shard_output(&path).unwrap();
+        let pristine = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        // Group 1 is code 1 of the first cell: 2 errors at probability 0.5.
+        let reject = |edit: &dyn Fn(&mut Vec<Json>), expected: &str| {
+            let mut shard = pristine.clone();
+            let evaluations = entry(item(entry(&mut shard, "groups"), 1), "evaluations");
+            let Json::Array(evaluations) = evaluations else {
+                panic!("not an array")
+            };
+            edit(evaluations);
+            std::fs::write(&path, shard.render()).unwrap();
+            let err = merge_shards(std::slice::from_ref(&path)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            let expected = format!("{}: group 1: {expected}", path.display());
+            assert!(err.to_string().contains(&expected), "{err}");
+        };
+        let labelled = "is labelled (error count, probability, profiler, series profiler)";
+        reject(
+            &|evaluations| {
+                *entry(&mut evaluations[2], "error_count") = Json::from_u64(99);
+                *entry(entry(&mut evaluations[2], "series"), "profiler") = Json::from("BEEP");
+            },
+            &format!(
+                "evaluation 2 {labelled} (99, 0.5, \"HARP-U\", \"BEEP\") \
+                 where (2, 0.5, \"HARP-U\", \"HARP-U\") belongs"
+            ),
+        );
+        reject(
+            &|evaluations| *entry(&mut evaluations[1], "probability") = Json::Number("0.25".into()),
+            &format!("evaluation 1 {labelled} (2, 0.25, \"Naive\", \"Naive\") where (2, 0.5,"),
+        );
+        reject(
+            &|evaluations| {
+                *entry(entry(&mut evaluations[2], "series"), "profiler") = Json::from("BEEP");
+            },
+            &format!("evaluation 2 {labelled} (2, 0.5, \"HARP-U\", \"BEEP\") where"),
+        );
+        reject(
+            &|evaluations| evaluations.swap(0, 1),
+            &format!("evaluation 0 {labelled} (2, 0.5, \"Naive\", \"Naive\") where"),
+        );
+        reject(
+            &|evaluations| drop(evaluations.pop()),
+            "3 evaluations where 2 words of 2 profilers belong",
+        );
+        std::fs::write(&path, pristine.render()).unwrap();
+        merge_shards(std::slice::from_ref(&path)).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -20,13 +20,14 @@
 
 use serde::{Deserialize, Serialize};
 
+use harp_ecc::HammingCode;
 use harp_profiler::{CoverageSeries, ProfilerKind};
 
 use crate::config::EvaluationConfig;
 use crate::experiments::sweep::GroupUnit;
 use crate::report::{percent, scientific, TextTable};
 use crate::runner::parallel_map;
-use crate::sample::{group_by_code, sample_retention_words, shard_groups};
+use crate::sample::{Cell, SweepPlan};
 use crate::stats::round_checkpoints;
 
 /// Profilers compared in the case study.
@@ -87,64 +88,73 @@ pub fn run(config: &EvaluationConfig) -> Fig10Result {
 
 /// Runs the case study for specific RBERs.
 pub fn run_with_rbers(config: &EvaluationConfig, rbers: &[f64]) -> Fig10Result {
-    config.validate();
     let checkpoints = round_checkpoints(config.rounds);
-    let mut series = Vec::new();
     let total_data_bits = config.words_total() * config.data_bits;
-    for &rber in rbers {
-        for &probability in &config.probabilities {
-            let samples = sample_retention_words(config, rber, probability);
-            // Per group, profiler and word: the per-round coverage series.
-            // Each code group runs as one cell-batched campaign per
-            // profiler (one burst scrubs the whole group every round),
-            // sharded across worker threads by group.
-            let groups = shard_groups(
-                group_by_code(&samples),
-                crate::runner::effective_threads(config.threads),
-            );
-            let per_group: Vec<Vec<Vec<CoverageSeries>>> =
-                parallel_map(&groups, config.threads, |group| {
-                    let mut unit = GroupUnit::new(group, &PROFILERS, config.pattern);
-                    unit.advance(config.rounds);
-                    unit.series
-                });
+    let cell = |rber, probability| Cell {
+        error_count: None,
+        rber,
+        probability,
+    };
+    let cells: Vec<Cell> = rbers
+        .iter()
+        .flat_map(|&rber| config.probabilities.iter().map(move |&p| cell(rber, p)))
+        .collect();
+    let plan = SweepPlan::new(config, cells.clone(), |seed| {
+        HammingCode::random(config.data_bits, seed)
+            .expect("valid configuration always yields a valid code")
+    });
+    // Per group, profiler and checkpoint: the bits missed before and after
+    // reactive profiling. Each group runs as one cell-batched campaign per
+    // profiler, in one region over every cell's groups.
+    let per_group: Vec<Vec<Vec<(usize, usize)>>> =
+        parallel_map(&plan.groups(), config.threads, |&group| {
+            let mut unit = GroupUnit::new(&plan, group, &PROFILERS);
+            unit.advance(config.rounds);
+            let missed = |words: &[_]| checkpoints.iter().map(|&r| missed_bits(words, r)).collect();
+            unit.series.iter().map(|words| missed(words)).collect()
+        });
 
-            for (profiler_index, &profiler) in PROFILERS.iter().enumerate() {
-                let mut ber_before = Vec::new();
-                let mut ber_after = Vec::new();
-                for &round in &checkpoints {
-                    let mut missed_before = 0usize;
-                    let mut missed_after = 0usize;
-                    for s in per_group.iter().flat_map(|group| &group[profiler_index]) {
-                        let score = s.score_at(round - 1);
-                        // Bits still unknown to the profiler at this round.
-                        let missing =
-                            s.direct_truth_len - score.direct_hits + score.missed_indirect;
-                        missed_before += missing;
-                        // The secondary ECC handles words where at most one
-                        // simultaneous error remains possible; otherwise the
-                        // remaining at-risk bits stay at risk.
-                        if score.max_simultaneous > 1 {
-                            missed_after += missing;
-                        }
-                    }
-                    ber_before.push((round, missed_before as f64 / total_data_bits as f64));
-                    ber_after.push((round, missed_after as f64 / total_data_bits as f64));
-                }
-                series.push(Fig10Series {
-                    profiler,
-                    rber,
-                    probability,
-                    ber_before,
-                    ber_after,
-                });
+    let mut series = Vec::new();
+    for (cell, groups) in cells.iter().zip(per_group.chunks(config.num_codes)) {
+        for (profiler_index, &profiler) in PROFILERS.iter().enumerate() {
+            let (mut ber_before, mut ber_after) = (Vec::new(), Vec::new());
+            for (point, &round) in checkpoints.iter().enumerate() {
+                let (before, after) = groups
+                    .iter()
+                    .map(|group| group[profiler_index][point])
+                    .fold((0, 0), |(b, a), (before, after)| (b + before, a + after));
+                ber_before.push((round, before as f64 / total_data_bits as f64));
+                ber_after.push((round, after as f64 / total_data_bits as f64));
             }
+            series.push(Fig10Series {
+                profiler,
+                rber: cell.rber,
+                probability: cell.probability,
+                ber_before,
+                ber_after,
+            });
         }
     }
     Fig10Result {
         series,
         total_data_bits,
     }
+}
+
+/// The bits of `words` the profiler has not found by `round`, and those of
+/// them still at risk after reactive profiling: the secondary ECC handles
+/// the words where at most one simultaneous error remains possible.
+fn missed_bits(words: &[CoverageSeries], round: usize) -> (usize, usize) {
+    words.iter().fold((0, 0), |(before, after), s| {
+        let score = s.score_at(round - 1);
+        let missing = s.direct_truth_len - score.direct_hits + score.missed_indirect;
+        let at_risk = if score.max_simultaneous > 1 {
+            missing
+        } else {
+            0
+        };
+        (before + missing, after + at_risk)
+    })
 }
 
 impl Fig10Result {

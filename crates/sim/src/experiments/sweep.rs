@@ -7,33 +7,33 @@
 //! round against the exact ground truth. [`run_coverage_sweep`] performs that
 //! experiment once; the per-figure modules aggregate different views of it.
 //!
-//! Execution is **cell-batched**: the population of each sweep cell is
-//! grouped by code index ([`crate::sample::group_by_code`]), every group runs
-//! as one [`CampaignBatch`] whose words are scrubbed with a single multi-word
-//! burst per round, and [`parallel_map`] shards across the groups — batching
-//! inside a shard, threading across shards. Batched rounds are
-//! bit-identical to the per-word [`harp_profiler::ProfilingCampaign`]
-//! reference path (enforced by `tests/campaign_equivalence.rs`), so this is
-//! purely an execution-plan change.
+//! Execution is **cell-batched**: one `SweepPlan` builds each code once and
+//! lists the sweep's code groups (a cell's words that share a code), and
+//! one [`parallel_map`] region runs them all. The worker that takes a group
+//! draws its words, runs them as one [`CampaignBatch`] scrubbed with a
+//! single multi-word burst per round, labels the series and drops the
+//! group. Batched rounds are bit-identical to the per-word
+//! [`harp_profiler::ProfilingCampaign`] reference path (enforced by
+//! `tests/campaign_equivalence.rs`), so this is purely an execution-plan
+//! change.
 //!
 //! Each round is scored where it runs: a code group is one `GroupUnit`,
 //! which pushes every word's round into its [`CoverageSeries`] as the
 //! campaign produces it, so no sweep keeps a snapshot history. Only the
 //! rounds that change a profile (and each word's first) are scored; the
-//! others extend the last change point. The unit is
-//! shared with the fig10 active phase and with
+//! others extend the last change point. The plan and the unit are shared
+//! with the fig10 active phase and with
 //! [`ResumableSweep`](crate::checkpoint::ResumableSweep), so every sweep
 //! builds, scores and labels a code group the same way.
 
 use serde::{Deserialize, Serialize};
 
 use harp_ecc::{ErrorSpace, HammingCode, LinearBlockCode};
-use harp_memsim::pattern::DataPattern;
-use harp_profiler::{BatchRun, BatchWord, CampaignBatch, CoverageSeries, ProfilerKind};
+use harp_profiler::{BatchRun, CampaignBatch, CoverageSeries, ProfilerKind};
 
 use crate::config::EvaluationConfig;
 use crate::runner::parallel_map;
-use crate::sample::{group_by_code, sample_words_with, shard_groups, WordSample};
+use crate::sample::{coverage_cell, Cell, SweepPlan};
 
 /// The coverage series of one (word, profiler) pair within the sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -65,6 +65,21 @@ pub struct CoverageSweep {
 }
 
 impl CoverageSweep {
+    /// The sweep of `config` over `profilers` with these evaluations.
+    pub(crate) fn of(
+        config: &EvaluationConfig,
+        profilers: &[ProfilerKind],
+        evaluations: Vec<WordEvaluation>,
+    ) -> Self {
+        Self {
+            rounds: config.rounds,
+            error_counts: config.error_counts.clone(),
+            probabilities: config.probabilities.clone(),
+            profilers: profilers.to_vec(),
+            evaluations,
+        }
+    }
+
     /// Iterates over the evaluations matching a (profiler, error count,
     /// probability) cell of the sweep.
     pub fn cell(
@@ -90,14 +105,15 @@ impl CoverageSweep {
     }
 }
 
-/// One code group of one sweep cell, scored as it runs: the group's
-/// [`CampaignBatch`], each word's [`ErrorSpace`] (enumerated once), one
+/// One code group of a sweep, scored as it runs: its global group index,
+/// its [`CampaignBatch`], each word's [`ErrorSpace`] (enumerated once), one
 /// [`BatchRun`] per profiler, and the running `series[profiler][word]`.
-/// The one-shot sweep and the fig10 active phase build one per group and
-/// drop it after labelling; [`ResumableSweep`](crate::checkpoint::ResumableSweep)
+/// The one-shot sweep and the fig10 active phase drop each one once its
+/// series are read; [`ResumableSweep`](crate::checkpoint::ResumableSweep)
 /// keeps one per owned group between checkpoints.
 #[derive(Debug)]
 pub(crate) struct GroupUnit<C: LinearBlockCode> {
+    pub(crate) index: usize,
     pub(crate) batch: CampaignBatch<C>,
     pub(crate) spaces: Vec<ErrorSpace>,
     pub(crate) runs: Vec<BatchRun<C>>,
@@ -105,20 +121,10 @@ pub(crate) struct GroupUnit<C: LinearBlockCode> {
 }
 
 impl<C: LinearBlockCode + Clone + Send + 'static> GroupUnit<C> {
-    /// Batches a code group (all words of a sweep cell sharing a code) for
-    /// every profiler, at round 0.
-    pub(crate) fn new(
-        group: &[WordSample<C>],
-        profilers: &[ProfilerKind],
-        pattern: DataPattern,
-    ) -> Self {
-        let batch = CampaignBatch::new(
-            group[0].code.clone(),
-            group
-                .iter()
-                .map(|sample| BatchWord::new(sample.faults.clone(), pattern, sample.campaign_seed))
-                .collect(),
-        );
+    /// Draws group `index` of the plan and batches it for every profiler,
+    /// at round 0.
+    pub(crate) fn new(plan: &SweepPlan<C>, index: usize, profilers: &[ProfilerKind]) -> Self {
+        let batch = plan.batch(index);
         let spaces: Vec<ErrorSpace> = (0..batch.len())
             .map(|word| batch.error_space(word))
             .collect();
@@ -136,6 +142,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> GroupUnit<C> {
             })
             .collect();
         Self {
+            index,
             batch,
             spaces,
             runs,
@@ -165,10 +172,12 @@ impl<C: LinearBlockCode + Clone + Send + 'static> GroupUnit<C> {
         }
     }
 
-    /// Labels the series as [`WordEvaluation`]s of one sweep cell, moving
-    /// each one, in word-major order (word, then profiler) — the order the
-    /// historical per-word loop produced.
-    pub(crate) fn label(self, error_count: usize, probability: f64) -> Vec<WordEvaluation> {
+    /// Labels the series as [`WordEvaluation`]s of the coverage-sweep cell
+    /// the group belongs to under `config`, moving each one, in word-major
+    /// order (word, then profiler) — the order the historical per-word loop
+    /// produced.
+    pub(crate) fn label(self, config: &EvaluationConfig) -> Vec<WordEvaluation> {
+        let (error_count, probability) = coverage_cell(config, self.index / config.num_codes);
         let kinds: Vec<ProfilerKind> = self.runs.iter().map(BatchRun::kind).collect();
         let mut columns: Vec<_> = self.series.into_iter().map(Vec::into_iter).collect();
         let mut evaluations = Vec::with_capacity(kinds.len() * self.batch.len());
@@ -203,30 +212,13 @@ where
     C: LinearBlockCode + Clone + Send + Sync + 'static,
     F: Fn(u64) -> C,
 {
-    config.validate();
-    let mut evaluations = Vec::new();
-    for &error_count in &config.error_counts {
-        for &probability in &config.probabilities {
-            let samples = sample_words_with(config, error_count, probability, &make_code);
-            let groups = shard_groups(
-                group_by_code(&samples),
-                crate::runner::effective_threads(config.threads),
-            );
-            let per_group = parallel_map(&groups, config.threads, |group| {
-                let mut unit = GroupUnit::new(group, profilers, config.pattern);
-                unit.advance(config.rounds);
-                unit.label(error_count, probability)
-            });
-            evaluations.extend(per_group.into_iter().flatten());
-        }
-    }
-    CoverageSweep {
-        rounds: config.rounds,
-        error_counts: config.error_counts.clone(),
-        probabilities: config.probabilities.clone(),
-        profilers: profilers.to_vec(),
-        evaluations,
-    }
+    let plan = SweepPlan::new(config, Cell::coverage(config), make_code);
+    let per_group = parallel_map(&plan.groups(), config.threads, |&group| {
+        let mut unit = GroupUnit::new(&plan, group, profilers);
+        unit.advance(config.rounds);
+        unit.label(config)
+    });
+    CoverageSweep::of(config, profilers, per_group.into_iter().flatten().collect())
 }
 
 /// Runs the full coverage sweep with randomly generated SEC Hamming codes
@@ -288,6 +280,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn each_code_is_built_once_per_sweep() {
+        let config = tiny_config();
+        let builds = std::cell::Cell::new(0);
+        let make_code = |seed| {
+            builds.set(builds.get() + 1);
+            HammingCode::random(config.data_bits, seed).unwrap()
+        };
+        run_coverage_sweep_with(&config, &[ProfilerKind::HarpU], make_code);
+        assert_eq!(builds.replace(0), config.num_codes);
+        crate::checkpoint::ResumableSweep::new(&config, &[ProfilerKind::HarpU], make_code);
+        assert_eq!(builds.get(), config.num_codes);
     }
 
     #[test]

@@ -36,4 +36,4 @@ pub mod stats;
 pub mod traffic;
 
 pub use config::EvaluationConfig;
-pub use sample::{group_by_code, WordSample};
+pub use sample::WordSample;

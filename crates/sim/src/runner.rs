@@ -1,10 +1,14 @@
 //! Parallel Monte-Carlo execution.
 //!
 //! The paper parallelizes its simulations across compute-cluster jobs
-//! (§A.7); here the same sharding happens across worker threads using
-//! `std::thread::scope`. Work items are processed in deterministic order per
-//! shard and results are returned in input order, so parallel and sequential
-//! runs produce identical output.
+//! (§A.7); here the same work runs across worker threads using
+//! `std::thread::scope`. Workers take items one at a time from a shared
+//! queue, so one region can span items of unequal cost (a sweep's code
+//! groups differ by cell) without a worker idling behind a slow chunk.
+//! Results come back in input order, so parallel and sequential runs
+//! produce identical output.
+
+use std::sync::{Mutex, PoisonError};
 
 /// Maps `f` over `items` using `threads` worker threads (0 = one per
 /// available CPU), preserving input order in the output.
@@ -27,45 +31,47 @@ where
 
 /// Maps `f` over mutable `items` using `threads` worker threads (0 = one per
 /// available CPU), preserving input order in the output. This is the one
-/// thread scheduler: `items` is cut into `threads` contiguous chunks, one
-/// per scoped thread. [`parallel_map`] runs through it over shared
-/// references; stateful work units — e.g. resumable campaign engines
-/// stepped between checkpoints — are advanced in place.
+/// thread scheduler: each worker (the calling thread and `threads - 1`
+/// scoped threads) takes the next unclaimed item from
+/// a shared queue until none is left, and `f` runs exactly once per item.
+/// [`parallel_map`] runs through it over shared references; stateful work
+/// units — e.g. resumable campaign engines stepped between checkpoints —
+/// are advanced in place.
 pub fn parallel_map_mut<T, U, F>(items: &mut [T], threads: usize, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
     F: Fn(&mut T) -> U + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
     let worker_count = effective_threads(threads).min(items.len());
     if worker_count <= 1 {
         return items.iter_mut().map(&f).collect();
     }
 
-    let mut results: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-    let chunk_size = items.len().div_ceil(worker_count);
-
-    std::thread::scope(|scope| {
-        let mut remaining: &mut [Option<U>] = &mut results;
-        for chunk in items.chunks_mut(chunk_size) {
-            let (chunk_results, rest) = remaining.split_at_mut(chunk.len());
-            remaining = rest;
-            let f = &f;
-            scope.spawn(move || {
-                for (i, item) in chunk.iter_mut().enumerate() {
-                    chunk_results[i] = Some(f(item));
-                }
-            });
+    let queue = Mutex::new(items.iter_mut().enumerate());
+    // Each claim locks the queue only until `next` returns, so `f` runs
+    // unlocked.
+    let next = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+    let work = || {
+        let mut done = Vec::new();
+        while let Some((index, item)) = next() {
+            done.push((index, f(item)));
         }
+        done
+    };
+    // The calling thread is one of the workers, so a region spawns one
+    // thread fewer and starts work at once.
+    let mut results: Vec<(usize, U)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..worker_count).map(|_| scope.spawn(work)).collect();
+        let mut results = work();
+        for worker in workers {
+            let done = worker.join();
+            results.extend(done.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        results
     });
-
-    results
-        .into_iter()
-        .map(|r| r.expect("every work item produces a result"))
-        .collect()
+    results.sort_unstable_by_key(|&(index, _)| index);
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Resolves a thread-count setting (0 = one per available CPU).
@@ -149,6 +155,24 @@ mod tests {
             parallel_map_mut(&mut parallel, 8, step)
         );
         assert_eq!(sequential, parallel);
+    }
+
+    #[test]
+    fn uneven_items_run_once_each_and_come_back_in_order() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::Duration;
+        // Every tenth item costs 100 times the others.
+        let items: Vec<u64> = (0..40).collect();
+        let calls: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+        let work = |&x: &u64| {
+            calls[x as usize].fetch_add(1, Ordering::SeqCst);
+            let micros = if x % 10 == 0 { 5_000 } else { 50 };
+            std::thread::sleep(Duration::from_micros(micros));
+            x.wrapping_mul(0x9E3779B9)
+        };
+        let parallel = parallel_map(&items, 3, work);
+        assert!(calls.iter().all(|count| count.load(Ordering::SeqCst) == 1));
+        assert_eq!(parallel, parallel_map(&items, 1, work));
     }
 
     #[test]

@@ -7,18 +7,19 @@
 //! are evaluated against the exact same population of words — the fairness
 //! requirement of §7.1.2.
 //!
-//! Sampling is generic over the on-die ECC code: [`sample_words_with`]
-//! accepts any seeded code factory, so the same word populations (same
-//! at-risk sets, same campaign seeds) can be generated for Hamming, SEC-DED,
-//! or BCH words and compared head-to-head ([`sample_words`] is the Hamming
-//! convenience wrapper used by the paper-reproduction experiments).
+//! Every sweep takes its population from one `SweepPlan`, which builds each
+//! code once and lists the code groups in global group order,
+//! `g = cell_index · num_codes + code_index`; the worker that runs a group
+//! draws its words. [`sample_words_with`] lists one cell's words, for any
+//! seeded code factory, exactly as the plan draws them.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use harp_ecc::{HammingCode, LinearBlockCode};
+use harp_ecc::{ErrorSpace, HammingCode, LinearBlockCode};
 use harp_memsim::fault::RetentionSampler;
 use harp_memsim::FaultModel;
+use harp_profiler::{BatchWord, CampaignBatch};
 
 use crate::config::EvaluationConfig;
 
@@ -37,52 +38,138 @@ pub struct WordSample<C: LinearBlockCode = HammingCode> {
     pub campaign_seed: u64,
 }
 
-/// The shared population builder: one code per code index (built by
-/// `make_code` from a deterministic seed), `words_per_code` words per code,
-/// each word's fault model drawn by `sample_faults` from the word's own
-/// seeded RNG. Both the coverage-sweep and the data-retention samplers are
-/// thin wrappers around this loop, so their populations share the code
-/// generation, word seeding, and campaign-seed derivation exactly.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (see
-/// [`EvaluationConfig::validate`]).
-fn build_population<C, F, G>(
-    config: &EvaluationConfig,
-    word_salt: u64,
-    make_code: F,
-    mut sample_faults: G,
-) -> Vec<WordSample<C>>
-where
-    C: LinearBlockCode + Clone,
-    F: Fn(u64) -> C,
-    G: FnMut(&C, &mut ChaCha8Rng) -> FaultModel,
-{
-    config.validate();
-    let mut samples = Vec::with_capacity(config.words_total());
-    for code_index in 0..config.num_codes {
-        let code_seed = config.seed_for(code_index, 0, 0xC0DE);
-        let code = make_code(code_seed);
-        for word_index in 0..config.words_per_code {
-            let word_seed = config.seed_for(code_index, word_index, word_salt);
-            let mut rng = ChaCha8Rng::seed_from_u64(word_seed);
-            let faults = sample_faults(&code, &mut rng);
-            samples.push(WordSample {
-                code_index,
-                word_index,
-                code: code.clone(),
-                faults,
-                campaign_seed: word_seed ^ 0xA11C_E5ED,
-            });
-        }
-    }
-    samples
+/// One sweep cell: how its words' at-risk bits are drawn. A coverage cell
+/// (Figs. 6–9) gives each word exactly `error_count` at-risk bits; a
+/// retention cell (Fig. 10, no error count) puts each bit at risk with
+/// probability `rber`. Each at-risk bit fails with `probability`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cell {
+    pub(crate) error_count: Option<usize>,
+    pub(crate) rber: f64,
+    pub(crate) probability: f64,
 }
 
-/// Generates the word population for one (error count, probability)
-/// configuration, building each per-code-index code with `make_code`
-/// (invoked with a deterministic seed).
+impl Cell {
+    /// The coverage sweep's cells, in cell order (see [`coverage_cell`]).
+    pub(crate) fn coverage(config: &EvaluationConfig) -> Vec<Self> {
+        let cells = 0..config.error_counts.len() * config.probabilities.len();
+        let labels = cells.map(|cell| coverage_cell(config, cell));
+        labels
+            .map(|(count, probability)| Cell {
+                error_count: Some(count),
+                rber: 0.0,
+                probability,
+            })
+            .collect()
+    }
+
+    /// Word `word` of code `code` in this cell, drawn from the word's own
+    /// seeded RNG, and the word's campaign seed.
+    fn sample_word(
+        self,
+        config: &EvaluationConfig,
+        code: usize,
+        word: usize,
+        codeword_len: usize,
+    ) -> (FaultModel, u64) {
+        let word_salt = self
+            .error_count
+            .map_or((self.rber * 1e12) as u64, |n| n as u64);
+        let word_seed = config.seed_for(code, word, word_salt);
+        let mut rng = ChaCha8Rng::seed_from_u64(word_seed);
+        let sampler = RetentionSampler::new(self.rber, self.probability);
+        let faults = match self.error_count {
+            Some(count) => sampler.sample_word_with_count(codeword_len, count, &mut rng),
+            None => {
+                let faults = sampler.sample_word(codeword_len, &mut rng);
+                // Exhaustive ground truth is exponential in the at-risk
+                // count; clamp pathological samples (essentially impossible
+                // at the RBERs the paper sweeps, but cheap insurance).
+                let mut at_risk = faults.at_risk_bits().to_vec();
+                at_risk.truncate(ErrorSpace::MAX_AT_RISK_BITS);
+                FaultModel::new(at_risk, faults.dependence())
+            }
+        };
+        (faults, word_seed ^ 0xA11C_E5ED)
+    }
+}
+
+/// The error count and probability of coverage-sweep cell `cell` (error
+/// count major, probability minor): the labels of its evaluations.
+pub(crate) fn coverage_cell(config: &EvaluationConfig, cell: usize) -> (usize, f64) {
+    let probabilities = config.probabilities.len();
+    (
+        config.error_counts[cell / probabilities],
+        config.probabilities[cell % probabilities],
+    )
+}
+
+/// The code groups of one sweep, in global group order: group
+/// `g = cell_index · num_codes + code_index` holds the `words_per_code`
+/// words of code `code_index` in cell `cell_index`. Each code is built once,
+/// with the plan; a group's words are drawn when it is batched.
+pub(crate) struct SweepPlan<'a, C> {
+    config: &'a EvaluationConfig,
+    cells: Vec<Cell>,
+    codes: Vec<C>,
+}
+
+impl<'a, C: LinearBlockCode + Clone> SweepPlan<'a, C> {
+    /// Plans `cells`, building code `i` with `make_code` from its seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid (see
+    /// [`EvaluationConfig::validate`]).
+    pub(crate) fn new(
+        config: &'a EvaluationConfig,
+        cells: Vec<Cell>,
+        make_code: impl Fn(u64) -> C,
+    ) -> Self {
+        config.validate();
+        let codes = (0..config.num_codes)
+            .map(|code| make_code(config.seed_for(code, 0, 0xC0DE)))
+            .collect();
+        Self {
+            config,
+            cells,
+            codes,
+        }
+    }
+
+    /// Every group index, in global group order.
+    pub(crate) fn groups(&self) -> Vec<usize> {
+        (0..self.cells.len() * self.codes.len()).collect()
+    }
+
+    /// Group `group`'s code and, in word order, each word's faults and
+    /// campaign seed.
+    fn words(&self, group: usize) -> (&C, impl Iterator<Item = (FaultModel, u64)> + '_) {
+        let (cell, code) = (
+            self.cells[group / self.codes.len()],
+            group % self.codes.len(),
+        );
+        let len = self.codes[code].codeword_len();
+        let words = (0..self.config.words_per_code)
+            .map(move |word| cell.sample_word(self.config, code, word, len));
+        (&self.codes[code], words)
+    }
+
+    /// Group `group`'s words, drawn now, batched under its code.
+    pub(crate) fn batch(&self, group: usize) -> CampaignBatch<C>
+    where
+        C: Send + 'static,
+    {
+        let (code, words) = self.words(group);
+        let pattern = self.config.pattern;
+        let words = words.map(|(faults, seed)| BatchWord::new(faults, pattern, seed));
+        CampaignBatch::new(code.clone(), words.collect())
+    }
+}
+
+/// Generates the word population of one coverage cell (error count,
+/// probability), code-major, building each code with `make_code` from its
+/// deterministic seed: the words a sweep's plan draws for the cell.
 ///
 /// The at-risk *positions* are sampled over each code's own codeword length,
 /// so populations generated for different code families share the sampling
@@ -103,10 +190,26 @@ where
     C: LinearBlockCode + Clone,
     F: Fn(u64) -> C,
 {
-    let sampler = RetentionSampler::new(0.0, probability);
-    build_population(config, error_count as u64, make_code, |code, rng| {
-        sampler.sample_word_with_count(code.codeword_len(), error_count, rng)
-    })
+    let cells = vec![Cell {
+        error_count: Some(error_count),
+        rber: 0.0,
+        probability,
+    }];
+    let plan = SweepPlan::new(config, cells, make_code);
+    // One cell, so group `g` is code `g`.
+    let per_code = plan.groups().into_iter().map(|code_index| {
+        let (code, words) = plan.words(code_index);
+        words
+            .enumerate()
+            .map(move |(word_index, (faults, campaign_seed))| WordSample {
+                code_index,
+                word_index,
+                code: code.clone(),
+                faults,
+                campaign_seed,
+            })
+    });
+    per_code.flatten().collect()
 }
 
 /// Generates the word population for one (error count, probability)
@@ -128,44 +231,12 @@ pub fn sample_words(
     })
 }
 
-/// Generates a word population for the data-retention case study (Fig. 10):
-/// at-risk bits are sampled per cell with probability `rber` instead of a
-/// fixed per-word count.
-pub fn sample_retention_words(
-    config: &EvaluationConfig,
-    rber: f64,
-    probability: f64,
-) -> Vec<WordSample> {
-    let sampler = RetentionSampler::new(rber, probability);
-    let make_code = |seed| {
-        HammingCode::random(config.data_bits, seed)
-            .expect("valid configuration always yields a valid code")
-    };
-    build_population(config, (rber * 1e12) as u64, make_code, |code, rng| {
-        let faults = sampler.sample_word(code.codeword_len(), rng);
-        // Exhaustive ground-truth analysis is exponential in the at-risk
-        // count; clamp pathological samples (essentially impossible at
-        // the RBERs the paper sweeps, but cheap insurance).
-        if faults.at_risk_bits().len() > harp_ecc::ErrorSpace::MAX_AT_RISK_BITS {
-            let clamped: Vec<_> =
-                faults.at_risk_bits()[..harp_ecc::ErrorSpace::MAX_AT_RISK_BITS].to_vec();
-            FaultModel::new(clamped, faults.dependence())
-        } else {
-            faults
-        }
-    })
-}
-
-/// Groups a population into its **sweep cells by code**: contiguous runs of
-/// words sharing a `code_index` (and therefore a parity-check matrix). The
+/// Groups a population into its **code groups**: contiguous runs of words
+/// sharing a `code_index` (and therefore a parity-check matrix). The
 /// samplers above emit words in code-major order, so each returned slice is
-/// one complete code group, in code-index order.
-///
-/// This is the unit of cell-batched execution: every group becomes one
-/// [`harp_profiler::CampaignBatch`] scrubbed with a single burst per round,
-/// and `runner::parallel_map` shards across the groups (after
-/// [`shard_groups`] splits oversized groups so every worker thread has
-/// work).
+/// one complete code group, in code-index order: the words a sweep's plan
+/// batches as one group. No sweep calls it (sweeps draw their groups from
+/// the plan); perfbench's traced replay of the coverage sweep does.
 pub fn group_by_code<C: LinearBlockCode>(samples: &[WordSample<C>]) -> Vec<&[WordSample<C>]> {
     let mut groups = Vec::new();
     let mut start = 0;
@@ -179,10 +250,10 @@ pub fn group_by_code<C: LinearBlockCode>(samples: &[WordSample<C>]) -> Vec<&[Wor
 }
 
 /// Splits code groups into sub-shards when there are fewer groups than
-/// worker threads, so cell-batched execution never caps parallelism at the
-/// number of codes (e.g. `num_codes = 2`, `threads = 16`). Word order within
-/// and across groups is preserved, and each sub-shard still holds words of a
-/// single code, so it batches into one `CampaignBatch` like a full group.
+/// worker threads, so cell-batched work never caps parallelism at the number
+/// of codes (e.g. `num_codes = 2`, `threads = 16`). Word order within and
+/// across groups is preserved, and each sub-shard still holds words of a
+/// single code. No sweep calls it; perfbench's traced replay does.
 ///
 /// Safe by construction: a word's campaign snapshots do not depend on its
 /// cell membership (each word keeps its own RNG streams — the invariant the
@@ -341,18 +412,53 @@ mod tests {
     fn retention_sampling_tracks_rber() {
         let mut config = EvaluationConfig::smoke();
         config.words_per_code = 64;
-        let samples = sample_retention_words(&config, 0.05, 0.75);
-        let total_at_risk: usize = samples
+        let cells = vec![Cell {
+            error_count: None,
+            rber: 0.05,
+            probability: 0.75,
+        }];
+        let plan = SweepPlan::new(&config, cells, |seed| {
+            HammingCode::random(config.data_bits, seed).unwrap()
+        });
+        let batches: Vec<_> = plan.groups().into_iter().map(|g| plan.batch(g)).collect();
+        let words: Vec<&BatchWord> = batches.iter().flat_map(|b| b.words()).collect();
+        assert_eq!(words.len(), config.words_total());
+        let total_at_risk: usize = words
             .iter()
-            .map(|s| s.faults.at_risk_positions().len())
+            .map(|w| w.faults.at_risk_positions().len())
             .sum();
-        let density = total_at_risk as f64 / (samples.len() * 71) as f64;
+        let density = total_at_risk as f64 / (words.len() * 71) as f64;
         assert!(
             (density - 0.05).abs() < 0.02,
             "empirical density {density} too far from 0.05"
         );
-        for s in &samples {
-            assert!(s.faults.at_risk_positions().len() <= harp_ecc::ErrorSpace::MAX_AT_RISK_BITS);
+        for w in &words {
+            assert!(w.faults.at_risk_positions().len() <= ErrorSpace::MAX_AT_RISK_BITS);
+        }
+    }
+
+    #[test]
+    fn plan_groups_hold_the_cells_flat_samples_in_group_order() {
+        let config = EvaluationConfig::smoke();
+        let plan = SweepPlan::new(&config, Cell::coverage(&config), |seed| {
+            HammingCode::random(config.data_bits, seed).unwrap()
+        });
+        assert_eq!(
+            plan.groups().len(),
+            Cell::coverage(&config).len() * config.num_codes
+        );
+        for group in plan.groups() {
+            let (error_count, probability) = coverage_cell(&config, group / config.num_codes);
+            let samples = sample_words(&config, error_count, probability);
+            let expected = group_by_code(&samples)[group % config.num_codes];
+            let batch = plan.batch(group);
+            assert_eq!(batch.code(), &expected[0].code);
+            assert_eq!(batch.len(), expected.len());
+            for (word, sample) in batch.words().iter().zip(expected) {
+                assert_eq!(word.faults, sample.faults);
+                assert_eq!(word.seed, sample.campaign_seed);
+                assert_eq!(word.pattern, config.pattern);
+            }
         }
     }
 }
