@@ -655,17 +655,16 @@ fn watch_job<T: FrameTransport>(
             // over the cap is refused here: the transport would refuse it by
             // dropping the connection.
             let path = cell.dir.join(RESULT_FILE);
-            let result = match std::fs::metadata(&path) {
-                Ok(meta) if meta.len() > MAX_FRAME_BYTES as u64 => Err(format!(
-                    "job result of {} bytes in {} is over the {MAX_FRAME_BYTES}-byte frame cap",
-                    meta.len(),
-                    path.display()
-                )),
-                _ => read_record::<Json>(&path).map_err(|e| format!("unreadable job result: {e}")),
-            };
-            return match result {
+            let bytes = std::fs::metadata(&path).map_or(0, |meta| meta.len());
+            if bytes > MAX_FRAME_BYTES as u64 {
+                let (file, cap) = (path.display(), MAX_FRAME_BYTES);
+                let message =
+                    format!("result of {bytes} bytes in {file} is over the {cap}-byte frame cap");
+                return send_error(transport, message);
+            }
+            return match read_record::<Json>(&path) {
                 Ok(result) => transport.send(&result),
-                Err(message) => send_error(transport, message),
+                Err(err) => send_error(transport, format!("unreadable job result: {err}")),
             };
         }
         if let Some(status) = status {

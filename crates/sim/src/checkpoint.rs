@@ -7,12 +7,12 @@
 //!
 //! * [`ResumableSweep`] is the stateful twin of
 //!   [`run_coverage_sweep_with`](crate::experiments::sweep::run_coverage_sweep_with):
-//!   it builds its code groups from the one-shot sweep's plan, but keeps
-//!   them: one resumable [`BatchRun`] per (code group, profiler), advanced
-//!   in round increments and frozen between them. An uninterrupted
-//!   run and a stop-at-round-`k`-then-resume run produce byte-identical
-//!   [`CoverageSweep`]s (`tests/checkpoint_resume.rs` locks this down for
-//!   every profiler kind and code family).
+//!   it builds its code groups from the one-shot sweep's plan, inside the
+//!   runner, but keeps them: one resumable [`BatchRun`] per (code group,
+//!   profiler), advanced in round increments and frozen between them. An
+//!   uninterrupted run and a stop-at-round-`k`-then-resume run produce
+//!   byte-identical [`CoverageSweep`]s (`tests/checkpoint_resume.rs` locks
+//!   this down for every profiler kind and code family).
 //! * A **versioned checkpoint archive**: one file, [`ARCHIVE_FILE`], of the
 //!   manifest and then one record per owned code group, committed by one
 //!   durable rename (see [`write_json_atomically`]) so a crash mid-write,
@@ -57,7 +57,7 @@ use crate::experiments::sweep::{CoverageSweep, GroupUnit, WordEvaluation};
 use crate::json_record;
 use crate::minijson::{field, named, DecodeError, Json, JsonCodec, NonFiniteFloat};
 use crate::report::{fixed, TextTable};
-use crate::runner::parallel_map_mut;
+use crate::runner::{parallel_map, parallel_map_mut};
 use crate::sample::{coverage_cell, Cell, SweepPlan};
 use crate::stats::mean;
 
@@ -258,7 +258,7 @@ pub struct ResumableSweep<C: LinearBlockCode = HammingCode> {
     round: usize,
 }
 
-impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
+impl<C: LinearBlockCode + Clone + Send + Sync + 'static> ResumableSweep<C> {
     /// Starts a full (unsharded) resumable sweep at round 0.
     pub fn new<F: Fn(u64) -> C>(
         config: &EvaluationConfig,
@@ -269,9 +269,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
     }
 
     /// Starts a resumable sweep owning only the given shard's groups, each
-    /// drawn and built from the sweep's plan. The groups are built on the
-    /// calling thread: building them inside the runner measured slower set-up
-    /// and a higher peak RSS on the archived-sweep benchmark.
+    /// drawn from the sweep's plan and built by the worker that takes it.
     pub fn sharded<F: Fn(u64) -> C>(
         config: &EvaluationConfig,
         profilers: &[ProfilerKind],
@@ -279,10 +277,11 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
         make_code: F,
     ) -> Self {
         let plan = SweepPlan::new(config, Cell::coverage(config), make_code);
-        let owned = plan.groups().into_iter().filter(|&group| shard.owns(group));
-        let units = owned
-            .map(|group| GroupUnit::new(&plan, group, profilers))
-            .collect();
+        let mut owned = plan.groups();
+        owned.retain(|&group| shard.owns(group));
+        let units = parallel_map(&owned, config.threads, |&group| {
+            GroupUnit::new(&plan, group, profilers)
+        });
         Self {
             config: config.clone(),
             profilers: profilers.to_vec(),

@@ -148,12 +148,11 @@ fn missed_bits(words: &[CoverageSeries], round: usize) -> (usize, usize) {
     words.iter().fold((0, 0), |(before, after), s| {
         let score = s.score_at(round - 1);
         let missing = s.direct_truth_len - score.direct_hits + score.missed_indirect;
-        let at_risk = if score.max_simultaneous > 1 {
-            missing
-        } else {
-            0
-        };
-        (before + missing, after + at_risk)
+        let overwhelmed = score.max_simultaneous > 1;
+        (
+            before + missing,
+            after + if overwhelmed { missing } else { 0 },
+        )
     })
 }
 

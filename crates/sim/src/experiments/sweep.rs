@@ -9,7 +9,7 @@
 //!
 //! Execution is **cell-batched**: one `SweepPlan` builds each code once and
 //! lists the sweep's code groups (a cell's words that share a code), and
-//! one [`parallel_map`] region runs them all. The worker that takes a group
+//! one [`parallel_map_mut`] region runs them all. The worker that takes a group
 //! draws its words, runs them as one [`CampaignBatch`] scrubbed with a
 //! single multi-word burst per round, labels the series and drops the
 //! group. Batched rounds are bit-identical to the per-word
@@ -32,7 +32,7 @@ use harp_ecc::{ErrorSpace, HammingCode, LinearBlockCode};
 use harp_profiler::{BatchRun, CampaignBatch, CoverageSeries, ProfilerKind};
 
 use crate::config::EvaluationConfig;
-use crate::runner::parallel_map;
+use crate::runner::parallel_map_mut;
 use crate::sample::{coverage_cell, Cell, SweepPlan};
 
 /// The coverage series of one (word, profiler) pair within the sweep.
@@ -213,12 +213,25 @@ where
     F: Fn(u64) -> C,
 {
     let plan = SweepPlan::new(config, Cell::coverage(config), make_code);
-    let per_group = parallel_map(&plan.groups(), config.threads, |&group| {
-        let mut unit = GroupUnit::new(&plan, group, profilers);
+    // Each group labels straight into its slots of the one result vector.
+    // Per-group vectors kept to the end of the region would each stay
+    // allocated among the series, and concatenating them would then hold
+    // every evaluation twice.
+    let group_len = config.words_per_code * profilers.len();
+    let mut slots: Vec<Option<WordEvaluation>> = vec![None; plan.groups().len() * group_len];
+    let mut groups: Vec<_> = slots.chunks_mut(group_len).enumerate().collect();
+    parallel_map_mut(&mut groups, config.threads, |(group, slots)| {
+        let mut unit = GroupUnit::new(&plan, *group, profilers);
         unit.advance(config.rounds);
-        unit.label(config)
+        for (slot, evaluation) in slots.iter_mut().zip(unit.label(config)) {
+            *slot = Some(evaluation);
+        }
     });
-    CoverageSweep::of(config, profilers, per_group.into_iter().flatten().collect())
+    let evaluations = slots
+        .into_iter()
+        .map(|slot| slot.expect("every group fills its slots"))
+        .collect();
+    CoverageSweep::of(config, profilers, evaluations)
 }
 
 /// Runs the full coverage sweep with randomly generated SEC Hamming codes

@@ -32,8 +32,8 @@ where
 /// Maps `f` over mutable `items` using `threads` worker threads (0 = one per
 /// available CPU), preserving input order in the output. This is the one
 /// thread scheduler: each worker (the calling thread and `threads - 1`
-/// scoped threads) takes the next unclaimed item from
-/// a shared queue until none is left, and `f` runs exactly once per item.
+/// scoped threads) takes the next unclaimed item from a shared queue until
+/// none is left, and `f` runs exactly once per item.
 /// [`parallel_map`] runs through it over shared references; stateful work
 /// units — e.g. resumable campaign engines stepped between checkpoints —
 /// are advanced in place.
@@ -49,19 +49,16 @@ where
     }
 
     let queue = Mutex::new(items.iter_mut().enumerate());
-    // Each claim locks the queue only until `next` returns, so `f` runs
-    // unlocked.
-    let next = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-    let work = || {
-        let mut done = Vec::new();
-        while let Some((index, item)) = next() {
-            done.push((index, f(item)));
-        }
-        done
+    // A claim locks the queue only until it returns, so `f` runs unlocked.
+    let claim = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+    let work = || -> Vec<(usize, U)> {
+        std::iter::from_fn(claim)
+            .map(|(index, item)| (index, f(item)))
+            .collect()
     };
     // The calling thread is one of the workers, so a region spawns one
     // thread fewer and starts work at once.
-    let mut results: Vec<(usize, U)> = std::thread::scope(|scope| {
+    let mut results = std::thread::scope(|scope| {
         let workers: Vec<_> = (1..worker_count).map(|_| scope.spawn(work)).collect();
         let mut results = work();
         for worker in workers {

@@ -62,36 +62,6 @@ impl Cell {
             })
             .collect()
     }
-
-    /// Word `word` of code `code` in this cell, drawn from the word's own
-    /// seeded RNG, and the word's campaign seed.
-    fn sample_word(
-        self,
-        config: &EvaluationConfig,
-        code: usize,
-        word: usize,
-        codeword_len: usize,
-    ) -> (FaultModel, u64) {
-        let word_salt = self
-            .error_count
-            .map_or((self.rber * 1e12) as u64, |n| n as u64);
-        let word_seed = config.seed_for(code, word, word_salt);
-        let mut rng = ChaCha8Rng::seed_from_u64(word_seed);
-        let sampler = RetentionSampler::new(self.rber, self.probability);
-        let faults = match self.error_count {
-            Some(count) => sampler.sample_word_with_count(codeword_len, count, &mut rng),
-            None => {
-                let faults = sampler.sample_word(codeword_len, &mut rng);
-                // Exhaustive ground truth is exponential in the at-risk
-                // count; clamp pathological samples (essentially impossible
-                // at the RBERs the paper sweeps, but cheap insurance).
-                let mut at_risk = faults.at_risk_bits().to_vec();
-                at_risk.truncate(ErrorSpace::MAX_AT_RISK_BITS);
-                FaultModel::new(at_risk, faults.dependence())
-            }
-        };
-        (faults, word_seed ^ 0xA11C_E5ED)
-    }
 }
 
 /// The error count and probability of coverage-sweep cell `cell` (error
@@ -142,16 +112,36 @@ impl<'a, C: LinearBlockCode + Clone> SweepPlan<'a, C> {
         (0..self.cells.len() * self.codes.len()).collect()
     }
 
-    /// Group `group`'s code and, in word order, each word's faults and
-    /// campaign seed.
+    /// Group `group`'s code and, in word order, each word's faults, drawn
+    /// from the word's own seeded RNG, and campaign seed.
     fn words(&self, group: usize) -> (&C, impl Iterator<Item = (FaultModel, u64)> + '_) {
         let (cell, code) = (
             self.cells[group / self.codes.len()],
             group % self.codes.len(),
         );
         let len = self.codes[code].codeword_len();
-        let words = (0..self.config.words_per_code)
-            .map(move |word| cell.sample_word(self.config, code, word, len));
+        let word_salt = cell
+            .error_count
+            .map_or((cell.rber * 1e12) as u64, |n| n as u64);
+        let sampler = RetentionSampler::new(cell.rber, cell.probability);
+        let words = (0..self.config.words_per_code).map(move |word| {
+            let word_seed = self.config.seed_for(code, word, word_salt);
+            let mut rng = ChaCha8Rng::seed_from_u64(word_seed);
+            let faults = match cell.error_count {
+                Some(count) => sampler.sample_word_with_count(len, count, &mut rng),
+                None => {
+                    let faults = sampler.sample_word(len, &mut rng);
+                    // Exhaustive ground truth is exponential in the at-risk
+                    // count; clamp pathological samples (essentially
+                    // impossible at the RBERs the paper sweeps, but cheap
+                    // insurance).
+                    let mut at_risk = faults.at_risk_bits().to_vec();
+                    at_risk.truncate(ErrorSpace::MAX_AT_RISK_BITS);
+                    FaultModel::new(at_risk, faults.dependence())
+                }
+            };
+            (faults, word_seed ^ 0xA11C_E5ED)
+        });
         (&self.codes[code], words)
     }
 

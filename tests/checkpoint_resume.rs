@@ -54,7 +54,7 @@ fn archived_sweep<C, F>(
     freeze_at: &[usize],
 ) -> CoverageSweep
 where
-    C: LinearBlockCode + Clone + Send + 'static,
+    C: LinearBlockCode + Clone + Send + Sync + 'static,
     F: Fn(u64) -> C + Copy,
 {
     let mut sweep = ResumableSweep::new(config, profilers, make_code);
@@ -203,7 +203,7 @@ fn assert_sweeps_identical(resumed: &CoverageSweep, reference: &CoverageSweep) {
 /// one-shot reference.
 fn assert_archived_sweep_matches<C, F>(name: &str, make_code: F, reference: &CoverageSweep)
 where
-    C: LinearBlockCode + Clone + Send + 'static,
+    C: LinearBlockCode + Clone + Send + Sync + 'static,
     F: Fn(u64) -> C + Copy,
 {
     let scratch = ScratchDir::new(name);
