@@ -9,9 +9,9 @@
 //!
 //! Execution is **cell-batched**: one `SweepPlan` builds each code once and
 //! lists the sweep's code groups (a cell's words that share a code), and
-//! one [`parallel_map_mut`] region runs them all. The worker that takes a group
-//! draws its words, runs them as one [`CampaignBatch`] scrubbed with a
-//! single multi-word burst per round, labels the series and drops the
+//! one [`parallel_map_mut`] region runs them all. The worker that takes a
+//! group draws its words, runs them as one [`CampaignBatch`] scrubbed with
+//! a single multi-word burst per round, labels the series and drops the
 //! group. Batched rounds are bit-identical to the per-word
 //! [`harp_profiler::ProfilingCampaign`] reference path (enforced by
 //! `tests/campaign_equivalence.rs`), so this is purely an execution-plan
